@@ -51,7 +51,6 @@ use crate::{BinaryHypervector, HdcError, HvRow, Result};
 // from `PartialEq` and would make logically-equal values serialize
 // differently — and (b) decides a migration story for the pre-0.4
 // `counts: Vec<u32>` wire layout this plane representation replaced.
-#[derive(Clone)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Accumulator {
     dim: usize,
@@ -65,6 +64,29 @@ pub struct Accumulator {
     /// bundling a row never allocates.
     carry: Vec<u64>,
     items: usize,
+}
+
+impl Clone for Accumulator {
+    fn clone(&self) -> Self {
+        Self {
+            dim: self.dim,
+            words_per_plane: self.words_per_plane,
+            planes: self.planes.clone(),
+            carry: self.carry.clone(),
+            items: self.items,
+        }
+    }
+
+    /// Copies into this accumulator's existing buffers instead of
+    /// allocating new ones: the K-Means loop copies each cluster's bundle
+    /// into its centroid once per pass.
+    fn clone_from(&mut self, source: &Self) {
+        self.dim = source.dim;
+        self.words_per_plane = source.words_per_plane;
+        self.planes.clone_from(&source.planes);
+        self.carry.clone_from(&source.carry);
+        self.items = source.items;
+    }
 }
 
 impl std::fmt::Debug for Accumulator {
@@ -151,31 +173,6 @@ impl Accumulator {
     pub fn clear(&mut self) {
         self.planes.clear();
         self.items = 0;
-    }
-
-    /// Reshapes the accumulator in place to dimension `dim`, zeroing every
-    /// count.
-    ///
-    /// Like [`crate::HvMatrix::reset`], the backing allocations are reused
-    /// whenever their capacity suffices, which makes a set of accumulators
-    /// usable as bounded scratch across a sequence of differently-sized
-    /// batches (the tiled segmentation arena resets its per-cluster bundle
-    /// accumulators once per tile instead of allocating per tile).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::ZeroDimension`] if `dim == 0`.
-    pub fn reset(&mut self, dim: usize) -> Result<()> {
-        if dim == 0 {
-            return Err(HdcError::ZeroDimension);
-        }
-        self.dim = dim;
-        self.words_per_plane = dim.div_ceil(64);
-        self.planes.clear();
-        self.carry.clear();
-        self.carry.resize(self.words_per_plane, 0);
-        self.items = 0;
-        Ok(())
     }
 
     /// Heap bytes held by the plane and carry buffers (their capacity, not
@@ -268,6 +265,71 @@ impl Accumulator {
             });
         }
         self.add_words(row.as_words(), kernels);
+        Ok(())
+    }
+
+    /// Takes one [`crate::HvMatrix`] row back out of the bundle — the exact
+    /// inverse of [`add_row_with`](Self::add_row_with), which lets the
+    /// K-Means update step move a row between clusters instead of
+    /// re-bundling every row.
+    ///
+    /// A word-parallel ripple-borrow subtract that stops at the first plane
+    /// where the borrow dies out, then drops all-zero top planes, so the
+    /// planes stay canonical: adding a row and removing it again gives back
+    /// an accumulator equal to the original.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ,
+    /// [`HdcError::EmptyInput`] if nothing has been accumulated, and
+    /// [`HdcError::InvalidParameter`] if a set bit of `row` has a zero
+    /// count (the row cannot have been added); the accumulator is then
+    /// unchanged.
+    pub fn remove_row(&mut self, row: HvRow<'_>) -> Result<()> {
+        if row.dim() != self.dim {
+            return Err(HdcError::DimensionMismatch {
+                left: self.dim,
+                right: row.dim(),
+            });
+        }
+        if self.items == 0 {
+            return Err(HdcError::EmptyInput);
+        }
+        let borrow = &mut self.carry;
+        borrow.copy_from_slice(row.as_words());
+        for plane in self.planes.chunks_exact_mut(self.words_per_plane) {
+            let mut live = 0;
+            for (word, b) in plane.iter_mut().zip(borrow.iter_mut()) {
+                let next = *b & !*word;
+                *word ^= *b;
+                *b = next;
+                live |= next;
+            }
+            if live == 0 {
+                break;
+            }
+        }
+        if borrow.iter().any(|&b| b != 0) {
+            // Underflow: the borrow ran through every plane. Adding the row
+            // back modulo 2^planes (dropping the carry that survives the
+            // top plane, which is the borrow that wrapped) restores every
+            // count.
+            borrow.copy_from_slice(row.as_words());
+            kernels::scalar().bundle_add_planes(&mut self.planes, self.words_per_plane, borrow);
+            return Err(HdcError::InvalidParameter {
+                message: "row is not contained in the bundle".to_string(),
+            });
+        }
+        while self
+            .planes
+            .rchunks_exact(self.words_per_plane)
+            .next()
+            .is_some_and(|top| top.iter().all(|&word| word == 0))
+        {
+            self.planes
+                .truncate(self.planes.len() - self.words_per_plane);
+        }
+        self.items -= 1;
         Ok(())
     }
 
@@ -1062,6 +1124,111 @@ mod tests {
     }
 
     #[test]
+    fn remove_row_is_the_exact_inverse_of_add_row_with() {
+        let mut rng = HdcRng::seed_from(46);
+        for dim in [70usize, 1000] {
+            let members: Vec<BinaryHypervector> = (0..14)
+                .map(|_| BinaryHypervector::random(dim, &mut rng))
+                .collect();
+            let matrix = crate::HvMatrix::from_vectors(&members).unwrap();
+            let mut acc = Accumulator::zeros(dim).unwrap();
+            for row in 0..10 {
+                acc.add_row(matrix.row(row)).unwrap();
+            }
+            let original = acc.clone();
+            for row in 10..14 {
+                for kernels in [kernels::scalar(), kernels::auto()] {
+                    acc.add_row_with(matrix.row(row), kernels).unwrap();
+                    acc.remove_row(matrix.row(row)).unwrap();
+                    assert_eq!(acc, original, "dim {dim}, row {row}");
+                }
+            }
+            // Taking members out in any order leaves the bundle of the rest.
+            let mut rest = Accumulator::zeros(dim).unwrap();
+            for row in [0, 2, 4, 5, 6, 8] {
+                rest.add_row(matrix.row(row)).unwrap();
+            }
+            for row in [9, 1, 7, 3] {
+                acc.remove_row(matrix.row(row)).unwrap();
+            }
+            assert_eq!(acc, rest, "dim {dim}");
+            assert_eq!(acc.counts(), rest.counts());
+        }
+    }
+
+    #[test]
+    fn clone_from_copies_the_counts_into_the_existing_buffers() {
+        let mut rng = HdcRng::seed_from(48);
+        let mut deep = Accumulator::zeros(300).unwrap();
+        for _ in 0..9 {
+            deep.add(&BinaryHypervector::random(300, &mut rng)).unwrap();
+        }
+        let shallow = Accumulator::from_binary(&BinaryHypervector::random(300, &mut rng));
+        let mut target = deep.clone();
+        let bytes = target.heap_bytes();
+        target.clone_from(&shallow);
+        assert_eq!(target, shallow);
+        assert_eq!(target.heap_bytes(), bytes, "the buffers are reused");
+        target.clone_from(&deep);
+        assert_eq!(target, deep);
+    }
+
+    #[test]
+    fn remove_row_trims_a_top_plane_it_empties() {
+        let a = BinaryHypervector::from_bits(&[true, true, false, false]).unwrap();
+        let b = BinaryHypervector::from_bits(&[true, false, true, false]).unwrap();
+        let matrix = crate::HvMatrix::from_vectors(&[a, b]).unwrap();
+        let mut acc = Accumulator::zeros(4).unwrap();
+        acc.add_row(matrix.row(1)).unwrap();
+        let original = acc.clone();
+        // counts [2, 1, 1, 0]: only element 0 needs the second plane.
+        acc.add_row(matrix.row(0)).unwrap();
+        assert_eq!(acc.plane_count(), 2);
+        acc.remove_row(matrix.row(0)).unwrap();
+        assert_eq!(acc.plane_count(), 1);
+        assert_eq!(acc.counts(), [1, 0, 1, 0]);
+        assert_eq!(acc, original);
+    }
+
+    #[test]
+    fn removing_the_only_item_returns_to_zeros() {
+        let mut rng = HdcRng::seed_from(47);
+        let matrix =
+            crate::HvMatrix::from_vectors(&[BinaryHypervector::random(300, &mut rng)]).unwrap();
+        let mut acc = Accumulator::zeros(300).unwrap();
+        acc.add_row(matrix.row(0)).unwrap();
+        acc.remove_row(matrix.row(0)).unwrap();
+        assert_eq!(acc, Accumulator::zeros(300).unwrap());
+        assert_eq!(acc.plane_count(), 0);
+        assert_eq!(acc.remove_row(matrix.row(0)), Err(HdcError::EmptyInput));
+    }
+
+    #[test]
+    fn removing_a_row_that_was_never_added_errors_and_changes_nothing() {
+        let rows = [
+            BinaryHypervector::from_bits(&[true, true, false, true]).unwrap(),
+            BinaryHypervector::from_bits(&[true, false, true, false]).unwrap(),
+        ];
+        let matrix = crate::HvMatrix::from_vectors(&rows).unwrap();
+        let mut acc = Accumulator::zeros(4).unwrap();
+        acc.add_row(matrix.row(0)).unwrap();
+        acc.add_row(matrix.row(0)).unwrap();
+        let before = acc.clone();
+        // Element 2 has a zero count, so row 1 cannot come out.
+        assert!(matches!(
+            acc.remove_row(matrix.row(1)),
+            Err(HdcError::InvalidParameter { .. })
+        ));
+        assert_eq!(acc, before);
+        assert_eq!(acc.counts(), [2, 2, 0, 2]);
+        let wrong = crate::HvMatrix::zeros(1, 8).unwrap();
+        assert!(matches!(
+            acc.remove_row(wrong.row(0)),
+            Err(HdcError::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
     fn merge_equals_sequential_adds() {
         let mut rng = HdcRng::seed_from(4);
         let hvs: Vec<BinaryHypervector> = (0..6)
@@ -1473,27 +1640,5 @@ mod tests {
             }
             assert_eq!(expected_start, group.len());
         }
-    }
-
-    #[test]
-    fn reset_reshapes_and_reuses_the_allocation() {
-        let hv = BinaryHypervector::ones(1024).unwrap();
-        let mut acc = Accumulator::from_binary(&hv);
-        let bytes_before = acc.heap_bytes();
-        // One plane plus the carry scratch: two 16-word buffers.
-        assert!(bytes_before >= 2 * 16 * 8);
-        acc.reset(512).unwrap();
-        assert_eq!(acc.dim(), 512);
-        assert_eq!(acc.items(), 0);
-        assert_eq!(acc.plane_count(), 0);
-        assert!(acc.counts().iter().all(|&c| c == 0));
-        // Shrinking reuses the buffers; the capacity (and thus heap_bytes)
-        // never shrinks.
-        assert_eq!(acc.heap_bytes(), bytes_before);
-        assert!(acc.reset(0).is_err());
-        // The reshaped accumulator still adds correctly.
-        let small = BinaryHypervector::ones(512).unwrap();
-        acc.add(&small).unwrap();
-        assert_eq!(acc.counts(), vec![1u32; 512]);
     }
 }

@@ -92,18 +92,29 @@ fn assign_block_hamming(
     }
 }
 
+/// The previous label of a row before the first assignment pass, so that
+/// pass's update moves every row into its first cluster.
+const UNASSIGNED: u32 = u32::MAX;
+
 /// Outcome of clustering one image's pixel hypervectors.
 #[derive(Debug, Clone)]
 pub struct ClusterOutcome {
     /// Cluster index per pixel, in the same order as the input hypervectors.
     pub labels: Vec<u32>,
-    /// Number of iterations executed.
+    /// Number of assignment passes executed, including the one that
+    /// reproduced the previous labels and so confirmed the fixed point; at
+    /// most the configured iteration count.
     pub iterations_run: usize,
     /// Per-iteration label assignments (only populated when snapshots are
-    /// requested; used by the Fig. 8 reproduction).
+    /// requested; used by the Fig. 8 reproduction). Always one per
+    /// configured iteration: passes skipped after the fixed point repeat
+    /// its labels, exactly as running them would have.
     pub snapshots: Vec<Vec<u32>>,
     /// Number of pixels assigned to each cluster after the final iteration.
     pub cluster_sizes: Vec<usize>,
+    /// The exact bundle of each cluster's final pixels, in cluster order
+    /// (empty for a cluster that ended with no pixels).
+    pub bundles: Vec<Accumulator>,
 }
 
 /// The revised K-Means clusterer of §III-4.
@@ -126,7 +137,9 @@ pub struct ClusterOutcome {
 /// packed pixel rows with zero per-pixel allocations (the pipeline's hot
 /// path), while [`cluster`](Self::cluster) accepts individual
 /// [`BinaryHypervector`]s as the single-vector reference path. Both produce
-/// identical labels for the same inputs.
+/// identical labels, snapshots, sizes and bundles for the same inputs; the
+/// matrix path gets there with less work, stopping once the labels reach a
+/// fixed point and re-bundling only the rows that changed cluster.
 ///
 /// # Example
 ///
@@ -254,9 +267,16 @@ impl HvKmeans {
     ///
     /// Compared to [`cluster`](Self::cluster) this performs **zero
     /// per-pixel heap allocations**: the assignment step reads matrix rows
-    /// in place (in parallel across rows) and the update step bundles rows
-    /// into a reused set of accumulators. The labels are bit-identical to
-    /// the per-vector reference path for the same inputs.
+    /// in place (in parallel across rows). The update step keeps one bundle
+    /// per cluster and moves only the rows whose label changed (add to the
+    /// new bundle, [`Accumulator::remove_row`] from the old), and the loop
+    /// stops at the first pass that reproduces the previous labels: the
+    /// centroids are a pure function of the labels (an emptied cluster
+    /// keeps its previous centroid), so every later pass would repeat that
+    /// fixed point. The outcome — labels, snapshots (padded to the
+    /// configured iteration count), sizes and bundles — is bit-identical to
+    /// the per-vector reference path's for the same inputs; only
+    /// [`ClusterOutcome::iterations_run`] reports the passes actually run.
     ///
     /// `intensities` must hold one scalar intensity per pixel (used only
     /// for centroid initialisation) in the same row order as `pixels`.
@@ -272,10 +292,11 @@ impl HvKmeans {
 
     /// [`cluster_matrix`](Self::cluster_matrix) through an explicit
     /// [`Kernels`] selection — the variant an execution backend threads its
-    /// kernels into. Every word-level operation of the iteration (bit-sliced
+    /// kernels into. The word-level work of the iteration (bit-sliced
     /// centroid dot products in the assignment step, vertical-counter carry
     /// adds in the update step, Hamming distances in the ablation metric)
-    /// dispatches through `kernels`.
+    /// dispatches through `kernels`; only the rare removal of a row that
+    /// changed cluster is a plain borrow loop.
     ///
     /// Kernels are bit-exact with each other (see the
     /// [`hdc::kernels`] contract), so the labels are byte-identical for
@@ -296,20 +317,24 @@ impl HvKmeans {
         let dim = pixels.dim();
         let pixel_count = pixels.rows();
 
-        // Initial centroids: bundles containing a single seed pixel each.
+        // What the assignment step measures against: one seed pixel per
+        // cluster at first, afterwards each cluster's bundle.
         let mut centroids: Vec<Accumulator> = Vec::with_capacity(self.clusters);
         for index in self.initial_indices(intensities) {
             let mut accumulator = Accumulator::zeros(dim)?;
             accumulator.add_row_with(pixels.row(index), kernels)?;
             centroids.push(accumulator);
         }
-        // Scratch accumulators reused (cleared, not reallocated) by every
-        // update step.
-        let mut scratch: Vec<Accumulator> = (0..self.clusters)
+        // The exact bundle of each cluster's current rows, kept current by
+        // moving only the rows whose label changed.
+        let mut bundles: Vec<Accumulator> = (0..self.clusters)
             .map(|_| Accumulator::zeros(dim))
             .collect::<std::result::Result<_, _>>()?;
 
-        let mut labels = vec![0u32; pixel_count];
+        // `labels` receives each pass's assignment; `previous` holds the
+        // pass before it (swapped in at the top of every pass).
+        let mut labels = vec![UNASSIGNED; pixel_count];
+        let mut previous = vec![0u32; pixel_count];
         let mut snapshots = Vec::new();
         let mut iterations_run = 0;
 
@@ -321,8 +346,9 @@ impl HvKmeans {
         let mut majority_valid: Vec<bool> = Vec::new();
         let words_per_row = dim.div_ceil(64);
 
-        for _ in 0..self.iterations {
+        while iterations_run < self.iterations {
             iterations_run += 1;
+            std::mem::swap(&mut labels, &mut previous);
             let metric = self.metric;
             // Per-centroid, per-iteration precomputation: the contiguous
             // bit-sliced plane stack plus cached norms for cosine (what the
@@ -389,43 +415,58 @@ impl HvKmeans {
                 snapshots.push(labels.clone());
             }
 
-            // Update step: bundle each cluster's rows into the reused
-            // scratch accumulators.
-            for accumulator in &mut scratch {
-                accumulator.clear();
+            // Update step: move each row whose label changed out of its
+            // old bundle and into its new one (pass 1 moves every row in).
+            // Integer adds and removes are exact, so the bundles equal a
+            // full re-bundle of the current labels.
+            let mut moved = false;
+            for (index, (&label, &old)) in labels.iter().zip(&previous).enumerate() {
+                if label != old {
+                    if old != UNASSIGNED {
+                        bundles[old as usize].remove_row(pixels.row(index))?;
+                    }
+                    bundles[label as usize].add_row_with(pixels.row(index), kernels)?;
+                    moved = true;
+                }
             }
-            for (index, &label) in labels.iter().enumerate() {
-                scratch[label as usize].add_row_with(pixels.row(index), kernels)?;
+            // A pass that reproduces the previous labels leaves every
+            // bundle — and so every centroid — as it was, and every later
+            // pass would reproduce the same labels: stop at the fixed
+            // point (Lloyd's stopping rule, exact here).
+            if !moved {
+                break;
             }
             // Empty clusters keep their previous centroid so they can win
             // pixels back in a later iteration.
-            for (k, accumulator) in scratch.iter_mut().enumerate() {
-                if accumulator.items() == 0 {
-                    accumulator.clone_from(&centroids[k]);
+            for (centroid, bundle) in centroids.iter_mut().zip(&bundles) {
+                if bundle.items() > 0 {
+                    centroid.clone_from(bundle);
                 }
             }
-            std::mem::swap(&mut centroids, &mut scratch);
         }
 
-        let mut cluster_sizes = vec![0usize; self.clusters];
-        for &label in &labels {
-            cluster_sizes[label as usize] += 1;
+        if self.record_snapshots {
+            snapshots.resize(self.iterations, labels.clone());
         }
         Ok(ClusterOutcome {
+            cluster_sizes: bundles.iter().map(Accumulator::items).collect(),
             labels,
             iterations_run,
             snapshots,
-            cluster_sizes,
+            bundles,
         })
     }
 
     /// Clusters pixel hypervectors given as individual vectors.
     ///
     /// This is the single-vector *reference path*: it allocates per-pixel
-    /// (fresh accumulators every iteration) and exists as the convenience
-    /// API and as the naive baseline the benchmarks compare the batched
-    /// [`cluster_matrix`](Self::cluster_matrix) against. The two paths
-    /// produce identical labels for the same inputs.
+    /// (fresh accumulators every iteration), runs every configured
+    /// iteration and re-bundles every pixel in each, and exists as the
+    /// convenience API, as the oracle the incremental
+    /// [`cluster_matrix`](Self::cluster_matrix) is tested against, and as
+    /// the naive baseline the benchmarks compare it with. The two paths
+    /// produce identical labels, snapshots, sizes and bundles for the same
+    /// inputs.
     ///
     /// `intensities` must hold one scalar intensity per pixel (used only for
     /// centroid initialisation) in the same order as `pixels`.
@@ -453,6 +494,7 @@ impl HvKmeans {
         let mut labels = vec![0u32; pixels.len()];
         let mut snapshots = Vec::new();
         let mut iterations_run = 0;
+        let mut bundles = Vec::new();
 
         for _ in 0..self.iterations {
             iterations_run += 1;
@@ -493,20 +535,25 @@ impl HvKmeans {
             }
 
             // Update step: rebuild each centroid as the sum of its members.
-            let mut new_centroids: Vec<Accumulator> = (0..self.clusters)
+            bundles = (0..self.clusters)
                 .map(|_| Accumulator::zeros(dim))
                 .collect::<std::result::Result<_, _>>()?;
             for (pixel, &label) in pixels.iter().zip(&labels) {
-                new_centroids[label as usize].add(pixel)?;
+                bundles[label as usize].add(pixel)?;
             }
             // Empty clusters keep their previous centroid so they can win
             // pixels back in a later iteration.
-            for (k, centroid) in new_centroids.iter_mut().enumerate() {
-                if centroid.items() == 0 {
-                    *centroid = centroids[k].clone();
-                }
-            }
-            centroids = new_centroids;
+            centroids = bundles
+                .iter()
+                .zip(centroids)
+                .map(|(bundle, previous)| {
+                    if bundle.items() == 0 {
+                        previous
+                    } else {
+                        bundle.clone()
+                    }
+                })
+                .collect();
         }
 
         let mut cluster_sizes = vec![0usize; self.clusters];
@@ -518,7 +565,32 @@ impl HvKmeans {
             iterations_run,
             snapshots,
             cluster_sizes,
+            bundles,
         })
+    }
+}
+
+/// Checks a matrix-path pass count against the full-pass oracle
+/// ([`HvKmeans::cluster`] with snapshots): at most the oracle's passes, and
+/// fewer only if the oracle's labels never changed again from the pass
+/// before the confirming one on.
+#[cfg(test)]
+pub(crate) fn assert_true_pass_count(iterations_run: usize, oracle: &ClusterOutcome) {
+    assert!(
+        (1..=oracle.iterations_run).contains(&iterations_run),
+        "{iterations_run} passes against the oracle's {}",
+        oracle.iterations_run
+    );
+    if iterations_run < oracle.iterations_run {
+        let settled = iterations_run
+            .checked_sub(2)
+            .expect("a fixed point takes two passes to confirm");
+        assert!(
+            oracle.snapshots[settled..]
+                .iter()
+                .all(|labels| labels == &oracle.snapshots[settled]),
+            "stopped after {iterations_run} passes but the oracle's labels kept changing"
+        );
     }
 }
 
@@ -635,7 +707,8 @@ mod tests {
             assert_eq!(by_vector.labels, by_matrix.labels, "{metric:?}");
             assert_eq!(by_vector.snapshots, by_matrix.snapshots, "{metric:?}");
             assert_eq!(by_vector.cluster_sizes, by_matrix.cluster_sizes);
-            assert_eq!(by_vector.iterations_run, by_matrix.iterations_run);
+            assert_eq!(by_vector.bundles, by_matrix.bundles, "{metric:?}");
+            assert_true_pass_count(by_matrix.iterations_run, &by_vector);
         }
     }
 

@@ -274,7 +274,9 @@ pub struct SegmentOutput {
     /// Per-iteration label maps (whole-image mode with
     /// [`SegHdcConfig::record_snapshots`] only).
     pub snapshots: Vec<LabelMap>,
-    /// Clustering iterations executed (per tile, in tiled mode).
+    /// Clustering passes executed, including the one that confirmed the
+    /// label fixed point (see [`crate::ClusterOutcome::iterations_run`]);
+    /// in tiled mode, the most any tile ran.
     pub iterations_run: usize,
     /// Pixels per label: cluster sizes in cluster order for whole-image
     /// mode, stitched-group sizes in ascending label order for tiled mode.
@@ -748,14 +750,14 @@ impl SegEngine {
 
             let width = view.width();
             let height = view.height();
-            let to_map = |labels: &[u32]| -> Result<LabelMap> {
-                Ok(LabelMap::from_raw(width, height, labels.to_vec())?)
+            let to_map = |labels: Vec<u32>| -> Result<LabelMap> {
+                Ok(LabelMap::from_raw(width, height, labels)?)
             };
-            let label_map = to_map(&outcome.labels)?;
+            let label_map = to_map(outcome.labels)?;
             let snapshots = outcome
                 .snapshots
-                .iter()
-                .map(|labels| to_map(labels))
+                .into_iter()
+                .map(to_map)
                 .collect::<Result<Vec<_>>>()?;
 
             Ok(SegmentOutput {
@@ -802,7 +804,7 @@ impl SegEngine {
             Ok(SegmentOutput {
                 label_map: streamed.label_map,
                 snapshots: Vec::new(),
-                iterations_run: self.config.iterations,
+                iterations_run: streamed.iterations_run,
                 cluster_sizes: sizes.into_values().collect(),
                 mode: ExecutedMode::Tiled {
                     tiles_x: streamed.tiles_x,
@@ -1187,6 +1189,64 @@ mod tests {
             observed.single().label_map.as_raw(),
             plain.single().label_map.as_raw()
         );
+    }
+
+    /// The default backend, recording the passes of every region it
+    /// clusters.
+    #[derive(Debug)]
+    struct PassRecordingBackend {
+        passes: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl crate::ExecBackend for PassRecordingBackend {
+        fn name(&self) -> &'static str {
+            "pass-recording"
+        }
+
+        fn encode_region(
+            &self,
+            encoder: &PixelEncoder,
+            view: &ImageView<'_>,
+            region: &imaging::TileRect,
+            scratch: &mut hdc::HvMatrix,
+        ) -> Result<()> {
+            SimdCpuBackend::auto().encode_region(encoder, view, region, scratch)
+        }
+
+        fn cluster_matrix(
+            &self,
+            kmeans: &HvKmeans,
+            pixels: &hdc::HvMatrix,
+            intensities: &[u8],
+        ) -> Result<crate::ClusterOutcome> {
+            let outcome = SimdCpuBackend::auto().cluster_matrix(kmeans, pixels, intensities)?;
+            self.passes.lock().unwrap().push(outcome.iterations_run);
+            Ok(outcome)
+        }
+    }
+
+    #[test]
+    fn tiled_runs_report_the_most_passes_any_tile_ran() {
+        let image = square_image(32);
+        let config = SegHdcConfig {
+            iterations: 10,
+            ..fast_config()
+        };
+        let passes = Arc::new(Mutex::new(Vec::new()));
+        let engine = SegEngine::builder(config)
+            .backend(Box::new(PassRecordingBackend {
+                passes: Arc::clone(&passes),
+            }))
+            .build()
+            .unwrap();
+        let report = engine
+            .run(&SegmentRequest::image(&image).tiled(TileConfig::square(16, 4).unwrap()))
+            .unwrap();
+        let passes = passes.lock().unwrap();
+        assert_eq!(passes.len(), 4, "one clustering per tile");
+        let most = *passes.iter().max().unwrap();
+        assert!(most < 10, "every tile should settle early: {passes:?}");
+        assert_eq!(report.single().iterations_run, most);
     }
 
     #[test]

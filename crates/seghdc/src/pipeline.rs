@@ -13,7 +13,8 @@ pub struct Segmentation {
     /// Label maps after each clustering iteration (only populated when
     /// [`SegHdcConfig::record_snapshots`] is set; used for Fig. 8).
     pub snapshots: Vec<LabelMap>,
-    /// Number of clustering iterations executed.
+    /// Number of clustering passes executed (see
+    /// [`crate::ClusterOutcome::iterations_run`]).
     pub iterations_run: usize,
     /// Number of pixels per cluster after the final iteration.
     pub cluster_sizes: Vec<usize>,
@@ -268,7 +269,7 @@ mod tests {
     #![allow(deprecated)]
 
     use super::*;
-    use crate::{ColorEncoding, PositionEncoding};
+    use crate::{ColorEncoding, HvKmeans, PositionEncoding};
     use imaging::{metrics, GrayImage, RgbImage};
 
     /// A bright square on a dark background plus its ground truth. Both
@@ -307,10 +308,33 @@ mod tests {
     #[test]
     fn segments_a_high_contrast_square_accurately() {
         let (image, truth) = square_image(32);
-        let result = SegHdc::new(fast_config()).unwrap().segment(&image).unwrap();
+        let pipeline = SegHdc::new(fast_config()).unwrap();
+        let result = pipeline.segment(&image).unwrap();
         let iou = metrics::matched_binary_iou(&result.label_map, &truth).unwrap();
         assert!(iou > 0.9, "IoU {iou}");
-        assert_eq!(result.iterations_run, 3);
+        // The passes that actually ran, checked against the full-pass
+        // per-vector oracle on the same pixels.
+        let view = ImageView::full(&image);
+        let intensities: Vec<u8> = (0..32 * 32)
+            .map(|i| view.intensity_at(i % 32, i / 32).unwrap())
+            .collect();
+        let pixels = pipeline
+            .build_encoder(32, 32, 1)
+            .unwrap()
+            .encode_image(&image)
+            .unwrap();
+        let config = pipeline.config();
+        let oracle = HvKmeans::new(
+            config.clusters,
+            config.iterations,
+            config.distance_metric,
+            true,
+        )
+        .unwrap()
+        .cluster(&pixels, &intensities)
+        .unwrap();
+        assert_eq!(result.label_map.as_raw(), oracle.labels.as_slice());
+        crate::cluster::assert_true_pass_count(result.iterations_run, &oracle);
         assert_eq!(result.cluster_sizes.iter().sum::<usize>(), 32 * 32);
         assert!(result.total_time() >= result.encode_time);
     }

@@ -132,7 +132,6 @@ impl TileConfig {
 pub struct TileArena {
     pub(crate) matrix: HvMatrix,
     pub(crate) intensities: Vec<u8>,
-    pub(crate) bundles: Vec<Accumulator>,
     peak_matrix_bytes: usize,
 }
 
@@ -143,7 +142,6 @@ impl TileArena {
         Self {
             matrix: HvMatrix::zeros(0, 1).expect("dimension 1 is valid"),
             intensities: Vec::new(),
-            bundles: Vec::new(),
             peak_matrix_bytes: 0,
         }
     }
@@ -175,20 +173,6 @@ impl TileArena {
         self.intensities.clear();
         Ok(())
     }
-
-    /// Shapes the arena's per-cluster bundle accumulators to `clusters`
-    /// accumulators of dimension `dim`, zeroed, reusing their allocations
-    /// (the centroid-snapshot scratch of the stitching pass).
-    pub(crate) fn prepare_bundles(&mut self, clusters: usize, dim: usize) -> Result<()> {
-        while self.bundles.len() < clusters {
-            self.bundles.push(Accumulator::zeros(dim)?);
-        }
-        self.bundles.truncate(clusters);
-        for bundle in &mut self.bundles {
-            bundle.reset(dim)?;
-        }
-        Ok(())
-    }
 }
 
 impl Default for TileArena {
@@ -211,6 +195,10 @@ pub struct StreamingSegmentation {
     pub tiles_y: usize,
     /// Number of distinct stitched label groups in the output map.
     pub stitched_labels: usize,
+    /// Clustering passes run by the tile that needed the most (see
+    /// [`crate::ClusterOutcome::iterations_run`]); 0 when every tile was
+    /// too small to cluster.
+    pub iterations_run: usize,
     /// High-water mark of the arena's matrix allocation during this run —
     /// the streaming memory guarantee, measured (≈ one halo-padded tile,
     /// not one image).
@@ -305,6 +293,7 @@ pub(crate) fn segment_streaming_with(
 
     let mut encode_time = Duration::ZERO;
     let mut cluster_time = Duration::ZERO;
+    let mut iterations_run = 0;
 
     // Size the arena for the largest padded tile up front: one exact
     // allocation instead of amortised doubling while the first tiles grow,
@@ -334,25 +323,24 @@ pub(crate) fn segment_streaming_with(
         encode_time += encode_start.elapsed();
 
         let cluster_start = Instant::now();
-        let labels = if rows < clusters {
+        let (labels, bundles) = if rows < clusters {
             // A tile too small to form every cluster collapses to a single
             // local cluster; stitching merges it into a neighbour group.
-            vec![0u32; rows]
+            let mut bundle = Accumulator::zeros(config.dimension)?;
+            for row in 0..rows {
+                bundle.add_row_with(arena.matrix.row(row), host_kernels)?;
+            }
+            (vec![0u32; rows], vec![bundle])
         } else {
-            backend
-                .cluster_matrix(&kmeans, &arena.matrix, &arena.intensities)?
-                .labels
+            let outcome = backend.cluster_matrix(&kmeans, &arena.matrix, &arena.intensities)?;
+            iterations_run = iterations_run.max(outcome.iterations_run);
+            (outcome.labels, outcome.bundles)
         };
 
-        // Bundle each local cluster's rows into centroids for stitching,
-        // reusing the arena's accumulators across tiles.
-        arena.prepare_bundles(clusters, config.dimension)?;
-        for (row, &label) in labels.iter().enumerate() {
-            arena.bundles[label as usize].add_row_with(arena.matrix.row(row), host_kernels)?;
-        }
+        // The clusterer's final bundles are the centroids stitching
+        // compares.
         centroids.push(
-            arena
-                .bundles
+            bundles
                 .iter()
                 .map(|b| (b.items() > 0).then(|| b.to_bit_sliced_with(host_kernels)))
                 .collect(),
@@ -486,6 +474,7 @@ pub(crate) fn segment_streaming_with(
         tiles_x: grid.tiles_x(),
         tiles_y: grid.tiles_y(),
         stitched_labels,
+        iterations_run,
         peak_matrix_bytes: arena.peak_matrix_bytes(),
         encode_time,
         cluster_time,

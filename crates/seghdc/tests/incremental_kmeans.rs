@@ -1,0 +1,170 @@
+//! The incremental matrix clusterer (`HvKmeans::cluster_matrix_with`, which
+//! stops at the label fixed point and re-bundles only the rows that changed
+//! cluster) against the per-vector `HvKmeans::cluster`, which runs every
+//! configured pass and re-bundles every pixel in each: the oracle.
+
+use hdc::kernels::{self, Kernels};
+use hdc::{BinaryHypervector, HdcRng, HvMatrix};
+use proptest::prelude::*;
+use proptest::TestCaseError;
+use seghdc::{ClusterOutcome, DistanceMetric, HvKmeans};
+
+/// `rows` pixels around `centres` random centres: each row is a random
+/// centre with `noise` random bits flipped (noise near `dim / 2` leaves
+/// little structure), with a random intensity.
+fn noisy_pixels(
+    seed: u64,
+    rows: usize,
+    dim: usize,
+    centres: usize,
+    noise: usize,
+) -> (Vec<BinaryHypervector>, Vec<u8>) {
+    let mut rng = HdcRng::seed_from(seed);
+    let centres: Vec<BinaryHypervector> = (0..centres)
+        .map(|_| BinaryHypervector::random(dim, &mut rng))
+        .collect();
+    let mut pixels = Vec::with_capacity(rows);
+    let mut intensities = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        let mut pixel = centres[rng.next_below(centres.len() as u64) as usize].clone();
+        for _ in 0..noise {
+            pixel
+                .flip_bit(rng.next_below(dim as u64) as usize)
+                .expect("index below dim");
+        }
+        pixels.push(pixel);
+        intensities.push(rng.next_below(256) as u8);
+    }
+    (pixels, intensities)
+}
+
+/// Runs both paths and checks the matrix outcome against the oracle's:
+/// identical labels, snapshots, sizes and bundles, and a pass count that
+/// is at most the oracle's and smaller only once the oracle's labels had
+/// settled. Returns the oracle outcome.
+fn check_against_oracle(
+    kmeans: &HvKmeans,
+    pixels: &[BinaryHypervector],
+    intensities: &[u8],
+    kernels: &dyn Kernels,
+) -> Result<ClusterOutcome, TestCaseError> {
+    let oracle = kmeans.cluster(pixels, intensities).unwrap();
+    let matrix = HvMatrix::from_vectors(pixels).unwrap();
+    let outcome = kmeans
+        .cluster_matrix_with(&matrix, intensities, kernels)
+        .unwrap();
+    prop_assert_eq!(&outcome.labels, &oracle.labels);
+    prop_assert_eq!(&outcome.snapshots, &oracle.snapshots);
+    prop_assert_eq!(outcome.snapshots.len(), kmeans.iterations());
+    prop_assert_eq!(&outcome.cluster_sizes, &oracle.cluster_sizes);
+    prop_assert_eq!(&outcome.bundles, &oracle.bundles);
+    prop_assert_eq!(oracle.iterations_run, kmeans.iterations());
+    let run = outcome.iterations_run;
+    prop_assert!(
+        (1..=kmeans.iterations()).contains(&run),
+        "{} passes of {}",
+        run,
+        kmeans.iterations()
+    );
+    if run < kmeans.iterations() {
+        // The confirming pass reproduced the one before it, and the
+        // oracle's labels never changed again from there.
+        prop_assert!(run >= 2, "stopped after {} pass", run);
+        let settled = &oracle.snapshots[run - 2];
+        prop_assert!(
+            oracle.snapshots[run - 2..].iter().all(|s| s == settled),
+            "stopped after {} passes but the oracle kept moving",
+            run
+        );
+    }
+    Ok(oracle)
+}
+
+/// Whether some cluster held pixels after one pass and none after a later
+/// one, so its carried-over centroid took part in an assignment.
+fn a_cluster_emptied_mid_run(oracle: &ClusterOutcome, clusters: usize) -> bool {
+    (0..clusters as u32).any(|k| {
+        let held: Vec<bool> = oracle
+            .snapshots
+            .iter()
+            .map(|labels| labels.contains(&k))
+            .collect();
+        held.windows(2).any(|pair| pair[0] && !pair[1])
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn incremental_cluster_matrix_matches_the_full_pass_oracle(
+        seed in any::<u64>(),
+        clusters in 2usize..6,
+        iterations in 1usize..11,
+        shape in (8usize..72, 64usize..400),
+        noise_share in 0usize..6,
+        hamming in any::<bool>(),
+    ) {
+        let (rows, dim) = shape;
+        let metric = if hamming {
+            DistanceMetric::Hamming
+        } else {
+            DistanceMetric::Cosine
+        };
+        // noise_share 0..6 sweeps tight groups (fast fixed points) up to
+        // near-random rows that may never settle within the budget.
+        let (pixels, intensities) =
+            noisy_pixels(seed, rows.max(clusters), dim, clusters, noise_share * dim / 10);
+        let kmeans = HvKmeans::new(clusters, iterations, metric, true).unwrap();
+        for kernels in [kernels::scalar(), kernels::auto()] {
+            check_against_oracle(&kmeans, &pixels, &intensities, kernels)?;
+        }
+    }
+}
+
+/// A cluster whose last pixels leave it mid-run: its bundle is emptied
+/// row by row and its size drops to zero in both paths. Such inputs are
+/// searched for among five-cluster runs over two natural groups; the
+/// search must find some for each metric, so the case cannot silently
+/// drop out.
+#[test]
+fn a_cluster_that_empties_mid_run_matches_the_oracle() {
+    for metric in [DistanceMetric::Cosine, DistanceMetric::Hamming] {
+        let kmeans = HvKmeans::new(5, 8, metric, true).unwrap();
+        let mut found = 0;
+        for seed in 0..200u64 {
+            let (pixels, intensities) = noisy_pixels(seed, 40, 128, 2, 10);
+            let oracle =
+                check_against_oracle(&kmeans, &pixels, &intensities, kernels::auto()).unwrap();
+            if a_cluster_emptied_mid_run(&oracle, 5) {
+                found += 1;
+            }
+        }
+        assert!(found > 0, "no {metric:?} input emptied a cluster mid-run");
+    }
+}
+
+/// An empty cluster keeps its previous centroid, which can win pixels back
+/// later. Both seeds are copies of one vector `a`, so pass 1 ties every
+/// pixel into cluster 0 and empties cluster 1; pass 2 measures against
+/// cluster 1's carried seed, and the copies of `a` move back to it.
+#[test]
+fn an_empty_cluster_wins_pixels_back_with_its_carried_centroid() {
+    let mut rng = HdcRng::seed_from(5);
+    let a = BinaryHypervector::random(200, &mut rng);
+    let b = BinaryHypervector::random(200, &mut rng);
+    // Five copies of `a`, the darkest and brightest among them, and seven
+    // of `b`, so `b` holds the majority of cluster 0 after pass 1.
+    let mut pixels = vec![a; 5];
+    pixels.extend(std::iter::repeat_n(b, 7));
+    let intensities = [0u8, 255, 100, 100, 100, 90, 90, 90, 90, 90, 90, 90];
+    for metric in [DistanceMetric::Cosine, DistanceMetric::Hamming] {
+        let kmeans = HvKmeans::new(2, 6, metric, true).unwrap();
+        for kernels in [kernels::scalar(), kernels::auto()] {
+            let oracle = check_against_oracle(&kmeans, &pixels, &intensities, kernels).unwrap();
+            assert!(!oracle.snapshots[0].contains(&1), "{metric:?}: pass 1");
+            assert_eq!(&oracle.snapshots[1][..5], &[1; 5], "{metric:?}: pass 2");
+            assert_eq!(oracle.cluster_sizes, [7, 5], "{metric:?}");
+        }
+    }
+}
