@@ -194,7 +194,8 @@ impl Accumulator {
     }
 
     /// Carry-adds one packed bit plane at significance `level` (counts get
-    /// `2^level` wherever `bits` is set). Used by [`merge`](Self::merge).
+    /// `2^level` wherever `bits` is set). Used by [`merge`](Self::merge)
+    /// and [`add_row_weighted_with`](Self::add_row_weighted_with).
     fn add_plane_at_level(&mut self, level: usize, bits: &[u64], kernels: &dyn Kernels) {
         if bits.iter().all(|&word| word == 0) {
             return;
@@ -268,24 +269,55 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Takes one [`crate::HvMatrix`] row back out of the bundle — the exact
-    /// inverse of [`add_row_with`](Self::add_row_with), which lets the
-    /// K-Means update step move a row between clusters instead of
+    /// Adds `copies` copies of one [`crate::HvMatrix`] row at once: the
+    /// counts of `copies` calls of [`add_row_with`](Self::add_row_with),
+    /// from one carry add per set bit `b` of `copies` (the row added at
+    /// significance `2^b`). The K-Means update step moves each distinct
+    /// pixel row with its multiplicity this way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
+    pub fn add_row_weighted_with(
+        &mut self,
+        row: HvRow<'_>,
+        copies: usize,
+        kernels: &dyn Kernels,
+    ) -> Result<()> {
+        if row.dim() != self.dim {
+            return Err(HdcError::DimensionMismatch {
+                left: self.dim,
+                right: row.dim(),
+            });
+        }
+        for level in set_bits(copies) {
+            self.add_plane_at_level(level, row.as_words(), kernels);
+        }
+        self.items += copies;
+        Ok(())
+    }
+
+    /// Takes `copies` copies of one [`crate::HvMatrix`] row back out of the
+    /// bundle: the exact inverse of
+    /// [`add_row_weighted_with`](Self::add_row_weighted_with) (with
+    /// `copies == 1`, of [`add_row_with`](Self::add_row_with)), which lets
+    /// the K-Means update step move a row between clusters instead of
     /// re-bundling every row.
     ///
-    /// A word-parallel ripple-borrow subtract that stops at the first plane
-    /// where the borrow dies out, then drops all-zero top planes, so the
-    /// planes stay canonical: adding a row and removing it again gives back
-    /// an accumulator equal to the original.
+    /// One word-parallel ripple-borrow subtract per set bit of `copies`,
+    /// each starting at that bit's plane and stopping at the first plane
+    /// where the borrow dies out; then all-zero top planes are dropped, so
+    /// the planes stay canonical: adding copies of a row and removing them
+    /// again gives back an accumulator equal to the original.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ,
     /// [`HdcError::EmptyInput`] if nothing has been accumulated, and
-    /// [`HdcError::InvalidParameter`] if a set bit of `row` has a zero
-    /// count (the row cannot have been added); the accumulator is then
-    /// unchanged.
-    pub fn remove_row(&mut self, row: HvRow<'_>) -> Result<()> {
+    /// [`HdcError::InvalidParameter`] if the bundle holds fewer than
+    /// `copies` items or a set bit of `row` has a count below `copies` (the
+    /// copies cannot have been added); the accumulator is then unchanged.
+    pub fn remove_row(&mut self, row: HvRow<'_>, copies: usize) -> Result<()> {
         if row.dim() != self.dim {
             return Err(HdcError::DimensionMismatch {
                 left: self.dim,
@@ -295,9 +327,46 @@ impl Accumulator {
         if self.items == 0 {
             return Err(HdcError::EmptyInput);
         }
+        let not_contained = || HdcError::InvalidParameter {
+            message: format!("the bundle does not hold {copies} copies of the row"),
+        };
+        if copies > self.items {
+            return Err(not_contained());
+        }
+        let words = row.as_words();
+        for level in set_bits(copies) {
+            if !self.sub_plane_at_level(level, words) {
+                // Add back the lower levels already taken out. The counts
+                // they restore fit the untrimmed planes, so the adds never
+                // grow a plane and the planes come back bit for bit.
+                for done in set_bits(copies & ((1 << level) - 1)) {
+                    self.add_plane_at_level(done, words, kernels::scalar());
+                }
+                return Err(not_contained());
+            }
+        }
+        while self
+            .planes
+            .rchunks_exact(self.words_per_plane)
+            .next()
+            .is_some_and(|top| top.iter().all(|&word| word == 0))
+        {
+            self.planes
+                .truncate(self.planes.len() - self.words_per_plane);
+        }
+        self.items -= copies;
+        Ok(())
+    }
+
+    /// Borrow-subtracts one packed bit plane at significance `level`
+    /// (counts lose `2^level` wherever `bits` is set), without trimming.
+    /// Returns `false`, with the planes as they were, if some count at a
+    /// set bit of `bits` is below `2^level`.
+    fn sub_plane_at_level(&mut self, level: usize, bits: &[u64]) -> bool {
+        let start = (level * self.words_per_plane).min(self.planes.len());
         let borrow = &mut self.carry;
-        borrow.copy_from_slice(row.as_words());
-        for plane in self.planes.chunks_exact_mut(self.words_per_plane) {
+        borrow.copy_from_slice(bits);
+        for plane in self.planes[start..].chunks_exact_mut(self.words_per_plane) {
             let mut live = 0;
             for (word, b) in plane.iter_mut().zip(borrow.iter_mut()) {
                 let next = *b & !*word;
@@ -309,28 +378,20 @@ impl Accumulator {
                 break;
             }
         }
-        if borrow.iter().any(|&b| b != 0) {
-            // Underflow: the borrow ran through every plane. Adding the row
-            // back modulo 2^planes (dropping the carry that survives the
-            // top plane, which is the borrow that wrapped) restores every
-            // count.
-            borrow.copy_from_slice(row.as_words());
-            kernels::scalar().bundle_add_planes(&mut self.planes, self.words_per_plane, borrow);
-            return Err(HdcError::InvalidParameter {
-                message: "row is not contained in the bundle".to_string(),
-            });
+        if borrow.iter().all(|&b| b == 0) {
+            return true;
         }
-        while self
-            .planes
-            .rchunks_exact(self.words_per_plane)
-            .next()
-            .is_some_and(|top| top.iter().all(|&word| word == 0))
-        {
-            self.planes
-                .truncate(self.planes.len() - self.words_per_plane);
-        }
-        self.items -= 1;
-        Ok(())
+        // Underflow: the borrow ran through every plane from `level` up.
+        // Adding `bits` back there modulo the top (dropping the carry that
+        // survives it, which is the borrow that wrapped) restores every
+        // count.
+        borrow.copy_from_slice(bits);
+        kernels::scalar().bundle_add_planes(
+            &mut self.planes[start..],
+            self.words_per_plane,
+            borrow,
+        );
+        false
     }
 
     /// Merges another accumulator into this one (plane-wise carry adds, one
@@ -1009,6 +1070,15 @@ impl BitSlicedGroup {
     }
 }
 
+/// The positions of the set bits of `n`, lowest first.
+fn set_bits(mut n: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = n.trailing_zeros() as usize;
+        n &= n.wrapping_sub(1);
+        (bit < usize::BITS as usize).then_some(bit)
+    })
+}
+
 /// The single definition of Eq. 7's cosine similarity between an integer
 /// bundle (given as exact `dot` and Euclidean norm) and a binary vector
 /// with `ones` set bits. Every cosine entry point — `Accumulator` against
@@ -1139,7 +1209,7 @@ mod tests {
             for row in 10..14 {
                 for kernels in [kernels::scalar(), kernels::auto()] {
                     acc.add_row_with(matrix.row(row), kernels).unwrap();
-                    acc.remove_row(matrix.row(row)).unwrap();
+                    acc.remove_row(matrix.row(row), 1).unwrap();
                     assert_eq!(acc, original, "dim {dim}, row {row}");
                 }
             }
@@ -1149,7 +1219,7 @@ mod tests {
                 rest.add_row(matrix.row(row)).unwrap();
             }
             for row in [9, 1, 7, 3] {
-                acc.remove_row(matrix.row(row)).unwrap();
+                acc.remove_row(matrix.row(row), 1).unwrap();
             }
             assert_eq!(acc, rest, "dim {dim}");
             assert_eq!(acc.counts(), rest.counts());
@@ -1184,7 +1254,7 @@ mod tests {
         // counts [2, 1, 1, 0]: only element 0 needs the second plane.
         acc.add_row(matrix.row(0)).unwrap();
         assert_eq!(acc.plane_count(), 2);
-        acc.remove_row(matrix.row(0)).unwrap();
+        acc.remove_row(matrix.row(0), 1).unwrap();
         assert_eq!(acc.plane_count(), 1);
         assert_eq!(acc.counts(), [1, 0, 1, 0]);
         assert_eq!(acc, original);
@@ -1197,10 +1267,10 @@ mod tests {
             crate::HvMatrix::from_vectors(&[BinaryHypervector::random(300, &mut rng)]).unwrap();
         let mut acc = Accumulator::zeros(300).unwrap();
         acc.add_row(matrix.row(0)).unwrap();
-        acc.remove_row(matrix.row(0)).unwrap();
+        acc.remove_row(matrix.row(0), 1).unwrap();
         assert_eq!(acc, Accumulator::zeros(300).unwrap());
         assert_eq!(acc.plane_count(), 0);
-        assert_eq!(acc.remove_row(matrix.row(0)), Err(HdcError::EmptyInput));
+        assert_eq!(acc.remove_row(matrix.row(0), 1), Err(HdcError::EmptyInput));
     }
 
     #[test]
@@ -1216,16 +1286,111 @@ mod tests {
         let before = acc.clone();
         // Element 2 has a zero count, so row 1 cannot come out.
         assert!(matches!(
-            acc.remove_row(matrix.row(1)),
+            acc.remove_row(matrix.row(1), 1),
             Err(HdcError::InvalidParameter { .. })
         ));
         assert_eq!(acc, before);
         assert_eq!(acc.counts(), [2, 2, 0, 2]);
         let wrong = crate::HvMatrix::zeros(1, 8).unwrap();
         assert!(matches!(
-            acc.remove_row(wrong.row(0)),
+            acc.remove_row(wrong.row(0), 1),
             Err(HdcError::DimensionMismatch { .. })
         ));
+    }
+
+    /// Random rows, and a bundle of `base` of them to start from.
+    fn rows_and_bundle(seed: u64, dim: usize, base: usize) -> (crate::HvMatrix, Accumulator) {
+        let mut rng = HdcRng::seed_from(seed);
+        let members: Vec<BinaryHypervector> = (0..base + 1)
+            .map(|_| BinaryHypervector::random(dim, &mut rng))
+            .collect();
+        let matrix = crate::HvMatrix::from_vectors(&members).unwrap();
+        let mut acc = Accumulator::zeros(dim).unwrap();
+        for row in 1..=base {
+            acc.add_row(matrix.row(row)).unwrap();
+        }
+        (matrix, acc)
+    }
+
+    #[test]
+    fn a_weighted_add_equals_that_many_single_adds() {
+        // 1, 6 = 0b110 and 37 = 0b100101 set several bits; with three rows
+        // in the bundle (two planes), 37 reaches past the top plane and 6
+        // carries into a new one.
+        for copies in [0usize, 1, 2, 6, 37] {
+            for dim in [70usize, 1000] {
+                let (matrix, start) = rows_and_bundle(51, dim, 3);
+                for kernels in [kernels::scalar(), kernels::auto()] {
+                    let mut weighted = start.clone();
+                    weighted
+                        .add_row_weighted_with(matrix.row(0), copies, kernels)
+                        .unwrap();
+                    let mut single = start.clone();
+                    for _ in 0..copies {
+                        single.add_row_with(matrix.row(0), kernels).unwrap();
+                    }
+                    assert_eq!(weighted, single, "{copies} copies, dim {dim}");
+                    assert_eq!(weighted.items(), 3 + copies);
+                }
+            }
+        }
+        let (_, mut acc) = rows_and_bundle(52, 70, 1);
+        let wrong = crate::HvMatrix::zeros(1, 8).unwrap();
+        assert!(matches!(
+            acc.add_row_weighted_with(wrong.row(0), 3, kernels::auto()),
+            Err(HdcError::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn removing_copies_is_the_exact_inverse_of_the_weighted_add() {
+        for copies in [1usize, 2, 6, 37] {
+            let (matrix, start) = rows_and_bundle(53, 1000, 5);
+            let mut acc = start.clone();
+            acc.add_row_weighted_with(matrix.row(0), copies, kernels::auto())
+                .unwrap();
+            acc.remove_row(matrix.row(0), copies).unwrap();
+            assert_eq!(acc, start, "{copies} copies");
+            // From the empty bundle and back: no planes left over.
+            let mut only = Accumulator::zeros(1000).unwrap();
+            only.add_row_weighted_with(matrix.row(0), copies, kernels::auto())
+                .unwrap();
+            only.remove_row(matrix.row(0), copies).unwrap();
+            assert_eq!(only, Accumulator::zeros(1000).unwrap());
+            // Taken out in parts, in any split of `copies`.
+            acc.add_row_weighted_with(matrix.row(0), copies, kernels::auto())
+                .unwrap();
+            acc.remove_row(matrix.row(0), copies / 2).unwrap();
+            acc.remove_row(matrix.row(0), copies - copies / 2).unwrap();
+            assert_eq!(acc, start, "{copies} copies in two parts");
+        }
+    }
+
+    #[test]
+    fn removing_more_copies_than_were_added_errors_and_changes_nothing() {
+        let (matrix, mut acc) = rows_and_bundle(54, 300, 4);
+        acc.add_row_weighted_with(matrix.row(0), 5, kernels::auto())
+            .unwrap();
+        let before = acc.clone();
+        // Some set bit of row 0 counts only its 5 copies. 6 = 0b110 and
+        // 7 = 0b111 fail at their last set bit, after the lower ones were
+        // taken out; 8 fails at its only one; 10 is more than the 9 items
+        // held.
+        for copies in [6usize, 7, 8, 10] {
+            assert!(
+                matches!(
+                    acc.remove_row(matrix.row(0), copies),
+                    Err(HdcError::InvalidParameter { .. })
+                ),
+                "{copies} copies"
+            );
+            assert_eq!(acc, before, "{copies} copies");
+        }
+        // An all-zero row is contained any number of times, but not in
+        // more copies than the bundle has items.
+        let zero = crate::HvMatrix::zeros(1, 300).unwrap();
+        assert!(acc.remove_row(zero.row(0), 10).is_err());
+        assert_eq!(acc, before);
     }
 
     #[test]

@@ -2,6 +2,8 @@ use crate::{DistanceMetric, Result, SegHdcError};
 use hdc::kernels::{self, Kernels};
 use hdc::{Accumulator, BinaryHypervector, BitSlicedGroup, HvMatrix};
 use rayon::prelude::*;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::ops::Range;
 
 /// Rows per parallel assignment work unit: large enough to amortise the
@@ -15,14 +17,15 @@ const ASSIGN_BLOCK_ROWS: usize = 256;
 /// products are exact integer adds, so tiling cannot change any label).
 const PLANE_CHUNK_BYTES: usize = 192 * 1024;
 
-/// Cosine assignment for one block of rows: accumulate every centroid dot
-/// product through the fused multi-centroid kernel (one cache-blocked run
-/// of centroid planes at a time), then pick each row's argmin with one
-/// popcount per row — where the per-centroid path popcounted each row once
-/// per centroid.
+/// Cosine assignment for one block of rows (`pixels` row `rows[i]`
+/// labelled into `out[i]`): accumulate every centroid dot product through
+/// the fused multi-centroid kernel (one cache-blocked run of centroid
+/// planes at a time), then pick each row's argmin with one popcount per
+/// row — where the per-centroid path popcounted each row once per
+/// centroid.
 fn assign_block_cosine(
     pixels: &HvMatrix,
-    base: usize,
+    rows: &[usize],
     out: &mut [u32],
     group: &BitSlicedGroup,
     chunk_ranges: &[Range<usize>],
@@ -31,17 +34,17 @@ fn assign_block_cosine(
     let clusters = group.len();
     let mut dots = vec![0u64; out.len() * clusters];
     for range in chunk_ranges {
-        for (i, row_dots) in dots.chunks_mut(clusters).enumerate() {
+        for (&row, row_dots) in rows.iter().zip(dots.chunks_mut(clusters)) {
             group.dot_row_range_with(
                 range.clone(),
-                pixels.row(base + i),
+                pixels.row(row),
                 &mut row_dots[range.clone()],
                 kernels,
             );
         }
     }
-    for (i, (label, row_dots)) in out.iter_mut().zip(dots.chunks(clusters)).enumerate() {
-        let ones = kernels.popcount(pixels.row(base + i).as_words()) as usize;
+    for ((label, row_dots), &row) in out.iter_mut().zip(dots.chunks(clusters)).zip(rows) {
+        let ones = kernels.popcount(pixels.row(row).as_words()) as usize;
         let row_norm = (ones as f64).sqrt();
         let mut best = 0usize;
         let mut best_distance = f64::INFINITY;
@@ -56,7 +59,8 @@ fn assign_block_cosine(
     }
 }
 
-/// Hamming assignment for one block of rows: all centroid distances for a
+/// Hamming assignment for one block of rows (`pixels` row `rows[i]`
+/// labelled into `out[i]`): all centroid distances for a
 /// row come from one fused `hamming_multi` sweep over the stacked majority
 /// vectors. Slots whose centroid had no majority vector (empty bundle —
 /// unreachable in practice, since empty clusters inherit the previous
@@ -64,7 +68,7 @@ fn assign_block_cosine(
 /// preserving the reference path's infinite distance for them.
 fn assign_block_hamming(
     pixels: &HvMatrix,
-    base: usize,
+    rows: &[usize],
     out: &mut [u32],
     majority_stack: &[u64],
     majority_valid: &[bool],
@@ -73,8 +77,8 @@ fn assign_block_hamming(
 ) {
     let clusters = majority_valid.len();
     let mut hams = vec![0u64; clusters];
-    for (i, label) in out.iter_mut().enumerate() {
-        kernels.hamming_multi(pixels.row(base + i).as_words(), majority_stack, &mut hams);
+    for (label, &row) in out.iter_mut().zip(rows) {
+        kernels.hamming_multi(pixels.row(row).as_words(), majority_stack, &mut hams);
         let mut best = 0usize;
         let mut best_distance = f64::INFINITY;
         for (k, &ham) in hams.iter().enumerate() {
@@ -89,6 +93,105 @@ fn assign_block_hamming(
             }
         }
         *label = best as u32;
+    }
+}
+
+/// A free slot of the grouping table.
+const FREE: u32 = u32::MAX;
+
+/// Slots the grouping table starts with (16 KiB): room for 2,048 distinct
+/// rows before it first grows.
+const INITIAL_SLOTS: usize = 4096;
+
+/// Hashes a row's words for the grouping table: four independent
+/// multiply lanes (so the multiplies overlap) started from `seed`, folded
+/// and avalanched with MurmurHash3's finaliser. It only picks the slot:
+/// whether two rows are the same is decided by comparing all their words.
+fn row_hash(words: &[u64], seed: u64) -> u64 {
+    let mut lanes = [seed; 4];
+    for chunk in words.chunks(4) {
+        for (lane, &word) in lanes.iter_mut().zip(chunk) {
+            *lane = (*lane ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+    let mut hash =
+        lanes[0] ^ lanes[1].rotate_left(16) ^ lanes[2].rotate_left(32) ^ lanes[3].rotate_left(48);
+    hash = (hash ^ hash >> 33).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    hash = (hash ^ hash >> 33).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    hash ^ hash >> 33
+}
+
+/// A matrix's bit-identical rows, grouped. Pixels of one position block
+/// and one colour encode to the same row, and identical rows always get
+/// identical labels, so the K-Means loop runs over the distinct rows,
+/// each standing for all of its copies.
+struct DistinctRows {
+    /// The first matrix row of each distinct row, in first-occurrence
+    /// order.
+    first: Vec<usize>,
+    /// How many matrix rows equal each distinct row.
+    copies: Vec<usize>,
+    /// The distinct row of each matrix row.
+    of_row: Vec<u32>,
+}
+
+impl DistinctRows {
+    /// Groups the rows through an open-addressing table of distinct-row
+    /// indices (linear probing, at most half full).
+    fn of(pixels: &HvMatrix) -> Self {
+        // Rows come from images sent from outside the program: a seed
+        // drawn per call keeps anyone from choosing rows that collide.
+        let seed = RandomState::new().hash_one(0u64);
+        let mut slots = vec![FREE; INITIAL_SLOTS];
+        let mut hashes: Vec<u64> = Vec::new();
+        let mut first: Vec<usize> = Vec::new();
+        let mut copies: Vec<usize> = Vec::new();
+        let mut of_row = Vec::with_capacity(pixels.rows());
+        for row in 0..pixels.rows() {
+            let words = pixels.row(row).as_words();
+            let hash = row_hash(words, seed);
+            let mut slot = hash as usize & (slots.len() - 1);
+            let distinct = loop {
+                let id = slots[slot];
+                if id == FREE {
+                    slots[slot] = first.len() as u32;
+                    first.push(row);
+                    copies.push(0);
+                    hashes.push(hash);
+                    if 2 * first.len() > slots.len() {
+                        slots = vec![FREE; 2 * slots.len()];
+                        for (id, &hash) in hashes.iter().enumerate() {
+                            let mut slot = hash as usize & (slots.len() - 1);
+                            while slots[slot] != FREE {
+                                slot = (slot + 1) & (slots.len() - 1);
+                            }
+                            slots[slot] = id as u32;
+                        }
+                    }
+                    break first.len() - 1;
+                }
+                let id = id as usize;
+                if hashes[id] == hash && pixels.row(first[id]).as_words() == words {
+                    break id;
+                }
+                slot = (slot + 1) & (slots.len() - 1);
+            };
+            copies[distinct] += 1;
+            of_row.push(distinct as u32);
+        }
+        Self {
+            first,
+            copies,
+            of_row,
+        }
+    }
+
+    /// One label per matrix row from one per distinct row.
+    fn expand(&self, labels: &[u32]) -> Vec<u32> {
+        self.of_row
+            .iter()
+            .map(|&distinct| labels[distinct as usize])
+            .collect()
     }
 }
 
@@ -134,12 +237,13 @@ pub struct ClusterOutcome {
 ///
 /// Two equivalent entry points are provided:
 /// [`cluster_matrix`](Self::cluster_matrix) runs over an [`HvMatrix`] of
-/// packed pixel rows with zero per-pixel allocations (the pipeline's hot
-/// path), while [`cluster`](Self::cluster) accepts individual
-/// [`BinaryHypervector`]s as the single-vector reference path. Both produce
-/// identical labels, snapshots, sizes and bundles for the same inputs; the
-/// matrix path gets there with less work, stopping once the labels reach a
-/// fixed point and re-bundling only the rows that changed cluster.
+/// packed pixel rows (the pipeline's hot path), while
+/// [`cluster`](Self::cluster) accepts individual [`BinaryHypervector`]s as
+/// the single-vector reference path. Both produce identical labels,
+/// snapshots, sizes and bundles for the same inputs; the matrix path gets
+/// there with less work, clustering each distinct row once for all of its
+/// copies, stopping once the labels reach a fixed point and re-bundling
+/// only the rows that changed cluster.
 ///
 /// # Example
 ///
@@ -214,28 +318,79 @@ impl HvKmeans {
     /// pixel, and — for more than two clusters — pixels at evenly spaced
     /// intensity quantiles in between ("the pixels with the largest colour
     /// difference", §III-4).
+    ///
+    /// A quantile is a position in the pixels ordered by (intensity,
+    /// index). A 256-bin intensity histogram gives the intensity at each
+    /// position and its rank among that intensity's pixels, and one scan in
+    /// index order finds the pixel of that rank, so no order is sorted.
     fn initial_indices(&self, intensities: &[u8]) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..intensities.len()).collect();
-        order.sort_by_key(|&i| (intensities[i], i));
-        let mut picks = Vec::with_capacity(self.clusters);
-        for k in 0..self.clusters {
-            let quantile = if self.clusters == 1 {
+        let mut histogram = [0usize; 256];
+        for &intensity in intensities {
+            histogram[intensity as usize] += 1;
+        }
+        let targets: Vec<(u8, usize)> = self
+            .seed_positions(intensities.len())
+            .map(|mut position| {
+                let mut intensity = 0;
+                while position >= histogram[intensity] {
+                    position -= histogram[intensity];
+                    intensity += 1;
+                }
+                (intensity as u8, position)
+            })
+            .collect();
+        let mut picks = vec![0; targets.len()];
+        let mut seen = [0usize; 256];
+        for (index, &intensity) in intensities.iter().enumerate() {
+            let rank = seen[intensity as usize];
+            seen[intensity as usize] += 1;
+            for (pick, &target) in picks.iter_mut().zip(&targets) {
+                if target == (intensity, rank) {
+                    *pick = index;
+                }
+            }
+        }
+        self.distinct_seeds(picks, intensities.len())
+    }
+
+    /// The positions of the seed pixels in the (intensity, index) order of
+    /// `pixel_count` pixels.
+    fn seed_positions(&self, pixel_count: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.clusters).map(move |k| {
+            if self.clusters == 1 {
                 0
             } else {
-                k * (order.len() - 1) / (self.clusters - 1)
-            };
-            picks.push(order[quantile]);
-        }
+                k * (pixel_count - 1) / (self.clusters - 1)
+            }
+        })
+    }
+
+    /// Drops repeated consecutive picks, then pads with the lowest unused
+    /// pixel indices up to one seed per cluster.
+    fn distinct_seeds(&self, mut picks: Vec<usize>, pixel_count: usize) -> Vec<usize> {
         picks.dedup();
         // If intensity ties collapsed some picks, pad with distinct indices.
         let mut next = 0usize;
-        while picks.len() < self.clusters && next < intensities.len() {
+        while picks.len() < self.clusters && next < pixel_count {
             if !picks.contains(&next) {
                 picks.push(next);
             }
             next += 1;
         }
         picks
+    }
+
+    /// [`initial_indices`](Self::initial_indices) by sorting every pixel,
+    /// the reference the histogram search is tested against.
+    #[cfg(test)]
+    fn initial_indices_by_sort(&self, intensities: &[u8]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..intensities.len()).collect();
+        order.sort_by_key(|&i| (intensities[i], i));
+        let picks = self
+            .seed_positions(intensities.len())
+            .map(|position| order[position])
+            .collect();
+        self.distinct_seeds(picks, intensities.len())
     }
 
     fn validate_inputs(&self, pixel_count: usize, intensity_count: usize) -> Result<()> {
@@ -265,18 +420,25 @@ impl HvKmeans {
     /// Clusters pixel hypervectors stored as an [`HvMatrix`] — the batched
     /// hot path used by the pipeline.
     ///
-    /// Compared to [`cluster`](Self::cluster) this performs **zero
-    /// per-pixel heap allocations**: the assignment step reads matrix rows
-    /// in place (in parallel across rows). The update step keeps one bundle
-    /// per cluster and moves only the rows whose label changed (add to the
-    /// new bundle, [`Accumulator::remove_row`] from the old), and the loop
-    /// stops at the first pass that reproduces the previous labels: the
-    /// centroids are a pure function of the labels (an emptied cluster
-    /// keeps its previous centroid), so every later pass would repeat that
-    /// fixed point. The outcome — labels, snapshots (padded to the
-    /// configured iteration count), sizes and bundles — is bit-identical to
-    /// the per-vector reference path's for the same inputs; only
-    /// [`ClusterOutcome::iterations_run`] reports the passes actually run.
+    /// It first groups bit-identical rows: pixels of one position block
+    /// and one colour encode to the same row, identical rows always get
+    /// identical labels, and the bundles are exact integer sums, so the
+    /// loop runs over the distinct rows, each weighted by its number of
+    /// copies. The grouping tables (one entry per distinct row, one index
+    /// per pixel) are allocated once per call; the assignment step reads
+    /// matrix rows in place (in parallel across rows). The update step
+    /// keeps one bundle per cluster and moves only the rows whose label
+    /// changed, with all their copies
+    /// ([`Accumulator::add_row_weighted_with`] into the new bundle,
+    /// [`Accumulator::remove_row`] from the old), and the loop stops at
+    /// the first pass that reproduces the previous labels: the centroids
+    /// are a pure function of the labels (an emptied cluster keeps its
+    /// previous centroid), so every later pass would repeat that fixed
+    /// point. The outcome — labels, snapshots (padded to the configured
+    /// iteration count), sizes and bundles — is equal to that of the
+    /// per-vector reference path [`cluster`](Self::cluster) for the same
+    /// inputs; only [`ClusterOutcome::iterations_run`] reports the passes
+    /// actually run.
     ///
     /// `intensities` must hold one scalar intensity per pixel (used only
     /// for centroid initialisation) in the same row order as `pixels`.
@@ -296,11 +458,13 @@ impl HvKmeans {
     /// centroid dot products in the assignment step, vertical-counter carry
     /// adds in the update step, Hamming distances in the ablation metric)
     /// dispatches through `kernels`; only the rare removal of a row that
-    /// changed cluster is a plain borrow loop.
+    /// changed cluster is a plain borrow loop. Beyond the per-call grouping
+    /// tables and its outcome, it allocates nothing per pixel.
     ///
     /// Kernels are bit-exact with each other (see the
     /// [`hdc::kernels`] contract), so the labels are byte-identical for
-    /// every selection.
+    /// every selection, and the outcome equals the per-vector
+    /// [`cluster`](Self::cluster)'s.
     ///
     /// # Errors
     ///
@@ -315,7 +479,6 @@ impl HvKmeans {
     ) -> Result<ClusterOutcome> {
         self.validate_inputs(pixels.rows(), intensities.len())?;
         let dim = pixels.dim();
-        let pixel_count = pixels.rows();
 
         // What the assignment step measures against: one seed pixel per
         // cluster at first, afterwards each cluster's bundle.
@@ -331,10 +494,13 @@ impl HvKmeans {
             .map(|_| Accumulator::zeros(dim))
             .collect::<std::result::Result<_, _>>()?;
 
-        // `labels` receives each pass's assignment; `previous` holds the
-        // pass before it (swapped in at the top of every pass).
-        let mut labels = vec![UNASSIGNED; pixel_count];
-        let mut previous = vec![0u32; pixel_count];
+        // The passes label distinct rows; `labels` receives each pass's
+        // assignment and `previous` holds the pass before it (swapped in at
+        // the top of every pass).
+        let distinct = DistinctRows::of(pixels);
+        let first = &distinct.first;
+        let mut labels = vec![UNASSIGNED; first.len()];
+        let mut previous = vec![0u32; first.len()];
         let mut snapshots = Vec::new();
         let mut iterations_run = 0;
 
@@ -378,10 +544,10 @@ impl HvKmeans {
                     Vec::new()
                 }
             };
-            // Assignment step: parallel over row blocks, written straight
-            // into the reused labels buffer; each block sweeps the fused
-            // multi-centroid kernels one cache-sized centroid run at a
-            // time.
+            // Assignment step: parallel over blocks of distinct rows,
+            // written straight into the reused labels buffer; each block
+            // sweeps the fused multi-centroid kernels one cache-sized
+            // centroid run at a time.
             let group_ref = &group;
             let chunk_ranges_ref = &chunk_ranges;
             let majority_stack_ref = &majority_stack;
@@ -390,11 +556,11 @@ impl HvKmeans {
                 .par_chunks_mut(ASSIGN_BLOCK_ROWS)
                 .enumerate()
                 .for_each(|(block, out)| {
-                    let base = block * ASSIGN_BLOCK_ROWS;
+                    let rows = &first[block * ASSIGN_BLOCK_ROWS..][..out.len()];
                     match metric {
                         DistanceMetric::Cosine => assign_block_cosine(
                             pixels,
-                            base,
+                            rows,
                             out,
                             group_ref,
                             chunk_ranges_ref,
@@ -402,7 +568,7 @@ impl HvKmeans {
                         ),
                         DistanceMetric::Hamming => assign_block_hamming(
                             pixels,
-                            base,
+                            rows,
                             out,
                             majority_stack_ref,
                             majority_valid_ref,
@@ -412,20 +578,22 @@ impl HvKmeans {
                     }
                 });
             if self.record_snapshots {
-                snapshots.push(labels.clone());
+                snapshots.push(distinct.expand(&labels));
             }
 
-            // Update step: move each row whose label changed out of its
-            // old bundle and into its new one (pass 1 moves every row in).
-            // Integer adds and removes are exact, so the bundles equal a
-            // full re-bundle of the current labels.
+            // Update step: move each row whose label changed, with all its
+            // copies, out of its old bundle and into its new one (pass 1
+            // moves every row in). Integer adds and removes are exact, so
+            // the bundles equal a full re-bundle of the current labels.
             let mut moved = false;
             for (index, (&label, &old)) in labels.iter().zip(&previous).enumerate() {
                 if label != old {
+                    let row = pixels.row(first[index]);
+                    let copies = distinct.copies[index];
                     if old != UNASSIGNED {
-                        bundles[old as usize].remove_row(pixels.row(index))?;
+                        bundles[old as usize].remove_row(row, copies)?;
                     }
-                    bundles[label as usize].add_row_with(pixels.row(index), kernels)?;
+                    bundles[label as usize].add_row_weighted_with(row, copies, kernels)?;
                     moved = true;
                 }
             }
@@ -445,6 +613,7 @@ impl HvKmeans {
             }
         }
 
+        let labels = distinct.expand(&labels);
         if self.record_snapshots {
             snapshots.resize(self.iterations, labels.clone());
         }
@@ -762,6 +931,55 @@ mod tests {
         assert_eq!(picks.len(), 3);
         assert_eq!(intensities[picks[0]], 10);
         assert_eq!(intensities[picks[2]], 255);
+    }
+
+    #[test]
+    fn distinct_rows_keep_first_occurrence_order_and_count_copies() {
+        let mut rng = HdcRng::seed_from(80);
+        // More distinct rows than the table holds before it grows, then
+        // each again in reverse order, and the first one a third time;
+        // among them two rows that differ in one bit only.
+        let count = INITIAL_SLOTS / 2 + 50;
+        let mut rows: Vec<BinaryHypervector> = (1..count)
+            .map(|_| BinaryHypervector::random(100, &mut rng))
+            .collect();
+        let mut near = rows[0].clone();
+        near.flip_bit(99).unwrap();
+        rows.push(near);
+        let mut all = rows.clone();
+        all.extend(rows.iter().rev().cloned());
+        all.push(rows[0].clone());
+        let distinct = DistinctRows::of(&HvMatrix::from_vectors(&all).unwrap());
+        assert_eq!(distinct.first, (0..count).collect::<Vec<_>>());
+        let mut copies = vec![2; count];
+        copies[0] = 3;
+        assert_eq!(distinct.copies, copies);
+        let labels: Vec<u32> = (0..count as u32).collect();
+        let expanded = distinct.expand(&labels);
+        for (pixel, row) in all.iter().enumerate() {
+            assert_eq!(&rows[expanded[pixel] as usize], row, "pixel {pixel}");
+        }
+    }
+
+    #[test]
+    fn histogram_seeds_match_the_sorted_reference() {
+        let mut rng = HdcRng::seed_from(79);
+        for case in 0..600 {
+            let clusters = 2 + rng.next_below(7) as usize;
+            let len = clusters + rng.next_below(300) as usize;
+            // From a single intensity (every pick a tie) to all 256.
+            let spread = 1 + rng.next_below(256);
+            let low = rng.next_below(257 - spread);
+            let intensities: Vec<u8> = (0..len)
+                .map(|_| (low + rng.next_below(spread)) as u8)
+                .collect();
+            let kmeans = HvKmeans::new(clusters, 1, DistanceMetric::Cosine, false).unwrap();
+            assert_eq!(
+                kmeans.initial_indices(&intensities),
+                kmeans.initial_indices_by_sort(&intensities),
+                "case {case}: {clusters} clusters over {len} pixels, spread {spread}"
+            );
+        }
     }
 
     #[test]

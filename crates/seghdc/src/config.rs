@@ -73,6 +73,11 @@ pub struct SegHdcConfig {
     /// Hypervector dimensionality `d`.
     pub dimension: usize,
     /// Flip-unit scale `α` of the decay Manhattan position encoding (Eq. 5).
+    ///
+    /// The flip unit is `⌊α · d / (2 · n)⌋` bits per step along an axis of
+    /// `n` pixels, so once an image axis exceeds `α · d / 2` pixels it
+    /// floors to 0 and positions along that axis stop contributing (at the
+    /// default α = 0.2 and d = 2048, any axis over 204 pixels).
     pub alpha: f64,
     /// Block size `β` of the block-decay position encoding (Eq. 6).
     pub beta: usize,

@@ -12,6 +12,13 @@ use hdc::{BinaryHypervector, HdcRng, ItemMemory, LevelMemory};
 /// variants, deliberately *not*, reproducing the ablations of Fig. 3 and
 /// Table I.
 ///
+/// The Manhattan variants flip `⌊α · d / (2 · n)⌋` bits per step along an
+/// axis of `n` pixels (Eq. 5). Once an axis is longer than `α · d / 2`
+/// pixels that unit floors to 0: every level of the axis is the same
+/// vector, and positions along it stop contributing to the pixel codes.
+/// At α = 0.2 and d = 2048 that is any axis over 204 pixels, such as a
+/// 512-pixel scan.
+///
 /// # Example
 ///
 /// ```rust

@@ -1,7 +1,10 @@
 //! The incremental matrix clusterer (`HvKmeans::cluster_matrix_with`, which
-//! stops at the label fixed point and re-bundles only the rows that changed
-//! cluster) against the per-vector `HvKmeans::cluster`, which runs every
-//! configured pass and re-bundles every pixel in each: the oracle.
+//! groups bit-identical rows, stops at the label fixed point and re-bundles
+//! only the rows that changed cluster, with all their copies) against the
+//! per-vector `HvKmeans::cluster`, which runs every configured pass and
+//! re-bundles every pixel in each: the oracle. Rows repeat, as pixels of
+//! one position block and one colour do, with multiplicities that set
+//! several bits.
 
 use hdc::kernels::{self, Kernels};
 use hdc::{BinaryHypervector, HdcRng, HvMatrix};
@@ -9,12 +12,13 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 use seghdc::{ClusterOutcome, DistanceMetric, HvKmeans};
 
-/// `rows` pixels around `centres` random centres: each row is a random
-/// centre with `noise` random bits flipped (noise near `dim / 2` leaves
-/// little structure), with a random intensity.
+/// `distinct` rows around `centres` random centres, each a random centre
+/// with `noise` random bits flipped (noise near `dim / 2` leaves little
+/// structure) and repeated 1 to `max_copies` times, in shuffled order,
+/// every copy with its own random intensity.
 fn noisy_pixels(
     seed: u64,
-    rows: usize,
+    (distinct, max_copies): (usize, u64),
     dim: usize,
     centres: usize,
     noise: usize,
@@ -23,18 +27,23 @@ fn noisy_pixels(
     let centres: Vec<BinaryHypervector> = (0..centres)
         .map(|_| BinaryHypervector::random(dim, &mut rng))
         .collect();
-    let mut pixels = Vec::with_capacity(rows);
-    let mut intensities = Vec::with_capacity(rows);
-    for _ in 0..rows {
+    let mut pixels = Vec::new();
+    for _ in 0..distinct {
         let mut pixel = centres[rng.next_below(centres.len() as u64) as usize].clone();
         for _ in 0..noise {
             pixel
                 .flip_bit(rng.next_below(dim as u64) as usize)
                 .expect("index below dim");
         }
-        pixels.push(pixel);
-        intensities.push(rng.next_below(256) as u8);
+        let copies = 1 + rng.next_below(max_copies) as usize;
+        pixels.extend(std::iter::repeat_n(pixel, copies));
     }
+    for i in (1..pixels.len()).rev() {
+        pixels.swap(i, rng.next_below(i as u64 + 1) as usize);
+    }
+    let intensities = (0..pixels.len())
+        .map(|_| rng.next_below(256) as u8)
+        .collect();
     (pixels, intensities)
 }
 
@@ -93,6 +102,26 @@ fn a_cluster_emptied_mid_run(oracle: &ClusterOutcome, clusters: usize) -> bool {
     })
 }
 
+/// Whether a row with at least two set bits in its multiplicity changed
+/// cluster between two passes, so all its copies left a bundle at once.
+fn a_repeated_row_changed_cluster(oracle: &ClusterOutcome, pixels: &[BinaryHypervector]) -> bool {
+    let heavy: Vec<bool> = pixels
+        .iter()
+        .map(|pixel| {
+            pixels
+                .iter()
+                .filter(|&row| row == pixel)
+                .count()
+                .count_ones()
+                >= 2
+        })
+        .collect();
+    oracle
+        .snapshots
+        .windows(2)
+        .any(|pair| (0..pixels.len()).any(|pixel| heavy[pixel] && pair[0][pixel] != pair[1][pixel]))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -101,11 +130,11 @@ proptest! {
         seed in any::<u64>(),
         clusters in 2usize..6,
         iterations in 1usize..11,
-        shape in (8usize..72, 64usize..400),
+        shape in (4usize..24, 64usize..400),
         noise_share in 0usize..6,
         hamming in any::<bool>(),
     ) {
-        let (rows, dim) = shape;
+        let (distinct, dim) = shape;
         let metric = if hamming {
             DistanceMetric::Hamming
         } else {
@@ -114,7 +143,7 @@ proptest! {
         // noise_share 0..6 sweeps tight groups (fast fixed points) up to
         // near-random rows that may never settle within the budget.
         let (pixels, intensities) =
-            noisy_pixels(seed, rows.max(clusters), dim, clusters, noise_share * dim / 10);
+            noisy_pixels(seed, (distinct.max(clusters), 40), dim, clusters, noise_share * dim / 10);
         let kmeans = HvKmeans::new(clusters, iterations, metric, true).unwrap();
         for kernels in [kernels::scalar(), kernels::auto()] {
             check_against_oracle(&kmeans, &pixels, &intensities, kernels)?;
@@ -123,24 +152,30 @@ proptest! {
 }
 
 /// A cluster whose last pixels leave it mid-run: its bundle is emptied
-/// row by row and its size drops to zero in both paths. Such inputs are
-/// searched for among five-cluster runs over two natural groups; the
-/// search must find some for each metric, so the case cannot silently
+/// and its size drops to zero in both paths; and a row repeated with a
+/// multiplicity of several set bits that changes cluster, so the update
+/// takes all its copies out of one bundle and into another. Such inputs
+/// are searched for among five-cluster runs over two natural groups; the
+/// search must find both for each metric, so neither case can silently
 /// drop out.
 #[test]
-fn a_cluster_that_empties_mid_run_matches_the_oracle() {
+fn clusters_that_empty_and_heavy_rows_that_move_match_the_oracle() {
     for metric in [DistanceMetric::Cosine, DistanceMetric::Hamming] {
         let kmeans = HvKmeans::new(5, 8, metric, true).unwrap();
-        let mut found = 0;
+        let (mut emptied, mut moved) = (0, 0);
         for seed in 0..200u64 {
-            let (pixels, intensities) = noisy_pixels(seed, 40, 128, 2, 10);
+            let (pixels, intensities) = noisy_pixels(seed, (30, 6), 128, 2, 10);
             let oracle =
                 check_against_oracle(&kmeans, &pixels, &intensities, kernels::auto()).unwrap();
             if a_cluster_emptied_mid_run(&oracle, 5) {
-                found += 1;
+                emptied += 1;
+            }
+            if a_repeated_row_changed_cluster(&oracle, &pixels) {
+                moved += 1;
             }
         }
-        assert!(found > 0, "no {metric:?} input emptied a cluster mid-run");
+        assert!(emptied > 0, "no {metric:?} input emptied a cluster mid-run");
+        assert!(moved > 0, "no {metric:?} input moved a heavy row");
     }
 }
 
