@@ -18,6 +18,22 @@ use rayon::prelude::*;
 /// API bit-for-bit: [`HvRow::to_hypervector`] and
 /// [`HvMatrix::set_row`] are exact inverses.
 ///
+/// # Shared rows
+///
+/// A matrix is either **dense** (one stored row per row) or **shared**:
+/// it stores each distinct row once, plus one `u32` index entry per row
+/// naming the stored row it reads. Pixels of one SegHDC position block
+/// and one colour encode to the same hypervector, so an image's matrix
+/// can hold a few hundred stored rows for tens of thousands of rows
+/// ([`reset_shared`](Self::reset_shared), [`share_rows`](Self::share_rows),
+/// [`from_shared`](Self::from_shared)). Either way [`rows`](Self::rows),
+/// [`row`](Self::row), [`to_vectors`](Self::to_vectors) and `==` see one
+/// row per index, and a write through [`row_mut`](Self::row_mut),
+/// [`set_row`](Self::set_row) or [`fill_rows`](Self::fill_rows) changes
+/// only the row written: a shared matrix first expands to the dense
+/// layout. Stored rows are numbered in order of first use, so stored row
+/// `s + 1` is first read by a later row than stored row `s`.
+///
 /// # Example
 ///
 /// ```rust
@@ -36,16 +52,26 @@ use rayon::prelude::*;
 /// assert_eq!(matrix.row(0).to_hypervector(), a);
 /// assert_eq!(matrix.row(1).to_hypervector(), a.xor(&b)?);
 /// assert_eq!(matrix.row(0).hamming(matrix.row(1))?, a.hamming(&a.xor(&b)?)?);
+///
+/// // Three rows over two stored rows: rows 0 and 2 read the same one.
+/// let shared = HvMatrix::from_shared(&[a.clone(), b.clone()], vec![0, 1, 0])?;
+/// assert_eq!((shared.rows(), shared.stored_rows()), (3, 2));
+/// assert_eq!(shared.to_vectors(), vec![a.clone(), b, a]);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HvMatrix {
     rows: usize,
     dim: usize,
     stride: usize,
+    /// The stored rows, `stride` words each.
     words: Vec<u64>,
+    /// When `shared`, the stored row of each row; otherwise empty (row
+    /// `i` is stored row `i`). Kept allocated across resets.
+    index: Vec<u32>,
+    shared: bool,
 }
 
 impl HvMatrix {
@@ -64,18 +90,19 @@ impl HvMatrix {
             dim,
             stride,
             words: vec![0; rows.saturating_mul(stride)],
+            index: Vec::new(),
+            shared: false,
         })
     }
 
     /// Reshapes the matrix in place to `rows` hypervectors of dimension
-    /// `dim`, zeroing every bit.
+    /// `dim`, zeroing every bit, with one stored row per row.
     ///
     /// The backing allocation is **reused** whenever its capacity suffices,
     /// which makes a single `HvMatrix` usable as a bounded arena across a
-    /// sequence of differently-sized batches (the streaming tiled segmenter
-    /// resets one matrix per tile instead of allocating per tile). Use
+    /// sequence of differently-sized batches. Use
     /// [`capacity_bytes`](Self::capacity_bytes) to observe the high-water
-    /// mark of the buffer.
+    /// mark of the buffers.
     ///
     /// # Errors
     ///
@@ -88,20 +115,101 @@ impl HvMatrix {
         let words = rows.saturating_mul(stride);
         self.words.clear();
         self.words.resize(words, 0);
+        self.index.clear();
+        self.shared = false;
         self.rows = rows;
         self.dim = dim;
         self.stride = stride;
         Ok(())
     }
 
-    /// Bytes currently reserved by the backing buffer (its capacity, not
-    /// its length) — the number that matters for peak-memory accounting of
-    /// arenas built on [`reset`](Self::reset).
-    pub fn capacity_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
+    /// Reshapes the matrix in place to `rows` all-zero hypervectors of
+    /// dimension `dim` that share one stored row: it writes `rows` index
+    /// entries and one row, not `rows` rows. This is how an arena is
+    /// prepared for [`share_rows`](Self::share_rows).
+    ///
+    /// Buffers are reused like [`reset`](Self::reset)'s, and grow to
+    /// exactly the size asked for, so
+    /// [`capacity_bytes`](Self::capacity_bytes) stays the exact high-water
+    /// mark of what the matrix held.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::ZeroDimension`] if `dim == 0` and
+    /// [`HdcError::InvalidParameter`] if `rows` does not fit a `u32` index.
+    pub fn reset_shared(&mut self, rows: usize, dim: usize) -> Result<()> {
+        if dim == 0 {
+            return Err(HdcError::ZeroDimension);
+        }
+        check_index_len(rows)?;
+        self.rows = rows;
+        self.dim = dim;
+        self.stride = dim.div_ceil(64);
+        self.zero_index();
+        self.resize_stored(usize::from(rows > 0));
+        Ok(())
     }
 
-    /// Packs a slice of hypervectors into a matrix (row `i` = `vectors[i]`).
+    /// Points every row at a stored row and resets the stored rows to
+    /// zero, keeping [`rows`](Self::rows) and [`dim`](Self::dim).
+    ///
+    /// `assign` receives the index (one entry per row, all `0`), fills it
+    /// and returns the number of stored rows; they must be numbered in
+    /// order of first use (the first row reads stored row 0, and every
+    /// entry is at most one more than the largest before it), which also
+    /// means every stored row is read. Write the stored rows afterwards
+    /// with [`fill_stored_rows`](Self::fill_stored_rows).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::InvalidParameter`] if the index breaks that
+    /// numbering or does not fit a `u32`; the matrix is then left as
+    /// [`reset_shared`](Self::reset_shared) leaves it.
+    pub fn share_rows(&mut self, assign: impl FnOnce(&mut [u32]) -> usize) -> Result<()> {
+        check_index_len(self.rows)?;
+        self.zero_index();
+        let stored = assign(&mut self.index);
+        if let Err(err) = check_first_use_order(&self.index, stored) {
+            self.index.fill(0);
+            self.resize_stored(usize::from(self.rows > 0));
+            return Err(err);
+        }
+        self.resize_stored(stored);
+        Ok(())
+    }
+
+    /// Builds a shared matrix: row `i` reads `stored[index[i]]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::EmptyInput`] if `stored` is empty,
+    /// [`HdcError::DimensionMismatch`] if the stored vectors disagree in
+    /// dimension, and [`HdcError::InvalidParameter`] if `index` does not
+    /// number the stored rows in order of first use (see
+    /// [`share_rows`](Self::share_rows)).
+    pub fn from_shared(stored: &[BinaryHypervector], index: Vec<u32>) -> Result<Self> {
+        let dense = Self::from_vectors(stored)?;
+        check_index_len(index.len())?;
+        check_first_use_order(&index, stored.len())?;
+        Ok(Self {
+            rows: index.len(),
+            index,
+            shared: true,
+            ..dense
+        })
+    }
+
+    /// Bytes currently reserved by the stored rows and the index (their
+    /// capacity, not their length) — the number that matters for
+    /// peak-memory accounting of arenas built on [`reset`](Self::reset)
+    /// or [`reset_shared`](Self::reset_shared).
+    pub fn capacity_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+            + self.index.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Packs a slice of hypervectors into a dense matrix (row `i` =
+    /// `vectors[i]`).
     ///
     /// # Errors
     ///
@@ -128,6 +236,18 @@ impl HvMatrix {
         self.rows
     }
 
+    /// Number of stored rows: [`rows`](Self::rows) for a dense matrix, the
+    /// distinct rows for a shared one.
+    pub fn stored_rows(&self) -> usize {
+        self.words.len() / self.stride
+    }
+
+    /// For a shared matrix, the stored row each row reads; `None` for a
+    /// dense one, whose row `i` is stored row `i`.
+    pub fn stored_index(&self) -> Option<&[u32]> {
+        self.shared.then_some(self.index.as_slice())
+    }
+
     /// Hypervector dimension (bits per row).
     pub fn dim(&self) -> usize {
         self.dim
@@ -138,8 +258,8 @@ impl HvMatrix {
         self.stride
     }
 
-    /// The packed backing buffer (rows concatenated, `stride_words` words
-    /// per row).
+    /// The packed stored rows, concatenated, `stride_words` words each —
+    /// every row in order for a dense matrix.
     pub fn as_words(&self) -> &[u64] {
         &self.words
     }
@@ -151,19 +271,35 @@ impl HvMatrix {
     /// Panics if `index >= rows()` (row access is the innermost hot-path
     /// operation, so it uses slice-style indexing rather than `Result`).
     pub fn row(&self, index: usize) -> HvRow<'_> {
-        let start = index * self.stride;
+        if self.shared {
+            self.stored_row(self.index[index] as usize)
+        } else {
+            self.stored_row(index)
+        }
+    }
+
+    /// A shared view of stored row `stored` (see
+    /// [`stored_rows`](Self::stored_rows)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stored >= stored_rows()`.
+    pub fn stored_row(&self, stored: usize) -> HvRow<'_> {
+        let start = stored * self.stride;
         HvRow {
             words: &self.words[start..start + self.stride],
             dim: self.dim,
         }
     }
 
-    /// An exclusive view of row `index`.
+    /// An exclusive view of row `index`. A shared matrix first expands to
+    /// one stored row per row, so the write reaches no other row.
     ///
     /// # Panics
     ///
     /// Panics if `index >= rows()`.
     pub fn row_mut(&mut self, index: usize) -> HvRowMut<'_> {
+        self.make_dense();
         let start = index * self.stride;
         HvRowMut {
             words: &mut self.words[start..start + self.stride],
@@ -189,12 +325,21 @@ impl HvMatrix {
 
     /// Fills every row in parallel: `fill` is called once per row, across
     /// worker threads, with an exclusive view of that row (initially
-    /// whatever the row currently holds).
-    ///
-    /// This is the batch-encoding primitive: the SegHDC pixel encoder uses
-    /// it to XOR-bind codebook entries directly into the matrix with zero
-    /// per-row allocation.
+    /// whatever the row currently holds). A shared matrix first expands to
+    /// one stored row per row.
     pub fn fill_rows<F>(&mut self, fill: F)
+    where
+        F: Fn(usize, &mut HvRowMut<'_>) + Sync,
+    {
+        self.make_dense();
+        self.fill_stored_rows(fill);
+    }
+
+    /// Fills every **stored** row in parallel: `fill` is called once per
+    /// stored row with an exclusive view of it. On a shared matrix a write
+    /// reaches every row that reads that stored row — this is how a keyed
+    /// encoder writes each distinct row once.
+    pub fn fill_stored_rows<F>(&mut self, fill: F)
     where
         F: Fn(usize, &mut HvRowMut<'_>) + Sync,
     {
@@ -208,6 +353,83 @@ impl HvMatrix {
                 fill(index, &mut row);
             });
     }
+
+    /// Makes the matrix shared with every row reading stored row 0,
+    /// allocating exactly `rows` index entries when the index has to grow.
+    fn zero_index(&mut self) {
+        self.index.clear();
+        self.index.reserve_exact(self.rows);
+        self.index.resize(self.rows, 0);
+        self.shared = true;
+    }
+
+    /// Resizes the stored rows to `stored` all-zero rows, allocating
+    /// exactly that many when the buffer has to grow.
+    fn resize_stored(&mut self, stored: usize) {
+        let words = stored.saturating_mul(self.stride);
+        self.words.clear();
+        self.words.reserve_exact(words);
+        self.words.resize(words, 0);
+    }
+
+    /// Expands a shared matrix to one stored row per row.
+    fn make_dense(&mut self) {
+        if !self.shared {
+            return;
+        }
+        let mut words = Vec::with_capacity(self.rows.saturating_mul(self.stride));
+        for &stored in &self.index {
+            words.extend_from_slice(self.stored_row(stored as usize).words);
+        }
+        self.words = words;
+        self.index.clear();
+        self.shared = false;
+    }
+}
+
+impl PartialEq for HvMatrix {
+    /// Row-by-row equality: a shared and a dense matrix holding the same
+    /// rows are equal.
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.dim == other.dim
+            && (0..self.rows).all(|i| self.row(i).words == other.row(i).words)
+    }
+}
+
+impl Eq for HvMatrix {}
+
+/// Shared rows are indexed by `u32`.
+fn check_index_len(rows: usize) -> Result<()> {
+    if u32::try_from(rows).is_err() {
+        return Err(HdcError::InvalidParameter {
+            message: format!("{rows} rows do not fit a u32 row index"),
+        });
+    }
+    Ok(())
+}
+
+/// Checks that `index` numbers `stored` stored rows in order of first use.
+fn check_first_use_order(index: &[u32], stored: usize) -> Result<()> {
+    let mut next = 0usize;
+    for (row, &entry) in index.iter().enumerate() {
+        let entry = entry as usize;
+        if entry == next {
+            next += 1;
+        } else if entry > next {
+            return Err(HdcError::InvalidParameter {
+                message: format!(
+                    "row {row} reads stored row {entry} before stored row {next} is used"
+                ),
+            });
+        }
+    }
+    if next != stored {
+        return Err(HdcError::InvalidParameter {
+            message: format!("the index uses {next} stored rows, not {stored}"),
+        });
+    }
+    Ok(())
 }
 
 /// A shared, never-allocating view of one [`HvMatrix`] row.
@@ -579,6 +801,123 @@ mod tests {
             let expected = codebook[i % 7].xor(&codebook[(i + 1) % 7]).unwrap();
             assert_eq!(m.row(i).to_hypervector(), expected, "row {i}");
         }
+    }
+
+    #[test]
+    fn shared_rows_read_their_stored_row_and_compare_row_by_row() {
+        let mut r = rng();
+        let stored: Vec<BinaryHypervector> = (0..3)
+            .map(|_| BinaryHypervector::random(130, &mut r))
+            .collect();
+        let index = vec![0, 1, 0, 2, 1, 0];
+        let shared = HvMatrix::from_shared(&stored, index.clone()).unwrap();
+        assert_eq!((shared.rows(), shared.stored_rows()), (6, 3));
+        assert_eq!(shared.stored_index(), Some(index.as_slice()));
+        let expanded: Vec<BinaryHypervector> =
+            index.iter().map(|&s| stored[s as usize].clone()).collect();
+        assert_eq!(shared.to_vectors(), expanded);
+        let dense = HvMatrix::from_vectors(&expanded).unwrap();
+        assert_eq!(dense.stored_index(), None);
+        assert_eq!(dense.stored_rows(), 6);
+        assert_eq!(shared, dense);
+        let mut other = dense.clone();
+        other.row_mut(5).clear();
+        assert_ne!(shared, other);
+    }
+
+    #[test]
+    fn writing_one_row_of_a_shared_matrix_leaves_every_other_row_unchanged() {
+        let mut r = rng();
+        let stored: Vec<BinaryHypervector> = (0..3)
+            .map(|_| BinaryHypervector::random(100, &mut r))
+            .collect();
+        let index = vec![0, 1, 0, 2, 1, 0];
+        let before = HvMatrix::from_shared(&stored, index.clone())
+            .unwrap()
+            .to_vectors();
+        let key = BinaryHypervector::random(100, &mut r);
+        for written in 0..index.len() {
+            let expected = |i: usize| {
+                if i == written {
+                    before[i].xor(&key).unwrap()
+                } else {
+                    before[i].clone()
+                }
+            };
+            let mut by_view = HvMatrix::from_shared(&stored, index.clone()).unwrap();
+            by_view.row_mut(written).xor_assign(&key).unwrap();
+            let mut by_set = HvMatrix::from_shared(&stored, index.clone()).unwrap();
+            by_set.set_row(written, &expected(written)).unwrap();
+            let mut by_fill = HvMatrix::from_shared(&stored, index.clone()).unwrap();
+            by_fill.fill_rows(|i, row| {
+                if i == written {
+                    row.xor_assign(&key).unwrap();
+                }
+            });
+            for matrix in [by_view, by_set, by_fill] {
+                for (i, _) in before.iter().enumerate() {
+                    assert_eq!(
+                        matrix.row(i).to_hypervector(),
+                        expected(i),
+                        "row {i} after writing row {written}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stored_rows_must_be_numbered_in_order_of_first_use() {
+        let mut r = rng();
+        let stored: Vec<BinaryHypervector> = (0..2)
+            .map(|_| BinaryHypervector::random(70, &mut r))
+            .collect();
+        // Stored row 1 read before stored row 0, and a stored row nobody
+        // reads.
+        assert!(HvMatrix::from_shared(&stored, vec![1, 0]).is_err());
+        assert!(HvMatrix::from_shared(&stored, vec![0, 0]).is_err());
+        assert!(HvMatrix::from_shared(&stored, vec![0, 2, 1]).is_err());
+
+        let mut m = HvMatrix::zeros(0, 70).unwrap();
+        m.reset_shared(4, 70).unwrap();
+        m.share_rows(|index| {
+            index.copy_from_slice(&[0, 1, 0, 2]);
+            3
+        })
+        .unwrap();
+        assert_eq!((m.rows(), m.stored_rows()), (4, 3));
+        m.fill_stored_rows(|s, row| row.copy_from(&stored[s % 2]).unwrap());
+        assert_eq!(m.row(3).to_hypervector(), stored[0]);
+        // A count that disagrees with the index leaves the prepared state.
+        assert!(m
+            .share_rows(|index| {
+                index.copy_from_slice(&[0, 1, 0, 2]);
+                4
+            })
+            .is_err());
+        assert_eq!((m.rows(), m.stored_rows()), (4, 1));
+        assert!(m.as_words().iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn shared_capacity_counts_exactly_the_stored_rows_and_the_index() {
+        let mut m = HvMatrix::zeros(0, 1).unwrap();
+        assert_eq!(m.capacity_bytes(), 0);
+        m.reset_shared(1000, 2048).unwrap();
+        assert_eq!(m.capacity_bytes(), 1000 * 4 + 32 * 8);
+        assert_eq!(m.row(999).count_ones(), 0);
+        m.share_rows(|index| {
+            for (i, entry) in index.iter_mut().enumerate() {
+                *entry = (i % 5) as u32;
+            }
+            5
+        })
+        .unwrap();
+        assert_eq!(m.capacity_bytes(), 1000 * 4 + 5 * 32 * 8);
+        // Smaller shapes reuse the buffers.
+        m.reset_shared(10, 2048).unwrap();
+        assert_eq!(m.capacity_bytes(), 1000 * 4 + 5 * 32 * 8);
+        assert!(m.reset_shared(3, 0).is_err());
     }
 
     #[test]

@@ -26,21 +26,26 @@ use imaging::{ImageView, TileRect};
 ///
 /// 1. Before [`encode_region`](Self::encode_region) the caller shapes the
 ///    arena's matrix to exactly `region.area()` rows of the encoder's
-///    dimension with [`crate::TileArena::prepare`] (which calls
-///    [`hdc::HvMatrix::reset`] — the backing allocation is *reused*, not
-///    reallocated, whenever its capacity suffices).
-/// 2. The backend fills the matrix in place. It must **not** grow, shrink
-///    or reallocate the buffer: [`hdc::HvMatrix::capacity_bytes`] is the
-///    high-water mark the streaming-memory guarantee is asserted against,
-///    and a backend that allocates its own full-size buffers silently
-///    breaks it.
+///    dimension with [`crate::TileArena::prepare`], which calls
+///    [`hdc::HvMatrix::reset_shared`]: every row reads one all-zero stored
+///    row, and the buffers are *reused*, not reallocated, whenever their
+///    capacity suffices.
+/// 2. The backend fills the matrix in place, one row per region pixel.
+///    The CPU backends key the pixels and store each distinct key's row
+///    once ([`PixelEncoder::encode_region_into`]), so the stored rows grow
+///    to the region's distinct key count; that growth stays inside the
+///    matrix. A backend must not allocate its own full-size buffers:
+///    [`hdc::HvMatrix::capacity_bytes`] is the high-water mark the
+///    streaming-memory guarantee is asserted against, and memory held
+///    elsewhere silently breaks it.
 /// 3. [`cluster_matrix`](Self::cluster_matrix) reads the same matrix
-///    immutably and returns the labels; the caller then resets the arena
-///    for the next tile.
+///    immutably and returns the labels, clustering each stored row once
+///    for every row that reads it; the caller then prepares the arena for
+///    the next tile.
 ///
 /// This is deliberately the lifecycle of a device scratch buffer: an
-/// accelerator backend maps `prepare`/`reset` to (re)binding one
-/// pre-allocated device allocation and `capacity_bytes` to its size.
+/// accelerator backend maps `prepare` to (re)binding pre-allocated device
+/// allocations and `capacity_bytes` to their size.
 ///
 /// # Determinism
 ///
@@ -77,7 +82,8 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
     }
 
     /// Encodes the `region` rectangle of `view` into `scratch`, one row per
-    /// region pixel in region-local row-major order.
+    /// region pixel in region-local row-major order; pixels with equal keys
+    /// may share one stored row.
     ///
     /// `scratch` is the arena matrix, already shaped to
     /// `region.area() × encoder.dimension()` by the caller (see the

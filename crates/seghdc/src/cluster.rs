@@ -2,8 +2,6 @@ use crate::{DistanceMetric, Result, SegHdcError};
 use hdc::kernels::{self, Kernels};
 use hdc::{Accumulator, BinaryHypervector, BitSlicedGroup, HvMatrix};
 use rayon::prelude::*;
-use std::collections::hash_map::RandomState;
-use std::hash::BuildHasher;
 use std::ops::Range;
 
 /// Rows per parallel assignment work unit: large enough to amortise the
@@ -17,15 +15,15 @@ const ASSIGN_BLOCK_ROWS: usize = 256;
 /// products are exact integer adds, so tiling cannot change any label).
 const PLANE_CHUNK_BYTES: usize = 192 * 1024;
 
-/// Cosine assignment for one block of rows (`pixels` row `rows[i]`
-/// labelled into `out[i]`): accumulate every centroid dot product through
-/// the fused multi-centroid kernel (one cache-blocked run of centroid
-/// planes at a time), then pick each row's argmin with one popcount per
-/// row — where the per-centroid path popcounted each row once per
-/// centroid.
+/// Cosine assignment for one block of stored rows (`pixels` stored row
+/// `rows.start + i` labelled into `out[i]`): accumulate every centroid dot
+/// product through the fused multi-centroid kernel (one cache-blocked run
+/// of centroid planes at a time), then pick each row's argmin with one
+/// popcount per row — where the per-centroid path popcounted each row once
+/// per centroid.
 fn assign_block_cosine(
     pixels: &HvMatrix,
-    rows: &[usize],
+    rows: Range<usize>,
     out: &mut [u32],
     group: &BitSlicedGroup,
     chunk_ranges: &[Range<usize>],
@@ -34,17 +32,17 @@ fn assign_block_cosine(
     let clusters = group.len();
     let mut dots = vec![0u64; out.len() * clusters];
     for range in chunk_ranges {
-        for (&row, row_dots) in rows.iter().zip(dots.chunks_mut(clusters)) {
+        for (row, row_dots) in rows.clone().zip(dots.chunks_mut(clusters)) {
             group.dot_row_range_with(
                 range.clone(),
-                pixels.row(row),
+                pixels.stored_row(row),
                 &mut row_dots[range.clone()],
                 kernels,
             );
         }
     }
-    for ((label, row_dots), &row) in out.iter_mut().zip(dots.chunks(clusters)).zip(rows) {
-        let ones = kernels.popcount(pixels.row(row).as_words()) as usize;
+    for ((label, row_dots), row) in out.iter_mut().zip(dots.chunks(clusters)).zip(rows) {
+        let ones = kernels.popcount(pixels.stored_row(row).as_words()) as usize;
         let row_norm = (ones as f64).sqrt();
         let mut best = 0usize;
         let mut best_distance = f64::INFINITY;
@@ -59,8 +57,8 @@ fn assign_block_cosine(
     }
 }
 
-/// Hamming assignment for one block of rows (`pixels` row `rows[i]`
-/// labelled into `out[i]`): all centroid distances for a
+/// Hamming assignment for one block of stored rows (`pixels` stored row
+/// `rows.start + i` labelled into `out[i]`): all centroid distances for a
 /// row come from one fused `hamming_multi` sweep over the stacked majority
 /// vectors. Slots whose centroid had no majority vector (empty bundle —
 /// unreachable in practice, since empty clusters inherit the previous
@@ -68,7 +66,7 @@ fn assign_block_cosine(
 /// preserving the reference path's infinite distance for them.
 fn assign_block_hamming(
     pixels: &HvMatrix,
-    rows: &[usize],
+    rows: Range<usize>,
     out: &mut [u32],
     majority_stack: &[u64],
     majority_valid: &[bool],
@@ -77,8 +75,8 @@ fn assign_block_hamming(
 ) {
     let clusters = majority_valid.len();
     let mut hams = vec![0u64; clusters];
-    for (label, &row) in out.iter_mut().zip(rows) {
-        kernels.hamming_multi(pixels.row(row).as_words(), majority_stack, &mut hams);
+    for (label, row) in out.iter_mut().zip(rows) {
+        kernels.hamming_multi(pixels.stored_row(row).as_words(), majority_stack, &mut hams);
         let mut best = 0usize;
         let mut best_distance = f64::INFINITY;
         for (k, &ham) in hams.iter().enumerate() {
@@ -96,102 +94,14 @@ fn assign_block_hamming(
     }
 }
 
-/// A free slot of the grouping table.
-const FREE: u32 = u32::MAX;
-
-/// Slots the grouping table starts with (16 KiB): room for 2,048 distinct
-/// rows before it first grows.
-const INITIAL_SLOTS: usize = 4096;
-
-/// Hashes a row's words for the grouping table: four independent
-/// multiply lanes (so the multiplies overlap) started from `seed`, folded
-/// and avalanched with MurmurHash3's finaliser. It only picks the slot:
-/// whether two rows are the same is decided by comparing all their words.
-fn row_hash(words: &[u64], seed: u64) -> u64 {
-    let mut lanes = [seed; 4];
-    for chunk in words.chunks(4) {
-        for (lane, &word) in lanes.iter_mut().zip(chunk) {
-            *lane = (*lane ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-    let mut hash =
-        lanes[0] ^ lanes[1].rotate_left(16) ^ lanes[2].rotate_left(32) ^ lanes[3].rotate_left(48);
-    hash = (hash ^ hash >> 33).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    hash = (hash ^ hash >> 33).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-    hash ^ hash >> 33
-}
-
-/// A matrix's bit-identical rows, grouped. Pixels of one position block
-/// and one colour encode to the same row, and identical rows always get
-/// identical labels, so the K-Means loop runs over the distinct rows,
-/// each standing for all of its copies.
-struct DistinctRows {
-    /// The first matrix row of each distinct row, in first-occurrence
-    /// order.
-    first: Vec<usize>,
-    /// How many matrix rows equal each distinct row.
-    copies: Vec<usize>,
-    /// The distinct row of each matrix row.
-    of_row: Vec<u32>,
-}
-
-impl DistinctRows {
-    /// Groups the rows through an open-addressing table of distinct-row
-    /// indices (linear probing, at most half full).
-    fn of(pixels: &HvMatrix) -> Self {
-        // Rows come from images sent from outside the program: a seed
-        // drawn per call keeps anyone from choosing rows that collide.
-        let seed = RandomState::new().hash_one(0u64);
-        let mut slots = vec![FREE; INITIAL_SLOTS];
-        let mut hashes: Vec<u64> = Vec::new();
-        let mut first: Vec<usize> = Vec::new();
-        let mut copies: Vec<usize> = Vec::new();
-        let mut of_row = Vec::with_capacity(pixels.rows());
-        for row in 0..pixels.rows() {
-            let words = pixels.row(row).as_words();
-            let hash = row_hash(words, seed);
-            let mut slot = hash as usize & (slots.len() - 1);
-            let distinct = loop {
-                let id = slots[slot];
-                if id == FREE {
-                    slots[slot] = first.len() as u32;
-                    first.push(row);
-                    copies.push(0);
-                    hashes.push(hash);
-                    if 2 * first.len() > slots.len() {
-                        slots = vec![FREE; 2 * slots.len()];
-                        for (id, &hash) in hashes.iter().enumerate() {
-                            let mut slot = hash as usize & (slots.len() - 1);
-                            while slots[slot] != FREE {
-                                slot = (slot + 1) & (slots.len() - 1);
-                            }
-                            slots[slot] = id as u32;
-                        }
-                    }
-                    break first.len() - 1;
-                }
-                let id = id as usize;
-                if hashes[id] == hash && pixels.row(first[id]).as_words() == words {
-                    break id;
-                }
-                slot = (slot + 1) & (slots.len() - 1);
-            };
-            copies[distinct] += 1;
-            of_row.push(distinct as u32);
-        }
-        Self {
-            first,
-            copies,
-            of_row,
-        }
-    }
-
-    /// One label per matrix row from one per distinct row.
-    fn expand(&self, labels: &[u32]) -> Vec<u32> {
-        self.of_row
+/// One label per row of `pixels` from one per stored row.
+fn expand(pixels: &HvMatrix, labels: &[u32]) -> Vec<u32> {
+    match pixels.stored_index() {
+        Some(index) => index
             .iter()
-            .map(|&distinct| labels[distinct as usize])
-            .collect()
+            .map(|&stored| labels[stored as usize])
+            .collect(),
+        None => labels.to_vec(),
     }
 }
 
@@ -241,9 +151,9 @@ pub struct ClusterOutcome {
 /// [`cluster`](Self::cluster) accepts individual [`BinaryHypervector`]s as
 /// the single-vector reference path. Both produce identical labels,
 /// snapshots, sizes and bundles for the same inputs; the matrix path gets
-/// there with less work, clustering each distinct row once for all of its
-/// copies, stopping once the labels reach a fixed point and re-bundling
-/// only the rows that changed cluster.
+/// there with less work, clustering each stored row of a shared matrix
+/// once for all the pixels that read it, stopping once the labels reach a
+/// fixed point and re-bundling only the rows that changed cluster.
 ///
 /// # Example
 ///
@@ -420,13 +330,14 @@ impl HvKmeans {
     /// Clusters pixel hypervectors stored as an [`HvMatrix`] — the batched
     /// hot path used by the pipeline.
     ///
-    /// It first groups bit-identical rows: pixels of one position block
-    /// and one colour encode to the same row, identical rows always get
-    /// identical labels, and the bundles are exact integer sums, so the
-    /// loop runs over the distinct rows, each weighted by its number of
-    /// copies. The grouping tables (one entry per distinct row, one index
-    /// per pixel) are allocated once per call; the assignment step reads
-    /// matrix rows in place (in parallel across rows). The update step
+    /// The loop runs over the matrix's **stored** rows, each weighted by
+    /// the number of rows that read it: a shared matrix (what
+    /// [`crate::PixelEncoder::encode_region_into`] produces, one stored row
+    /// per distinct pixel key) is clustered once per key, a dense one once
+    /// per row. Identical rows always get identical labels and the bundles
+    /// are exact integer sums, so this is the same clustering as one pass
+    /// per pixel. The assignment step reads stored rows in place (in
+    /// parallel across rows). The update step
     /// keeps one bundle per cluster and moves only the rows whose label
     /// changed, with all their copies
     /// ([`Accumulator::add_row_weighted_with`] into the new bundle,
@@ -458,8 +369,9 @@ impl HvKmeans {
     /// centroid dot products in the assignment step, vertical-counter carry
     /// adds in the update step, Hamming distances in the ablation metric)
     /// dispatches through `kernels`; only the rare removal of a row that
-    /// changed cluster is a plain borrow loop. Beyond the per-call grouping
-    /// tables and its outcome, it allocates nothing per pixel.
+    /// changed cluster is a plain borrow loop. Beyond its outcome it
+    /// allocates nothing per pixel: its labels and copy counts are per
+    /// stored row.
     ///
     /// Kernels are bit-exact with each other (see the
     /// [`hdc::kernels`] contract), so the labels are byte-identical for
@@ -494,13 +406,22 @@ impl HvKmeans {
             .map(|_| Accumulator::zeros(dim))
             .collect::<std::result::Result<_, _>>()?;
 
-        // The passes label distinct rows; `labels` receives each pass's
-        // assignment and `previous` holds the pass before it (swapped in at
-        // the top of every pass).
-        let distinct = DistinctRows::of(pixels);
-        let first = &distinct.first;
-        let mut labels = vec![UNASSIGNED; first.len()];
-        let mut previous = vec![0u32; first.len()];
+        // The passes label stored rows, each standing for its copies;
+        // `labels` receives each pass's assignment and `previous` holds the
+        // pass before it (swapped in at the top of every pass).
+        let stored = pixels.stored_rows();
+        let copies = match pixels.stored_index() {
+            Some(index) => {
+                let mut copies = vec![0usize; stored];
+                for &row in index {
+                    copies[row as usize] += 1;
+                }
+                copies
+            }
+            None => vec![1; stored],
+        };
+        let mut labels = vec![UNASSIGNED; stored];
+        let mut previous = vec![0u32; stored];
         let mut snapshots = Vec::new();
         let mut iterations_run = 0;
 
@@ -544,7 +465,7 @@ impl HvKmeans {
                     Vec::new()
                 }
             };
-            // Assignment step: parallel over blocks of distinct rows,
+            // Assignment step: parallel over blocks of stored rows,
             // written straight into the reused labels buffer; each block
             // sweeps the fused multi-centroid kernels one cache-sized
             // centroid run at a time.
@@ -556,7 +477,8 @@ impl HvKmeans {
                 .par_chunks_mut(ASSIGN_BLOCK_ROWS)
                 .enumerate()
                 .for_each(|(block, out)| {
-                    let rows = &first[block * ASSIGN_BLOCK_ROWS..][..out.len()];
+                    let start = block * ASSIGN_BLOCK_ROWS;
+                    let rows = start..start + out.len();
                     match metric {
                         DistanceMetric::Cosine => assign_block_cosine(
                             pixels,
@@ -578,7 +500,7 @@ impl HvKmeans {
                     }
                 });
             if self.record_snapshots {
-                snapshots.push(distinct.expand(&labels));
+                snapshots.push(expand(pixels, &labels));
             }
 
             // Update step: move each row whose label changed, with all its
@@ -588,8 +510,8 @@ impl HvKmeans {
             let mut moved = false;
             for (index, (&label, &old)) in labels.iter().zip(&previous).enumerate() {
                 if label != old {
-                    let row = pixels.row(first[index]);
-                    let copies = distinct.copies[index];
+                    let row = pixels.stored_row(index);
+                    let copies = copies[index];
                     if old != UNASSIGNED {
                         bundles[old as usize].remove_row(row, copies)?;
                     }
@@ -613,7 +535,7 @@ impl HvKmeans {
             }
         }
 
-        let labels = distinct.expand(&labels);
+        let labels = expand(pixels, &labels);
         if self.record_snapshots {
             snapshots.resize(self.iterations, labels.clone());
         }
@@ -931,34 +853,6 @@ mod tests {
         assert_eq!(picks.len(), 3);
         assert_eq!(intensities[picks[0]], 10);
         assert_eq!(intensities[picks[2]], 255);
-    }
-
-    #[test]
-    fn distinct_rows_keep_first_occurrence_order_and_count_copies() {
-        let mut rng = HdcRng::seed_from(80);
-        // More distinct rows than the table holds before it grows, then
-        // each again in reverse order, and the first one a third time;
-        // among them two rows that differ in one bit only.
-        let count = INITIAL_SLOTS / 2 + 50;
-        let mut rows: Vec<BinaryHypervector> = (1..count)
-            .map(|_| BinaryHypervector::random(100, &mut rng))
-            .collect();
-        let mut near = rows[0].clone();
-        near.flip_bit(99).unwrap();
-        rows.push(near);
-        let mut all = rows.clone();
-        all.extend(rows.iter().rev().cloned());
-        all.push(rows[0].clone());
-        let distinct = DistinctRows::of(&HvMatrix::from_vectors(&all).unwrap());
-        assert_eq!(distinct.first, (0..count).collect::<Vec<_>>());
-        let mut copies = vec![2; count];
-        copies[0] = 3;
-        assert_eq!(distinct.copies, copies);
-        let labels: Vec<u32> = (0..count as u32).collect();
-        let expanded = distinct.expand(&labels);
-        for (pixel, row) in all.iter().enumerate() {
-            assert_eq!(&rows[expanded[pixel] as usize], row, "pixel {pixel}");
-        }
     }
 
     #[test]

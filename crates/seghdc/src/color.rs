@@ -1,3 +1,4 @@
+use crate::keys::vector_ids;
 use crate::{ColorEncoding, Result, SegHdcError};
 use hdc::{BinaryHypervector, HdcRng, ItemMemory, LevelMemory};
 
@@ -47,6 +48,10 @@ pub struct ColorEncoder {
     /// pre-placed lets the batch encoder bind them into an
     /// [`hdc::HvMatrix`] row with zero per-pixel allocation.
     placed_codes: Vec<Vec<BinaryHypervector>>,
+    /// Per channel and value, an id two values share exactly when their
+    /// codes are bit-identical (see [`crate::keys`]); at most 256 codes,
+    /// so the ids fit a byte.
+    code_ids: Vec<[u8; 256]>,
 }
 
 impl ColorEncoder {
@@ -151,25 +156,7 @@ impl ColorEncoder {
             channel_codes.push(codes);
         }
 
-        let mut placed_codes = Vec::with_capacity(channels);
-        let mut offset = 0;
-        for codes in &channel_codes {
-            let placed = codes
-                .iter()
-                .map(|code| place_chunk(code, offset, dimension))
-                .collect::<Result<Vec<_>>>()?;
-            offset += codes[0].dim();
-            placed_codes.push(placed);
-        }
-
-        Ok(Self {
-            dimension,
-            channels,
-            encoding,
-            flip_unit,
-            channel_codes,
-            placed_codes,
-        })
+        Self::assemble(encoding, dimension, flip_unit, channel_codes)
     }
 
     /// Reassembles an encoder from previously built per-channel codebooks —
@@ -201,30 +188,54 @@ impl ColorEncoder {
                 ),
             });
         }
-        let mut placed_codes = Vec::with_capacity(channels);
+        if channel_codes
+            .iter()
+            .any(|codes| codes.iter().any(|code| code.dim() != codes[0].dim()))
+        {
+            return Err(SegHdcError::InvalidConfig {
+                message: "colour codes within a channel must share one chunk dimension".to_string(),
+            });
+        }
+        Self::assemble(encoding, dimension, flip_unit, channel_codes)
+    }
+
+    /// The encoder over checked chunk codebooks (256 codes per channel,
+    /// chunks summing to `dimension`): places each chunk at its channel's
+    /// bit offset and numbers the codes.
+    fn assemble(
+        encoding: ColorEncoding,
+        dimension: usize,
+        flip_unit: usize,
+        channel_codes: Vec<Vec<BinaryHypervector>>,
+    ) -> Result<Self> {
+        let mut placed_codes = Vec::with_capacity(channel_codes.len());
         let mut offset = 0;
         for codes in &channel_codes {
-            let chunk = codes[0].dim();
-            if codes.iter().any(|code| code.dim() != chunk) {
-                return Err(SegHdcError::InvalidConfig {
-                    message: "colour codes within a channel must share one chunk dimension"
-                        .to_string(),
-                });
-            }
             let placed = codes
                 .iter()
                 .map(|code| place_chunk(code, offset, dimension))
                 .collect::<Result<Vec<_>>>()?;
-            offset += chunk;
+            offset += codes[0].dim();
             placed_codes.push(placed);
         }
+        let code_ids = channel_codes
+            .iter()
+            .map(|codes| {
+                let mut ids = [0u8; 256];
+                for (id, code_id) in ids.iter_mut().zip(vector_ids(codes)) {
+                    *id = u8::try_from(code_id).expect("a channel holds 256 codes");
+                }
+                ids
+            })
+            .collect();
         Ok(Self {
             dimension,
-            channels,
+            channels: channel_codes.len(),
             encoding,
             flip_unit,
             channel_codes,
             placed_codes,
+            code_ids,
         })
     }
 
@@ -248,15 +259,17 @@ impl ColorEncoder {
         self.encoding
     }
 
-    /// Heap bytes held by the per-channel and pre-placed codebooks — the
-    /// cost of keeping this encoder resident in the engine's codebook cache.
+    /// Heap bytes held by the per-channel and pre-placed codebooks and
+    /// the code ids — the cost of keeping this encoder resident in the
+    /// engine's codebook cache.
     pub fn codebook_bytes(&self) -> usize {
         self.channel_codes
             .iter()
             .chain(self.placed_codes.iter())
             .flatten()
             .map(hdc::BinaryHypervector::heap_bytes)
-            .sum()
+            .sum::<usize>()
+            + self.code_ids.capacity() * 256
     }
 
     /// Bits flipped per intensity step (0 for the `Random` variant or when
@@ -302,6 +315,20 @@ impl ColorEncoder {
     /// Panics if `channel >= channels()`.
     pub fn placed_code(&self, channel: usize, value: u8) -> &BinaryHypervector {
         &self.placed_codes[channel][usize::from(value)]
+    }
+
+    /// The id of `value`'s code on `channel`: two values share it exactly
+    /// when their codes are bit-identical.
+    pub(crate) fn code_id(&self, channel: usize, value: u8) -> u8 {
+        self.code_ids[channel][usize::from(value)]
+    }
+
+    /// How many distinct codes `channel` has (its largest id plus one).
+    pub(crate) fn code_levels(&self, channel: usize) -> usize {
+        self.code_ids[channel]
+            .iter()
+            .max()
+            .map_or(0, |&id| usize::from(id) + 1)
     }
 
     /// Hamming distance between the codes of two single-channel intensities;

@@ -220,8 +220,9 @@ pub struct PlanDecision {
     pub height: usize,
     /// Colour channel count.
     pub channels: usize,
-    /// Bytes the whole-image hypervector matrix would allocate — what the
-    /// decision is made against.
+    /// Bytes the whole-image hypervector matrix would allocate with one
+    /// stored row per pixel — the most a keyed encode can store, and what
+    /// the decision is made against.
     pub whole_matrix_bytes: usize,
     /// The chosen execution mode.
     pub mode: PlannedMode,
@@ -283,8 +284,9 @@ pub struct SegmentOutput {
     pub cluster_sizes: Vec<usize>,
     /// How this image was executed.
     pub mode: ExecutedMode,
-    /// Wall-clock encoding time (includes the codebook build on a cache
-    /// miss).
+    /// Wall-clock encoding time: arena preparation, the pixel encode and
+    /// the intensity read. It excludes the codebook lookup or build, which
+    /// happens once per request before any image's clock starts.
     pub encode_time: Duration,
     /// Wall-clock clustering time.
     pub cluster_time: Duration,
@@ -517,8 +519,9 @@ impl SegEngine {
     /// image.
     ///
     /// In [`ExecutionMode::Auto`] an image goes tiled exactly when its
-    /// whole-image hypervector matrix (`pixels × ⌈d/64⌉ × 8` bytes) would
-    /// exceed [`EngineOptions::matrix_budget_bytes`].
+    /// whole-image hypervector matrix, priced at one stored row per pixel
+    /// (`pixels × ⌈d/64⌉ × 8` bytes), would exceed
+    /// [`EngineOptions::matrix_budget_bytes`].
     ///
     /// # Errors
     ///
@@ -1293,7 +1296,29 @@ mod tests {
         assert_eq!(cold.telemetry.cache_hits, 0);
         assert_eq!(cold.telemetry.cache_entries, 1);
         assert!(cold.telemetry.cache_bytes > 0);
-        assert!(cold.telemetry.peak_matrix_bytes >= 24 * 24 * 8);
+        // The arena holds a u32 index entry per pixel and one row per
+        // distinct (row vector, column vector, colour code) key.
+        let encoder = build_encoder(&fast_config(), 24, 24, 1).unwrap();
+        let position = encoder.position();
+        let keys: std::collections::HashSet<(Vec<u64>, Vec<u64>, Vec<u64>)> = (0..24)
+            .flat_map(|y| (0..24).map(move |x| (x, y)))
+            .map(|(x, y)| {
+                let colour = encoder
+                    .color()
+                    .encode(&[image.intensity_at(x, y).unwrap()])
+                    .unwrap();
+                (
+                    position.row_hv(y).unwrap().as_words().to_vec(),
+                    position.col_hv(x).unwrap().as_words().to_vec(),
+                    colour.as_words().to_vec(),
+                )
+            })
+            .collect();
+        let row_bytes = fast_config().dimension.div_ceil(64) * 8;
+        assert_eq!(
+            cold.telemetry.peak_matrix_bytes,
+            keys.len() * row_bytes + 24 * 24 * 4
+        );
         assert_eq!(cold.telemetry.backend, "simd-cpu");
         assert!(hdc::kernels::KNOWN_ISAS.contains(&cold.telemetry.kernel_isa));
         let warm = engine.run(&SegmentRequest::image(&image)).unwrap();

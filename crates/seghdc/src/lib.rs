@@ -78,6 +78,7 @@ mod color;
 mod config;
 pub mod engine;
 mod error;
+mod keys;
 pub mod observe;
 mod pipeline;
 mod pixel;

@@ -1,4 +1,4 @@
-use crate::{ColorEncoder, PositionEncoder, Result, SegHdcError};
+use crate::{keys, ColorEncoder, PositionEncoder, Result, SegHdcError};
 use hdc::kernels::{self, Kernels};
 use hdc::{BinaryHypervector, HvMatrix};
 use imaging::{DynamicImage, ImageView, TileRect};
@@ -98,13 +98,9 @@ impl PixelEncoder {
     }
 
     /// Encodes every pixel of `image` into one [`HvMatrix`] row per pixel,
-    /// in row-major order (row index `y * width + x`).
-    ///
-    /// This is the hot-path encoder: codebook hypervectors (position row,
-    /// position column and one placed colour code per channel) are XOR-bound
-    /// word-by-word directly into the matrix rows, in parallel across rows,
-    /// with **zero per-pixel heap allocations** — the matrix is the only
-    /// buffer ever allocated.
+    /// in row-major order (row index `y * width + x`), as a shared matrix
+    /// that stores each distinct pixel key's row once (see
+    /// [`encode_region_into`](Self::encode_region_into)).
     ///
     /// The rows agree bit-for-bit with [`encode_pixel`](Self::encode_pixel).
     ///
@@ -121,7 +117,8 @@ impl PixelEncoder {
             width: image.width(),
             height: image.height(),
         };
-        let mut matrix = HvMatrix::zeros(image.pixel_count(), self.dimension())?;
+        let mut matrix = HvMatrix::zeros(0, self.dimension())?;
+        matrix.reset_shared(image.pixel_count(), self.dimension())?;
         self.encode_region_into(&view, &full, &mut matrix)?;
         Ok(matrix)
     }
@@ -136,8 +133,19 @@ impl PixelEncoder {
     /// method gets bit-identical rows to the same pixels in a whole-view
     /// [`encode_matrix`](Self::encode_matrix) call. This is the streaming
     /// tiled segmenter's encoding primitive: the caller hands in a reused
-    /// arena matrix (already shaped to `region.area()` rows) and no other
-    /// allocation happens.
+    /// arena matrix, already shaped to `region.area()` rows.
+    ///
+    /// The encode is keyed. The block-decay position code gives every
+    /// pixel of a β×β block the same row and column vectors, so each pixel
+    /// is keyed by (row vector id, column vector id, colour code ids) —
+    /// ids are equal exactly for bit-identical codebook vectors — and
+    /// `matrix` becomes a shared [`HvMatrix`]: one stored row per distinct
+    /// key, in order of first use, plus a `u32` per pixel naming its
+    /// stored row. Gray regions key through a dense table when it has at
+    /// most a few slots per pixel, everything else through a hash table
+    /// seeded per call. Beyond `matrix` (whose stored rows grow to the
+    /// distinct key count), the call allocates only the key table, a rank
+    /// per region row and column, and the first pixel of each key.
     ///
     /// # Errors
     ///
@@ -209,10 +217,16 @@ impl PixelEncoder {
                 ),
             });
         }
+        let mut firsts = Vec::new();
+        matrix.share_rows(|index| {
+            firsts = keys::key_region(&self.position, &self.color, view, region, index);
+            firsts.len()
+        })?;
         let channels = self.color.channels();
-        matrix.fill_rows(|index, row| {
-            let x = region.x + index % region.width;
-            let y = region.y + index / region.width;
+        matrix.fill_stored_rows(|stored, row| {
+            let pixel = firsts[stored] as usize;
+            let x = region.x + pixel % region.width;
+            let y = region.y + pixel / region.width;
             // The shape checks above make every lookup below in-range.
             let position_row = self
                 .position

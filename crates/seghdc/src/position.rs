@@ -1,3 +1,4 @@
+use crate::keys::vector_ids;
 use crate::{PositionEncoding, Result, SegHdcError};
 use hdc::{BinaryHypervector, HdcRng, ItemMemory, LevelMemory};
 
@@ -51,6 +52,11 @@ pub struct PositionEncoder {
     cols: Vec<BinaryHypervector>,
     row_flip_unit: usize,
     col_flip_unit: usize,
+    /// Per row, an id shared by exactly the rows with bit-identical
+    /// vectors (see [`crate::keys`]).
+    row_ids: Vec<usize>,
+    /// Per column, the same for columns.
+    col_ids: Vec<usize>,
 }
 
 impl PositionEncoder {
@@ -152,14 +158,9 @@ impl PositionEncoder {
             }
         };
 
-        Ok(Self {
-            dimension,
-            encoding,
-            rows: row_hvs,
-            cols: col_hvs,
-            row_flip_unit: row_unit,
-            col_flip_unit: col_unit,
-        })
+        Ok(Self::assemble(
+            encoding, dimension, row_hvs, col_hvs, row_unit, col_unit,
+        ))
     }
 
     /// Reassembles an encoder from previously built codebooks — the
@@ -192,14 +193,35 @@ impl PositionEncoder {
                 ),
             });
         }
-        Ok(Self {
-            dimension,
+        Ok(Self::assemble(
             encoding,
+            dimension,
             rows,
             cols,
             row_flip_unit,
             col_flip_unit,
-        })
+        ))
+    }
+
+    /// The encoder over checked codebooks, with their vector ids.
+    fn assemble(
+        encoding: PositionEncoding,
+        dimension: usize,
+        rows: Vec<BinaryHypervector>,
+        cols: Vec<BinaryHypervector>,
+        row_flip_unit: usize,
+        col_flip_unit: usize,
+    ) -> Self {
+        Self {
+            dimension,
+            encoding,
+            row_ids: vector_ids(&rows),
+            col_ids: vector_ids(&cols),
+            rows,
+            cols,
+            row_flip_unit,
+            col_flip_unit,
+        }
     }
 
     /// The row codebook, in row order (for persistence).
@@ -210,6 +232,18 @@ impl PositionEncoder {
     /// The column codebook, in column order (for persistence).
     pub(crate) fn col_hvs(&self) -> &[BinaryHypervector] {
         &self.cols
+    }
+
+    /// Per row, an id two rows share exactly when their vectors are
+    /// bit-identical, numbered in order of first appearance.
+    pub(crate) fn row_ids(&self) -> &[usize] {
+        &self.row_ids
+    }
+
+    /// Per column, an id two columns share exactly when their vectors are
+    /// bit-identical, numbered in order of first appearance.
+    pub(crate) fn col_ids(&self) -> &[usize] {
+        &self.col_ids
     }
 
     /// The hypervector dimensionality.
@@ -232,14 +266,18 @@ impl PositionEncoder {
         self.cols.len()
     }
 
-    /// Heap bytes held by the row and column codebooks — the cost of
-    /// keeping this encoder resident in the engine's codebook cache.
+    /// Heap bytes held by the row and column codebooks and their vector
+    /// ids — the cost of keeping this encoder resident in the engine's
+    /// codebook cache.
     pub fn codebook_bytes(&self) -> usize {
+        let ids =
+            (self.row_ids.capacity() + self.col_ids.capacity()) * std::mem::size_of::<usize>();
         self.rows
             .iter()
             .chain(self.cols.iter())
             .map(hdc::BinaryHypervector::heap_bytes)
-            .sum()
+            .sum::<usize>()
+            + ids
     }
 
     /// Number of bits flipped per row step (0 for the `Random` variant).

@@ -123,16 +123,17 @@ impl TileConfig {
 /// Reusable bounded working memory for streaming tiled segmentation.
 ///
 /// The arena owns the single [`HvMatrix`] every tile is encoded into (reset
-/// — not reallocated — between tiles) and the per-tile intensity buffer. Its
-/// byte counter records the high-water mark of the matrix allocation, which
-/// is what the streaming memory guarantee is asserted against: segmenting an
-/// image of any size must never allocate more matrix bytes than roughly one
-/// halo-padded tile.
+/// — not reallocated — between tiles) and the per-tile intensity buffer.
+/// Its byte counter is the high-water mark of the matrix allocation, which
+/// is what the streaming memory guarantee is asserted against: segmenting
+/// an image of any size must never allocate more matrix bytes than one
+/// halo-padded tile's worth. The matrix is shared (see
+/// [`PixelEncoder::encode_region_into`]), so that is one `u32` index entry
+/// per tile pixel plus one row per distinct pixel key.
 #[derive(Debug)]
 pub struct TileArena {
     pub(crate) matrix: HvMatrix,
     pub(crate) intensities: Vec<u8>,
-    peak_matrix_bytes: usize,
 }
 
 impl TileArena {
@@ -142,34 +143,33 @@ impl TileArena {
         Self {
             matrix: HvMatrix::zeros(0, 1).expect("dimension 1 is valid"),
             intensities: Vec::new(),
-            peak_matrix_bytes: 0,
         }
     }
 
     /// High-water mark, in bytes, of the arena's matrix allocation over its
     /// whole lifetime (across every tile and every segmentation run that
-    /// used this arena).
+    /// used this arena). The matrix buffers only ever grow, so this is
+    /// their current capacity.
     pub fn peak_matrix_bytes(&self) -> usize {
-        self.peak_matrix_bytes
+        self.matrix.capacity_bytes()
     }
 
-    /// Shapes the arena for a region of `rows` pixels at dimension `dim`,
-    /// clears the intensity buffer and records the allocation high-water
-    /// mark.
+    /// Shapes the arena for a region of `rows` pixels at dimension `dim`
+    /// and clears the intensity buffer.
     ///
     /// This is step 1 of the [`ExecBackend`] scratch-buffer lifecycle: the
-    /// matrix is reshaped with [`HvMatrix::reset`], which **reuses** the
-    /// backing allocation whenever its capacity suffices, so a sequence of
-    /// `prepare` → encode → cluster rounds touches one allocation whose
-    /// [`HvMatrix::capacity_bytes`] is the number the streaming memory
-    /// guarantee is asserted against.
+    /// matrix is reshaped with [`HvMatrix::reset_shared`], which writes a
+    /// `u32` per pixel (not a row per pixel) and **reuses** the backing
+    /// allocations whenever their capacity suffices, so a sequence of
+    /// `prepare` → encode → cluster rounds touches one set of buffers
+    /// whose [`HvMatrix::capacity_bytes`] is the number the streaming
+    /// memory guarantee is asserted against.
     ///
     /// # Errors
     ///
-    /// Returns an error if `dim` is zero.
+    /// Returns an error if `dim` is zero or `rows` does not fit a `u32`.
     pub fn prepare(&mut self, rows: usize, dim: usize) -> Result<()> {
-        self.matrix.reset(rows, dim)?;
-        self.peak_matrix_bytes = self.peak_matrix_bytes.max(self.matrix.capacity_bytes());
+        self.matrix.reset_shared(rows, dim)?;
         self.intensities.clear();
         Ok(())
     }
@@ -295,9 +295,10 @@ pub(crate) fn segment_streaming_with(
     let mut cluster_time = Duration::ZERO;
     let mut iterations_run = 0;
 
-    // Size the arena for the largest padded tile up front: one exact
-    // allocation instead of amortised doubling while the first tiles grow,
-    // so the recorded peak is genuinely "one halo-padded tile's worth".
+    // Size the arena's row index for the largest padded tile up front:
+    // one exact allocation instead of amortised doubling while the first
+    // tiles grow, so the recorded peak is genuinely "one halo-padded
+    // tile's worth".
     arena.prepare(grid.max_padded_pixels(), config.dimension)?;
 
     for (tile_index, tile) in grid.iter().enumerate() {
@@ -506,7 +507,9 @@ mod tests {
         assert_eq!(arena.peak_matrix_bytes(), 0);
         arena.prepare(10, 128).unwrap();
         let after_large = arena.peak_matrix_bytes();
-        assert!(after_large >= 10 * 2 * 8);
+        // Ten u32 index entries and the one all-zero stored row of two
+        // words that every prepared row reads.
+        assert_eq!(after_large, 10 * 4 + 2 * 8);
         arena.prepare(2, 64).unwrap();
         assert_eq!(
             arena.peak_matrix_bytes(),

@@ -1,10 +1,13 @@
-//! The incremental matrix clusterer (`HvKmeans::cluster_matrix_with`, which
-//! groups bit-identical rows, stops at the label fixed point and re-bundles
-//! only the rows that changed cluster, with all their copies) against the
-//! per-vector `HvKmeans::cluster`, which runs every configured pass and
-//! re-bundles every pixel in each: the oracle. Rows repeat, as pixels of
-//! one position block and one colour do, with multiplicities that set
-//! several bits.
+//! The incremental matrix clusterer (`HvKmeans::cluster_matrix_with`,
+//! which clusters each stored row of a matrix once for every row that
+//! reads it, stops at the label fixed point and re-bundles only the rows
+//! that changed cluster, with all their copies) against the per-vector
+//! `HvKmeans::cluster`, which runs every configured pass and re-bundles
+//! every pixel in each: the oracle. Rows repeat, as pixels of one position
+//! block and one colour do, with multiplicities that set several bits;
+//! each input is clustered both as a dense matrix (one stored row per
+//! pixel) and as a shared one (one stored row per distinct pixel, as the
+//! keyed pixel encoder builds it).
 
 use hdc::kernels::{self, Kernels};
 use hdc::{BinaryHypervector, HdcRng, HvMatrix};
@@ -47,10 +50,31 @@ fn noisy_pixels(
     (pixels, intensities)
 }
 
-/// Runs both paths and checks the matrix outcome against the oracle's:
-/// identical labels, snapshots, sizes and bundles, and a pass count that
-/// is at most the oracle's and smaller only once the oracle's labels had
-/// settled. Returns the oracle outcome.
+/// The pixels as a shared matrix: one stored row per distinct pixel, in
+/// order of first appearance.
+fn shared_matrix(pixels: &[BinaryHypervector]) -> HvMatrix {
+    let mut stored: Vec<BinaryHypervector> = Vec::new();
+    let index = pixels
+        .iter()
+        .map(|pixel| {
+            let row = stored
+                .iter()
+                .position(|row| row == pixel)
+                .unwrap_or_else(|| {
+                    stored.push(pixel.clone());
+                    stored.len() - 1
+                });
+            row as u32
+        })
+        .collect();
+    HvMatrix::from_shared(&stored, index).unwrap()
+}
+
+/// Runs both paths, the matrix path on the dense and on the shared
+/// matrix, and checks each matrix outcome against the oracle's: identical
+/// labels, snapshots, sizes and bundles, and a pass count that is at most
+/// the oracle's and smaller only once the oracle's labels had settled.
+/// Returns the oracle outcome.
 fn check_against_oracle(
     kmeans: &HvKmeans,
     pixels: &[BinaryHypervector],
@@ -58,9 +82,26 @@ fn check_against_oracle(
     kernels: &dyn Kernels,
 ) -> Result<ClusterOutcome, TestCaseError> {
     let oracle = kmeans.cluster(pixels, intensities).unwrap();
-    let matrix = HvMatrix::from_vectors(pixels).unwrap();
+    for matrix in [
+        HvMatrix::from_vectors(pixels).unwrap(),
+        shared_matrix(pixels),
+    ] {
+        check_matrix_outcome(kmeans, &matrix, intensities, kernels, &oracle)?;
+    }
+    Ok(oracle)
+}
+
+/// Checks one matrix outcome against the oracle's (see
+/// [`check_against_oracle`]).
+fn check_matrix_outcome(
+    kmeans: &HvKmeans,
+    matrix: &HvMatrix,
+    intensities: &[u8],
+    kernels: &dyn Kernels,
+    oracle: &ClusterOutcome,
+) -> Result<(), TestCaseError> {
     let outcome = kmeans
-        .cluster_matrix_with(&matrix, intensities, kernels)
+        .cluster_matrix_with(matrix, intensities, kernels)
         .unwrap();
     prop_assert_eq!(&outcome.labels, &oracle.labels);
     prop_assert_eq!(&outcome.snapshots, &oracle.snapshots);
@@ -86,7 +127,7 @@ fn check_against_oracle(
             run
         );
     }
-    Ok(oracle)
+    Ok(())
 }
 
 /// Whether some cluster held pixels after one pass and none after a later

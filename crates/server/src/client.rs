@@ -64,14 +64,16 @@ impl SegClient {
     /// # Errors
     ///
     /// Typed [`WireError`]s for transport or framing failures, including
-    /// [`WireError::Truncated`] if the server hangs up without responding.
+    /// [`WireError::Truncated`] if the server hangs up without responding,
+    /// and [`WireError::InvalidField`] for a configuration value too wide
+    /// for its wire field (see [`WireSegmentRequest::encode`]).
     /// Typed *service* failures (busy, deadline, invalid) arrive as
     /// `Ok(response)` with the matching [`WireStatus`](crate::WireStatus).
     pub fn segment(&mut self, request: &WireSegmentRequest) -> WireResult<WireSegmentResponse> {
         write_frame(
             &mut self.stream,
             FRAME_REQUEST,
-            &request.encode(),
+            &request.encode()?,
             self.max_frame_bytes,
         )?;
         self.stream.flush()?;
@@ -99,16 +101,17 @@ impl SegClient {
     /// # Errors
     ///
     /// Typed [`WireError`]s for transport or framing failures, including
-    /// a corrupt progress payload.
+    /// a corrupt progress payload, and the encoding errors of
+    /// [`segment`](Self::segment).
     pub fn segment_with_progress(
         &mut self,
         request: &WireSegmentRequest,
         mut on_progress: impl FnMut(&WireProgress),
     ) -> WireResult<WireSegmentResponse> {
         let payload = if request.progress {
-            request.encode()
+            request.encode()?
         } else {
-            request.clone().with_progress().encode()
+            request.clone().with_progress().encode()?
         };
         write_frame(
             &mut self.stream,

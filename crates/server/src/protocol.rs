@@ -73,19 +73,35 @@ pub struct WireSegmentRequest {
     pub progress: bool,
 }
 
+/// A configuration value as its narrower wire type, or a typed error if
+/// it does not fit.
+fn wire_field<T: TryFrom<usize>>(value: usize, field: &'static str) -> WireResult<T> {
+    T::try_from(value).map_err(|_| WireError::InvalidField {
+        field,
+        message: format!("{value} does not fit the field's wire width"),
+    })
+}
+
 impl WireSegmentRequest {
     /// Serializes the request payload.
-    pub fn encode(&self) -> Vec<u8> {
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::InvalidField`] if a configuration value does not fit
+    /// its wire field (`clusters` and `iterations` travel as `u16`,
+    /// `dimension`, `beta` and `gamma` as `u32`): narrowing it would serve
+    /// the request under a different configuration.
+    pub fn encode(&self) -> WireResult<Vec<u8>> {
         let mut w = PayloadWriter::new();
         w.put_u16(PROTOCOL_VERSION);
         w.put_u32(self.deadline_ms);
         w.put_u64(self.config.seed);
-        w.put_u32(self.config.dimension as u32);
-        w.put_u16(self.config.clusters as u16);
-        w.put_u16(self.config.iterations as u16);
+        w.put_u32(wire_field(self.config.dimension, "dimension")?);
+        w.put_u16(wire_field(self.config.clusters, "clusters")?);
+        w.put_u16(wire_field(self.config.iterations, "iterations")?);
         w.put_u64(self.config.alpha.to_bits());
-        w.put_u32(self.config.beta as u32);
-        w.put_u32(self.config.gamma as u32);
+        w.put_u32(wire_field(self.config.beta, "beta")?);
+        w.put_u32(wire_field(self.config.gamma, "gamma")?);
         w.put_u8(encode_position(self.config.position_encoding));
         w.put_u8(encode_color(self.config.color_encoding));
         w.put_u8(encode_metric(self.config.distance_metric));
@@ -108,7 +124,7 @@ impl WireSegmentRequest {
         w.put_u32(self.height);
         w.put_bytes(&self.pixels);
         w.put_u8(u8::from(self.progress));
-        w.finish()
+        Ok(w.finish())
     }
 
     /// Deserializes a request payload.
@@ -911,6 +927,104 @@ fn decode_metric(byte: u8) -> WireResult<DistanceMetric> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A `usize` drawn across its whole range, or masked to 16 or 32 bits,
+    /// or small, so that every wire width is both met and exceeded.
+    fn any_width() -> impl Strategy<Value = usize> {
+        (0u8..4, any::<usize>()).prop_map(|(width, value)| match width {
+            0 => value,
+            1 => value & 0xFFFF,
+            2 => value & 0xFFFF_FFFF,
+            _ => value % 64,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every `SegHdcConfig` either round-trips bit for bit or fails to
+        /// encode with a typed error naming the first field too wide for
+        /// the wire; none is narrowed into a different configuration.
+        #[test]
+        fn every_config_round_trips_or_is_refused_by_name(
+            seed in any::<u64>(),
+            alpha_bits in any::<u64>(),
+            widths in (any_width(), any_width(), any_width(), any_width(), any_width()),
+            enums in (0usize..5, any::<bool>(), any::<bool>()),
+            record_snapshots in any::<bool>(),
+        ) {
+            let (dimension, clusters, iterations, beta, gamma) = widths;
+            let config = SegHdcConfig {
+                dimension,
+                alpha: f64::from_bits(alpha_bits),
+                beta,
+                gamma,
+                clusters,
+                iterations,
+                position_encoding: [
+                    PositionEncoding::Uniform,
+                    PositionEncoding::Manhattan,
+                    PositionEncoding::DecayManhattan,
+                    PositionEncoding::BlockDecayManhattan,
+                    PositionEncoding::Random,
+                ][enums.0],
+                color_encoding: if enums.1 {
+                    ColorEncoding::Random
+                } else {
+                    ColorEncoding::Manhattan
+                },
+                distance_metric: if enums.2 {
+                    DistanceMetric::Hamming
+                } else {
+                    DistanceMetric::Cosine
+                },
+                seed,
+                record_snapshots,
+            };
+            let request = WireSegmentRequest {
+                deadline_ms: 7,
+                config: config.clone(),
+                mode: RequestMode::Auto,
+                channels: 1,
+                width: 1,
+                height: 1,
+                pixels: vec![3],
+                progress: false,
+            };
+            let too_wide = [
+                ("dimension", dimension > u32::MAX as usize),
+                ("clusters", clusters > usize::from(u16::MAX)),
+                ("iterations", iterations > usize::from(u16::MAX)),
+                ("beta", beta > u32::MAX as usize),
+                ("gamma", gamma > u32::MAX as usize),
+            ]
+            .into_iter()
+            .find(|&(_, wide)| wide);
+            match (request.encode(), too_wide) {
+                (Ok(payload), None) => {
+                    let decoded = WireSegmentRequest::decode(&payload).unwrap().config;
+                    prop_assert_eq!(decoded.alpha.to_bits(), alpha_bits);
+                    prop_assert!(!decoded.record_snapshots);
+                    let without_alpha = |c: SegHdcConfig| SegHdcConfig {
+                        alpha: 0.0,
+                        record_snapshots: false,
+                        ..c
+                    };
+                    prop_assert_eq!(without_alpha(decoded), without_alpha(config));
+                }
+                (Err(WireError::InvalidField { field, .. }), Some((wide, _))) => {
+                    prop_assert_eq!(field, wide);
+                }
+                (outcome, expected) => prop_assert!(
+                    false,
+                    "encode gave {:?} where the first too-wide field is {:?}",
+                    outcome.map(|payload| payload.len()),
+                    expected
+                ),
+            }
+        }
+    }
 
     fn sample_config() -> SegHdcConfig {
         SegHdcConfig::builder()
@@ -943,13 +1057,13 @@ mod tests {
         ] {
             let request = WireSegmentRequest::from_image(&config, &image, mode, 250);
             assert!(!request.progress, "progress streaming is opt-in");
-            let decoded = WireSegmentRequest::decode(&request.encode()).unwrap();
+            let decoded = WireSegmentRequest::decode(&request.encode().unwrap()).unwrap();
             assert_eq!(decoded, request);
             assert_eq!(decoded.config, config);
             assert_eq!(decoded.to_image().unwrap(), image);
 
             let opted = request.with_progress();
-            let decoded = WireSegmentRequest::decode(&opted.encode()).unwrap();
+            let decoded = WireSegmentRequest::decode(&opted.encode().unwrap()).unwrap();
             assert!(decoded.progress);
             assert_eq!(decoded, opted);
         }
@@ -962,7 +1076,7 @@ mod tests {
         let image = DynamicImage::Rgb(rgb);
         let request =
             WireSegmentRequest::from_image(&sample_config(), &image, RequestMode::Auto, 0);
-        let decoded = WireSegmentRequest::decode(&request.encode()).unwrap();
+        let decoded = WireSegmentRequest::decode(&request.encode().unwrap()).unwrap();
         assert_eq!(decoded.channels, 3);
         assert_eq!(decoded.to_image().unwrap(), image);
     }
@@ -1032,7 +1146,7 @@ mod tests {
     fn wrong_version_is_refused() {
         let request =
             WireSegmentRequest::from_image(&sample_config(), &sample_image(), RequestMode::Auto, 0);
-        let mut payload = request.encode();
+        let mut payload = request.encode().unwrap();
         payload[0] = 9; // version low byte
         assert!(matches!(
             WireSegmentRequest::decode(&payload),
@@ -1047,7 +1161,7 @@ mod tests {
         request.width = 0;
         request.height = 0;
         request.pixels.clear();
-        let decoded = WireSegmentRequest::decode(&request.encode()).unwrap();
+        let decoded = WireSegmentRequest::decode(&request.encode().unwrap()).unwrap();
         assert!(matches!(
             decoded.to_image(),
             Err(WireError::InvalidField { field: "image", .. })
@@ -1058,7 +1172,7 @@ mod tests {
     fn short_pixel_buffers_are_truncation_errors() {
         let request =
             WireSegmentRequest::from_image(&sample_config(), &sample_image(), RequestMode::Auto, 0);
-        let payload = request.encode();
+        let payload = request.encode().unwrap();
         assert!(matches!(
             WireSegmentRequest::decode(&payload[..payload.len() - 1]),
             Err(WireError::Truncated { .. })
@@ -1257,7 +1371,7 @@ mod tests {
     fn unknown_enum_bytes_are_typed_errors() {
         let request =
             WireSegmentRequest::from_image(&sample_config(), &sample_image(), RequestMode::Auto, 0);
-        let base = request.encode();
+        let base = request.encode().unwrap();
         // position_encoding is at a fixed offset:
         // version(2) deadline(4) seed(8) dim(4) clusters(2) iters(2)
         // alpha(8) beta(4) gamma(4) = 38.

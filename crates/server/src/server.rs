@@ -113,9 +113,9 @@ pub struct ServerConfig {
     /// default) disables the wait entirely: a group is whatever one
     /// dequeue found, and no request ever idles on the window.
     pub fuse_window: Duration,
-    /// Most distinct engine configurations kept resident; an arbitrary
-    /// engine is dropped beyond this (its codebooks stay in the shared
-    /// cache, so resurrecting it later is cheap).
+    /// Most distinct engine configurations kept resident; the least
+    /// recently used engine is dropped beyond this (its codebooks stay in
+    /// the shared cache, so resurrecting it later is cheap).
     pub max_engines: usize,
     /// Byte capacity of the codebook cache shared by every engine.
     pub codebook_cache_bytes: usize,
@@ -172,6 +172,9 @@ struct Job {
     /// worker before execution, fired by the connection thread when the
     /// safety net abandons the job.
     cancel: CancelToken,
+    /// Where a test holds the worker running this job.
+    #[cfg(test)]
+    hold: Option<Arc<tests::Hold>>,
 }
 
 impl Job {
@@ -218,28 +221,39 @@ impl EngineKey {
 
 /// Engines keyed by configuration, all sharing one codebook cache.
 struct EngineFleet {
-    engines: Mutex<HashMap<EngineKey, Arc<SegEngine>>>,
+    engines: Mutex<Engines>,
     cache: Arc<CodebookCache>,
     max_engines: usize,
+}
+
+/// The resident engines, each with the tick of its last use.
+#[derive(Default)]
+struct Engines {
+    by_key: HashMap<EngineKey, (Arc<SegEngine>, u64)>,
+    tick: u64,
 }
 
 impl EngineFleet {
     fn new(codebook_cache_bytes: usize, max_engines: usize) -> Self {
         Self {
-            engines: Mutex::new(HashMap::new()),
+            engines: Mutex::new(Engines::default()),
             cache: Arc::new(CodebookCache::with_capacity(codebook_cache_bytes)),
             max_engines: max_engines.max(1),
         }
     }
 
     /// The engine for `config`, building (and validating) it on first use.
+    /// A full fleet drops its least recently used engine.
     fn engine_for(&self, config: &SegHdcConfig) -> Result<Arc<SegEngine>, SegHdcError> {
         let key = EngineKey::of(config);
         let mut engines = self
             .engines
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(engine) = engines.get(&key) {
+        engines.tick += 1;
+        let tick = engines.tick;
+        if let Some((engine, last_used)) = engines.by_key.get_mut(&key) {
+            *last_used = tick;
             return Ok(Arc::clone(engine));
         }
         let engine = Arc::new(
@@ -247,13 +261,17 @@ impl EngineFleet {
                 .cache(Arc::clone(&self.cache))
                 .build()?,
         );
-        if engines.len() >= self.max_engines {
-            let victim = engines.keys().next().cloned();
+        if engines.by_key.len() >= self.max_engines {
+            let victim = engines
+                .by_key
+                .iter()
+                .min_by_key(|(_, (_, last_used))| *last_used)
+                .map(|(key, _)| key.clone());
             if let Some(victim) = victim {
-                engines.remove(&victim);
+                engines.by_key.remove(&victim);
             }
         }
-        engines.insert(key, Arc::clone(&engine));
+        engines.by_key.insert(key, (Arc::clone(&engine), tick));
         Ok(engine)
     }
 
@@ -276,6 +294,9 @@ struct ServerShared {
     queue: ShardedQueue<Job>,
     fleet: EngineFleet,
     metrics: ServerMetrics,
+    /// The hold a test installed, handed to every job admitted after it.
+    #[cfg(test)]
+    hold: Mutex<Option<Arc<tests::Hold>>>,
 }
 
 /// Handle to a running server; dropping it shuts the server down.
@@ -359,6 +380,8 @@ pub fn serve(addr: &str, config: ServerConfig) -> Result<ServerHandle, ServerErr
         config,
         fleet,
         metrics,
+        #[cfg(test)]
+        hold: Mutex::new(None),
     });
 
     let worker_threads = (0..workers)
@@ -600,6 +623,8 @@ fn admit_and_wait(
     let hash = key_hash(&key);
     let cancel = CancelToken::new();
     let (events_tx, events_rx) = mpsc::channel();
+    #[cfg(test)]
+    let hold = lock_hold(shared).clone();
     let job = Job {
         request,
         key,
@@ -608,9 +633,17 @@ fn admit_and_wait(
         id: request_id,
         events: events_tx,
         cancel: cancel.clone(),
+        #[cfg(test)]
+        hold: hold.clone(),
     };
     match shared.queue.try_push(job, hash) {
-        Ok(_shard) => shared.metrics.record_admitted(),
+        Ok(_shard) => {
+            shared.metrics.record_admitted();
+            #[cfg(test)]
+            if let Some(hold) = hold {
+                hold.admitted();
+            }
+        }
         Err(err) => {
             let (status, message) = match err {
                 PushError::Full(_) => (
@@ -912,6 +945,12 @@ fn image_pixels(image: &DynamicImage) -> &[u8] {
 /// request opted in, each completed tile row streams back as a progress
 /// event.
 fn execute(job: Job, fleet: &EngineFleet, metrics: &ServerMetrics) {
+    #[cfg(test)]
+    let hold = job.hold.clone();
+    #[cfg(test)]
+    if let Some(hold) = &hold {
+        hold.pass(tests::HoldSite::JobStart);
+    }
     let Job {
         request,
         deadline,
@@ -944,16 +983,22 @@ fn execute(job: Job, fleet: &EngineFleet, metrics: &ServerMetrics) {
     };
     cancel.cancel_at(deadline);
     let started = Instant::now();
-    let progress_events = events.clone();
+    let progress_events = wants_progress.then(|| events.clone());
     let mut observer = RunObserver::new().cancel_token(cancel);
-    if wants_progress {
+    if wants_progress || cfg!(test) {
         observer = observer.on_progress(move |update| {
-            let _ = progress_events.send(JobEvent::Progress(WireProgress {
-                request_id: id,
-                rows_done: update.rows_done as u32,
-                rows_total: update.rows_total as u32,
-                elapsed_us: started.elapsed().as_micros() as u64,
-            }));
+            #[cfg(test)]
+            if let Some(hold) = &hold {
+                hold.pass(tests::HoldSite::TileRow);
+            }
+            if let Some(events) = &progress_events {
+                let _ = events.send(JobEvent::Progress(WireProgress {
+                    request_id: id,
+                    rows_done: update.rows_done as u32,
+                    rows_total: update.rows_total as u32,
+                    elapsed_us: started.elapsed().as_micros() as u64,
+                }));
+            }
         });
     }
     let response = run_image(&engine, &image, mode, queue_wait_us, &observer, metrics);
@@ -1060,10 +1105,111 @@ fn labels_response(
     }
 }
 
+/// The hold a test installed on this server, if any.
+#[cfg(test)]
+fn lock_hold(shared: &ServerShared) -> std::sync::MutexGuard<'_, Option<Arc<tests::Hold>>> {
+    shared
+        .hold
+        .lock()
+        .expect("no test panics while installing a hold")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SegClient;
     use imaging::GrayImage;
+    use std::sync::Condvar;
+
+    /// Where a [`Hold`] stops a worker.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum HoldSite {
+        /// Before a job's engine run starts.
+        JobStart,
+        /// After a tiled run completes a tile row, before the next tile's
+        /// cancellation check.
+        TileRow,
+    }
+
+    /// A gate a test puts in a worker's path: a worker that reaches its
+    /// site blocks there until the test opens it, so a test occupies the
+    /// worker for exactly as long as it needs, whatever the machine's
+    /// speed. It also counts the jobs admitted after it was installed.
+    pub(super) struct Hold {
+        site: HoldSite,
+        state: Mutex<HoldState>,
+        changed: Condvar,
+    }
+
+    #[derive(Default)]
+    struct HoldState {
+        held: bool,
+        open: bool,
+        admitted: u64,
+    }
+
+    impl Hold {
+        fn lock(&self) -> std::sync::MutexGuard<'_, HoldState> {
+            self.state
+                .lock()
+                .expect("no thread panics holding the hold")
+        }
+
+        fn wait_until(&self, done: impl Fn(&HoldState) -> bool) {
+            let mut state = self.lock();
+            while !done(&state) {
+                state = self
+                    .changed
+                    .wait(state)
+                    .expect("no thread panics holding the hold");
+            }
+        }
+
+        /// Blocks a worker at `site` (if it is this hold's) until opened.
+        pub(super) fn pass(&self, site: HoldSite) {
+            if site != self.site {
+                return;
+            }
+            self.lock().held = true;
+            self.changed.notify_all();
+            self.wait_until(|state| state.open);
+        }
+
+        /// Counts one admitted job.
+        pub(super) fn admitted(&self) {
+            self.lock().admitted += 1;
+            self.changed.notify_all();
+        }
+
+        /// Waits until a worker is blocked at the site.
+        fn wait_until_held(&self) {
+            self.wait_until(|state| state.held);
+        }
+
+        /// Waits until `count` jobs were admitted since installation.
+        fn wait_until_admitted(&self, count: u64) {
+            self.wait_until(|state| state.admitted >= count);
+        }
+
+        /// Lets every blocked and later worker through.
+        fn open(&self) {
+            self.lock().open = true;
+            self.changed.notify_all();
+        }
+    }
+
+    impl ServerHandle {
+        /// Installs a hold at `site` for every job admitted from now on.
+        fn hold_at(&self, site: HoldSite) -> Arc<Hold> {
+            let hold = Arc::new(Hold {
+                site,
+                state: Mutex::new(HoldState::default()),
+                changed: Condvar::new(),
+            });
+            *lock_hold(&self.shared) = Some(Arc::clone(&hold));
+            hold
+        }
+    }
 
     fn test_config(seed: u64) -> SegHdcConfig {
         SegHdcConfig::builder()
@@ -1107,6 +1253,7 @@ mod tests {
             id: 1,
             events: tx,
             cancel: CancelToken::new(),
+            hold: None,
         };
         (job, rx)
     }
@@ -1268,6 +1415,25 @@ mod tests {
     }
 
     #[test]
+    fn a_full_fleet_drops_its_least_recently_used_engine() {
+        let fleet = EngineFleet::new(16 << 20, 2);
+        let hot = test_config(1);
+        let first_hot = fleet.engine_for(&hot).unwrap();
+        let mut previous = fleet.engine_for(&test_config(2)).unwrap();
+        for seed in 3..23 {
+            // The hot engine is used last, so the next new configuration
+            // must drop the other one.
+            assert!(Arc::ptr_eq(&fleet.engine_for(&hot).unwrap(), &first_hot));
+            let cold = fleet.engine_for(&test_config(seed)).unwrap();
+            assert!(Arc::ptr_eq(&fleet.engine_for(&hot).unwrap(), &first_hot));
+            // The dropped engine is rebuilt on its next use.
+            let rebuilt = fleet.engine_for(previous.config()).unwrap();
+            assert!(!Arc::ptr_eq(&rebuilt, &previous), "seed {seed}");
+            previous = cold;
+        }
+    }
+
+    #[test]
     fn an_abandoned_job_is_cancelled_and_billed_as_a_deadline_miss() {
         let config = test_config(13);
         let fleet = EngineFleet::new(16 << 20, 4);
@@ -1281,5 +1447,253 @@ mod tests {
         let response = final_response(&rx);
         assert_eq!(response.status(), WireStatus::DeadlineExceeded);
         assert_eq!(metrics.snapshot().cancelled_mid_run, 1);
+    }
+
+    // Loopback tests that need the single worker occupied while other
+    // requests arrive: a hold occupies it deterministically.
+
+    fn request(
+        config: &SegHdcConfig,
+        image: &DynamicImage,
+        deadline_ms: u32,
+    ) -> WireSegmentRequest {
+        WireSegmentRequest::from_image(config, image, RequestMode::WholeImage, deadline_ms)
+    }
+
+    fn one_worker() -> ServerConfig {
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        }
+    }
+
+    #[test]
+    fn expired_deadlines_are_answered_with_deadline_exceeded() {
+        let handle = serve("127.0.0.1:0", one_worker()).unwrap();
+        let hold = handle.hold_at(HoldSite::JobStart);
+        let addr = handle.local_addr();
+
+        // Occupy the single worker.
+        let occupant = std::thread::spawn(move || {
+            let mut client = SegClient::connect(addr).unwrap();
+            client
+                .segment(&request(&test_config(1), &test_image(24, 0), 30_000))
+                .unwrap()
+        });
+        hold.wait_until_held();
+
+        // This request's 1 ms deadline expires while it waits in the queue.
+        let mut client = SegClient::connect(addr).unwrap();
+        let doomed = WireSegmentRequest::from_image(
+            &test_config(2),
+            &test_image(16, 1),
+            RequestMode::Auto,
+            1,
+        );
+        let response = client.segment(&doomed).unwrap();
+        assert_eq!(response.status(), WireStatus::DeadlineExceeded);
+
+        hold.open();
+        assert_eq!(occupant.join().unwrap().status(), WireStatus::Ok);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_full_admission_queue_answers_busy() {
+        let handle = serve(
+            "127.0.0.1:0",
+            ServerConfig {
+                queue_depth: 1,
+                ..one_worker()
+            },
+        )
+        .unwrap();
+        let hold = handle.hold_at(HoldSite::JobStart);
+        let addr = handle.local_addr();
+
+        // The first request occupies the worker; the second fills the
+        // queue.
+        let occupant = |n: usize| {
+            std::thread::spawn(move || {
+                let mut client = SegClient::connect(addr).unwrap();
+                client
+                    .segment(&request(&test_config(n as u64), &test_image(24, n), 60_000))
+                    .unwrap()
+            })
+        };
+        let first = occupant(0);
+        hold.wait_until_held();
+        let second = occupant(1);
+        hold.wait_until_admitted(2);
+
+        let mut client = SegClient::connect(addr).unwrap();
+        let rejected = WireSegmentRequest::from_image(
+            &test_config(9),
+            &test_image(16, 2),
+            RequestMode::Auto,
+            60_000,
+        );
+        let response = client.segment(&rejected).unwrap();
+        assert_eq!(response.status(), WireStatus::Busy);
+        assert_eq!(response.service_us, 0);
+
+        hold.open();
+        for occupant in [first, second] {
+            let status = occupant.join().unwrap().status();
+            assert!(
+                status == WireStatus::Ok || status == WireStatus::DeadlineExceeded,
+                "occupant ended as {status:?}"
+            );
+        }
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_mixed_burst_is_fused_with_byte_identical_labels_per_connection() {
+        let fused = serve(
+            "127.0.0.1:0",
+            ServerConfig {
+                fuse_window: Duration::from_millis(5),
+                ..one_worker()
+            },
+        )
+        .unwrap();
+        let serial = serve(
+            "127.0.0.1:0",
+            ServerConfig {
+                fuse_groups: false,
+                ..one_worker()
+            },
+        )
+        .unwrap();
+        let hold = fused.hold_at(HoldSite::JobStart);
+        let fused_addr = fused.local_addr();
+
+        // Occupy the fused server's single worker so the burst queues
+        // behind it and dequeues as whole groups.
+        let occupy = std::thread::spawn(move || {
+            let mut client = SegClient::connect(fused_addr).unwrap();
+            client
+                .segment(&request(&test_config(51), &test_image(40, 0), 60_000))
+                .unwrap()
+        });
+        hold.wait_until_held();
+
+        // Mixed shapes (two codebook keys) with connection-distinct pixels,
+        // so a label map scattered to the wrong connection cannot pass.
+        let shapes = [
+            (24usize, 24usize),
+            (24, 24),
+            (24, 24),
+            (32, 32),
+            (32, 32),
+            (24, 24),
+        ];
+        let burst: Vec<_> = shapes
+            .iter()
+            .enumerate()
+            .map(|(n, &(w, h))| {
+                std::thread::spawn(move || {
+                    let mut image = GrayImage::new(w, h).unwrap();
+                    for y in 0..h {
+                        for x in 0..w {
+                            image
+                                .set(x, y, ((x * 3 + y * 5 + n * 37) % 256) as u8)
+                                .unwrap();
+                        }
+                    }
+                    let image = DynamicImage::Gray(image);
+                    let mut client = SegClient::connect(fused_addr).unwrap();
+                    let response = client
+                        .segment(&request(&test_config(50), &image, 60_000))
+                        .unwrap();
+                    (image, response)
+                })
+            })
+            .collect();
+        // The occupant and the whole burst are admitted before the worker
+        // moves on.
+        hold.wait_until_admitted(1 + shapes.len() as u64);
+        hold.open();
+
+        let mut serial_client = SegClient::connect(serial.local_addr()).unwrap();
+        for worker in burst {
+            let (image, response) = worker.join().unwrap();
+            assert_eq!(response.status(), WireStatus::Ok);
+            // Byte-identical to the serial (fusion-off) execution of the
+            // exact same request.
+            let serial_response = serial_client
+                .segment(&request(&test_config(50), &image, 60_000))
+                .unwrap();
+            assert_eq!(serial_response.status(), WireStatus::Ok);
+            assert_eq!(
+                response.label_map().unwrap().as_raw(),
+                serial_response.label_map().unwrap().as_raw()
+            );
+        }
+        assert_eq!(occupy.join().unwrap().status(), WireStatus::Ok);
+
+        let mut observer = SegClient::connect(fused_addr).unwrap();
+        let stats = observer.stats().unwrap();
+        // The queued burst dequeued as groups; at least one multi-request
+        // group ran fused.
+        assert!(
+            stats.server.fused_groups >= 1 && stats.server.fused_requests >= 2,
+            "expected fused execution, got {:?}",
+            stats.server
+        );
+        assert_eq!(stats.server.fusion_fallbacks, 0);
+        fused.shutdown();
+        serial.shutdown();
+    }
+
+    #[test]
+    fn an_over_deadline_tiled_job_is_cancelled_mid_run_and_counted() {
+        let handle = serve("127.0.0.1:0", one_worker()).unwrap();
+        let hold = handle.hold_at(HoldSite::TileRow);
+        let mut client = SegClient::connect(handle.local_addr()).unwrap();
+
+        // A tiled run held after a tile row until its 150 ms deadline has
+        // passed: the connection answers DeadlineExceeded, the deadline-
+        // armed cancel token has fired, and once released the engine stops
+        // at the next tile boundary instead of completing the job.
+        let tiled = WireSegmentRequest::from_image(
+            &test_config(23),
+            &test_image(96, 0),
+            RequestMode::Tiled {
+                tile_width: 16,
+                tile_height: 16,
+                halo: 2,
+            },
+            150,
+        );
+        let response = client.segment(&tiled).unwrap();
+        assert_eq!(response.status(), WireStatus::DeadlineExceeded);
+        hold.open();
+
+        // The worker recorded the abort (it lands after the client's
+        // safety-net response, so poll the stats frame).
+        let give_up = Instant::now() + Duration::from_secs(30);
+        loop {
+            let stats = client.stats().unwrap();
+            if stats.server.cancelled_mid_run >= 1 {
+                break;
+            }
+            assert!(
+                Instant::now() < give_up,
+                "the worker never recorded the mid-run cancellation"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+
+        // The aborted run poisoned nothing: the server keeps serving.
+        let quick = WireSegmentRequest::from_image(
+            &test_config(24),
+            &test_image(16, 3),
+            RequestMode::Auto,
+            0,
+        );
+        assert_eq!(client.segment(&quick).unwrap().status(), WireStatus::Ok);
+        handle.shutdown();
     }
 }

@@ -27,8 +27,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iterations(3)
         .beta(16)
         .build()?;
-    // An edge-device-sized budget: the 1024x1024 whole-image matrix
-    // (~268 MB at d = 2048) is far over it, so the planner goes tiled.
+    // An edge-device-sized budget: the planner prices the 1024x1024
+    // whole-image matrix at one row per pixel (~268 MB at d = 2048), far
+    // over it, so it goes tiled.
     let engine = SegEngine::builder(config)
         .matrix_budget_bytes(8 << 20)
         .auto_tile(TileConfig::square(256, 8)?)
@@ -66,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("stitched label groups: {stitched_labels}");
     println!("IoU vs ground truth:   {iou:.4}");
     println!(
-        "peak matrix memory:    {:.1} MB (whole-image path: {:.1} MB, {:.0}x more)",
+        "peak matrix memory:    {:.2} MB (one row per pixel: {:.1} MB, {:.0}x more)",
         telemetry.peak_matrix_bytes as f64 / 1e6,
         whole_image_bytes as f64 / 1e6,
         whole_image_bytes as f64 / telemetry.peak_matrix_bytes as f64

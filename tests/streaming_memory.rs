@@ -12,6 +12,7 @@
 #![allow(deprecated)]
 
 use seghdc_suite::prelude::*;
+use seghdc_suite::seghdc::{ColorEncoder, PositionEncoder};
 
 /// Bytes of one packed hypervector row at dimension `dim`.
 fn row_bytes(dim: usize) -> usize {
@@ -35,7 +36,7 @@ fn streaming_a_512x512_scan_stays_within_two_tiles_of_matrix_memory() {
         .beta(8)
         .build()
         .unwrap();
-    let pipeline = SegHdc::new(config).unwrap();
+    let pipeline = SegHdc::new(config.clone()).unwrap();
     let tiles = TileConfig::square(tile_edge, halo).unwrap();
     let result = pipeline
         .segment_streaming(&ImageView::full(&sample.image), &tiles)
@@ -54,9 +55,47 @@ fn streaming_a_512x512_scan_stays_within_two_tiles_of_matrix_memory() {
         2 * padded_tile_bytes
     );
 
-    // Sanity on both sides: at least one full tile was actually resident,
-    // and the whole-image matrix would have been an order of magnitude more.
-    assert!(result.peak_matrix_bytes >= tile_edge * tile_edge * row_bytes(dim));
+    // The exact peak: the arena holds one u32 index entry per pixel of
+    // the largest padded tile, plus one row per distinct pixel key of the
+    // tile with the most. At 512 px, α = 0.2 and d = 2048 the position
+    // flip unit floors to 0, so every pixel has the same position vectors,
+    // while every intensity has its own colour code: a tile's keys are
+    // its distinct intensities.
+    let mut rng = HdcRng::seed_from(0);
+    let position = PositionEncoder::new(
+        PositionEncoding::BlockDecayManhattan,
+        dim,
+        512,
+        512,
+        config.alpha,
+        config.beta,
+        &mut rng,
+    )
+    .unwrap();
+    assert_eq!((position.row_flip_unit(), position.col_flip_unit()), (0, 0));
+    let color = ColorEncoder::new(ColorEncoding::Manhattan, dim, 1, 1, &mut rng).unwrap();
+    assert!(color.flip_unit() > 0);
+    let grid = tiles.grid_for(512, 512).unwrap();
+    let most_keys = grid
+        .iter()
+        .map(|tile| {
+            let padded = tile.padded;
+            let mut seen = [false; 256];
+            for y in padded.y..padded.bottom() {
+                for x in padded.x..padded.right() {
+                    seen[usize::from(sample.image.intensity_at(x, y).unwrap())] = true;
+                }
+            }
+            seen.iter().filter(|&&s| s).count()
+        })
+        .max()
+        .unwrap();
+    assert_eq!(
+        result.peak_matrix_bytes,
+        most_keys * row_bytes(dim) + grid.max_padded_pixels() * 4
+    );
+    // And the whole-image matrix would have been an order of magnitude
+    // more.
     let whole_image_bytes = 512 * 512 * row_bytes(dim);
     assert!(result.peak_matrix_bytes * 8 <= whole_image_bytes);
 }
