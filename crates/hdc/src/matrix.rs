@@ -28,11 +28,11 @@ use rayon::prelude::*;
 /// ([`reset_shared`](Self::reset_shared), [`share_rows`](Self::share_rows),
 /// [`from_shared`](Self::from_shared)). Either way [`rows`](Self::rows),
 /// [`row`](Self::row), [`to_vectors`](Self::to_vectors) and `==` see one
-/// row per index, and a write through [`row_mut`](Self::row_mut),
-/// [`set_row`](Self::set_row) or [`fill_rows`](Self::fill_rows) changes
-/// only the row written: a shared matrix first expands to the dense
-/// layout. Stored rows are numbered in order of first use, so stored row
-/// `s + 1` is first read by a later row than stored row `s`.
+/// row per index, and a write through [`row_mut`](Self::row_mut) or
+/// [`set_row`](Self::set_row) changes only the row written: a shared
+/// matrix first expands to the dense layout. Stored rows are numbered in
+/// order of first use, so stored row `s + 1` is first read by a later row
+/// than stored row `s`.
 ///
 /// # Example
 ///
@@ -68,8 +68,9 @@ pub struct HvMatrix {
     stride: usize,
     /// The stored rows, `stride` words each.
     words: Vec<u64>,
-    /// When `shared`, the stored row of each row; otherwise empty (row
-    /// `i` is stored row `i`). Kept allocated across resets.
+    /// When `shared`, the stored row of each row, numbered in order of
+    /// first use; otherwise empty (row `i` is stored row `i`). Kept
+    /// allocated across resets.
     index: Vec<u32>,
     shared: bool,
 }
@@ -95,42 +96,16 @@ impl HvMatrix {
         })
     }
 
-    /// Reshapes the matrix in place to `rows` hypervectors of dimension
-    /// `dim`, zeroing every bit, with one stored row per row.
-    ///
-    /// The backing allocation is **reused** whenever its capacity suffices,
-    /// which makes a single `HvMatrix` usable as a bounded arena across a
-    /// sequence of differently-sized batches. Use
-    /// [`capacity_bytes`](Self::capacity_bytes) to observe the high-water
-    /// mark of the buffers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::ZeroDimension`] if `dim == 0`.
-    pub fn reset(&mut self, rows: usize, dim: usize) -> Result<()> {
-        if dim == 0 {
-            return Err(HdcError::ZeroDimension);
-        }
-        let stride = dim.div_ceil(64);
-        let words = rows.saturating_mul(stride);
-        self.words.clear();
-        self.words.resize(words, 0);
-        self.index.clear();
-        self.shared = false;
-        self.rows = rows;
-        self.dim = dim;
-        self.stride = stride;
-        Ok(())
-    }
-
     /// Reshapes the matrix in place to `rows` all-zero hypervectors of
     /// dimension `dim` that share one stored row: it writes `rows` index
     /// entries and one row, not `rows` rows. This is how an arena is
     /// prepared for [`share_rows`](Self::share_rows).
     ///
-    /// Buffers are reused like [`reset`](Self::reset)'s, and grow to
-    /// exactly the size asked for, so
-    /// [`capacity_bytes`](Self::capacity_bytes) stays the exact high-water
+    /// The buffers are **reused** whenever their capacity suffices, which
+    /// makes a single `HvMatrix` usable as a bounded arena across a
+    /// sequence of differently-sized regions, and grow to exactly the size
+    /// asked for. No operation shrinks them, so
+    /// [`capacity_bytes`](Self::capacity_bytes) is the exact high-water
     /// mark of what the matrix held.
     ///
     /// # Errors
@@ -153,12 +128,13 @@ impl HvMatrix {
     /// Points every row at a stored row and resets the stored rows to
     /// zero, keeping [`rows`](Self::rows) and [`dim`](Self::dim).
     ///
-    /// `assign` receives the index (one entry per row, all `0`), fills it
-    /// and returns the number of stored rows; they must be numbered in
-    /// order of first use (the first row reads stored row 0, and every
-    /// entry is at most one more than the largest before it), which also
-    /// means every stored row is read. Write the stored rows afterwards
-    /// with [`fill_stored_rows`](Self::fill_stored_rows).
+    /// `assign` receives the index (one entry per row, holding whatever a
+    /// previous call left there), must write every entry, and returns the
+    /// number of stored rows; they must be numbered in order of first use
+    /// (the first row reads stored row 0, and every entry is at most one
+    /// more than the largest before it), which also means every stored row
+    /// is read. Write the stored rows afterwards with
+    /// [`fill_stored_rows`](Self::fill_stored_rows).
     ///
     /// # Errors
     ///
@@ -167,7 +143,9 @@ impl HvMatrix {
     /// [`reset_shared`](Self::reset_shared) leaves it.
     pub fn share_rows(&mut self, assign: impl FnOnce(&mut [u32]) -> usize) -> Result<()> {
         check_index_len(self.rows)?;
-        self.zero_index();
+        if !self.shared {
+            self.zero_index();
+        }
         let stored = assign(&mut self.index);
         if let Err(err) = check_first_use_order(&self.index, stored) {
             self.index.fill(0);
@@ -201,8 +179,8 @@ impl HvMatrix {
 
     /// Bytes currently reserved by the stored rows and the index (their
     /// capacity, not their length) — the number that matters for
-    /// peak-memory accounting of arenas built on [`reset`](Self::reset)
-    /// or [`reset_shared`](Self::reset_shared).
+    /// peak-memory accounting of arenas built on
+    /// [`reset_shared`](Self::reset_shared).
     pub fn capacity_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
             + self.index.capacity() * std::mem::size_of::<u32>()
@@ -323,22 +301,11 @@ impl HvMatrix {
         self.row_mut(index).copy_from(hv)
     }
 
-    /// Fills every row in parallel: `fill` is called once per row, across
-    /// worker threads, with an exclusive view of that row (initially
-    /// whatever the row currently holds). A shared matrix first expands to
-    /// one stored row per row.
-    pub fn fill_rows<F>(&mut self, fill: F)
-    where
-        F: Fn(usize, &mut HvRowMut<'_>) + Sync,
-    {
-        self.make_dense();
-        self.fill_stored_rows(fill);
-    }
-
     /// Fills every **stored** row in parallel: `fill` is called once per
-    /// stored row with an exclusive view of it. On a shared matrix a write
-    /// reaches every row that reads that stored row — this is how a keyed
-    /// encoder writes each distinct row once.
+    /// stored row, across worker threads, with an exclusive view of it
+    /// (initially whatever it holds). On a shared matrix a write reaches
+    /// every row that reads that stored row — this is how a keyed encoder
+    /// writes each distinct row once.
     pub fn fill_stored_rows<F>(&mut self, fill: F)
     where
         F: Fn(usize, &mut HvRowMut<'_>) + Sync,
@@ -372,16 +339,29 @@ impl HvMatrix {
         self.words.resize(words, 0);
     }
 
-    /// Expands a shared matrix to one stored row per row.
+    /// Expands a shared matrix to one stored row per row, in place, so
+    /// the buffers keep their capacity.
     fn make_dense(&mut self) {
         if !self.shared {
             return;
         }
-        let mut words = Vec::with_capacity(self.rows.saturating_mul(self.stride));
-        for &stored in &self.index {
-            words.extend_from_slice(self.stored_row(stored as usize).words);
+        let words = self.rows.saturating_mul(self.stride);
+        self.words
+            .reserve_exact(words.saturating_sub(self.words.len()));
+        self.words.resize(words, 0);
+        // First-use order puts every row's stored row at or before the
+        // row itself, and no row before `row` reads stored row `row`, so
+        // filling from the last row down overwrites only stored rows no
+        // row still to be filled reads.
+        for (row, &stored) in self.index.iter().enumerate().rev() {
+            let stored = stored as usize;
+            if stored != row {
+                self.words.copy_within(
+                    stored * self.stride..(stored + 1) * self.stride,
+                    row * self.stride,
+                );
+            }
         }
-        self.words = words;
         self.index.clear();
         self.shared = false;
     }
@@ -760,40 +740,13 @@ mod tests {
     }
 
     #[test]
-    fn reset_reuses_the_backing_allocation() {
-        let mut r = rng();
-        let mut m = HvMatrix::zeros(10, 256).unwrap();
-        for i in 0..10 {
-            m.set_row(i, &BinaryHypervector::random(256, &mut r))
-                .unwrap();
-        }
-        let peak = m.capacity_bytes();
-        assert!(peak >= 10 * 4 * 8);
-
-        // Shrinking keeps the allocation and zeroes the content.
-        m.reset(3, 100).unwrap();
-        assert_eq!((m.rows(), m.dim(), m.stride_words()), (3, 100, 2));
-        assert_eq!(m.capacity_bytes(), peak);
-        assert!(m.as_words().iter().all(|&w| w == 0));
-
-        // Growing within a previously-seen word budget also keeps it.
-        m.reset(5, 128).unwrap();
-        assert_eq!(m.capacity_bytes(), peak);
-
-        // Zero dimension stays invalid; zero rows are fine.
-        assert!(m.reset(4, 0).is_err());
-        m.reset(0, 64).unwrap();
-        assert_eq!(m.rows(), 0);
-    }
-
-    #[test]
-    fn fill_rows_writes_every_row_in_parallel() {
+    fn fill_stored_rows_writes_every_row_of_a_dense_matrix_in_parallel() {
         let mut r = rng();
         let codebook: Vec<BinaryHypervector> = (0..7)
             .map(|_| BinaryHypervector::random(200, &mut r))
             .collect();
         let mut m = HvMatrix::zeros(100, 200).unwrap();
-        m.fill_rows(|i, row| {
+        m.fill_stored_rows(|i, row| {
             row.copy_from(&codebook[i % 7]).unwrap();
             row.xor_assign(&codebook[(i + 1) % 7]).unwrap();
         });
@@ -848,13 +801,7 @@ mod tests {
             by_view.row_mut(written).xor_assign(&key).unwrap();
             let mut by_set = HvMatrix::from_shared(&stored, index.clone()).unwrap();
             by_set.set_row(written, &expected(written)).unwrap();
-            let mut by_fill = HvMatrix::from_shared(&stored, index.clone()).unwrap();
-            by_fill.fill_rows(|i, row| {
-                if i == written {
-                    row.xor_assign(&key).unwrap();
-                }
-            });
-            for matrix in [by_view, by_set, by_fill] {
+            for matrix in [by_view, by_set] {
                 for (i, _) in before.iter().enumerate() {
                     assert_eq!(
                         matrix.row(i).to_hypervector(),

@@ -34,7 +34,9 @@ use imaging::{ImageView, TileRect};
 ///    The CPU backends key the pixels and store each distinct key's row
 ///    once ([`PixelEncoder::encode_region_into`]), so the stored rows grow
 ///    to the region's distinct key count; that growth stays inside the
-///    matrix. A backend must not allocate its own full-size buffers:
+///    matrix, and the key table the call holds meanwhile has at most one
+///    slot per region pixel (dense) or one entry per distinct key
+///    (hashed). A backend must not allocate its own full-size buffers:
 ///    [`hdc::HvMatrix::capacity_bytes`] is the high-water mark the
 ///    streaming-memory guarantee is asserted against, and memory held
 ///    elsewhere silently breaks it.

@@ -13,21 +13,10 @@
 use crate::{ColorEncoder, PositionEncoder};
 use hdc::BinaryHypervector;
 use imaging::{ImageView, TileRect};
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::BuildHasher;
 
-/// A free slot of a key table.
+/// An unassigned entry of a dense table.
 const FREE: u32 = u32::MAX;
-
-/// A gray region is keyed through a dense table when that table has at
-/// most this many slots per region pixel; anything larger (RGB, or many
-/// distinct position vectors) goes through [`KeyTable`].
-const DENSE_SLOTS_PER_PIXEL: usize = 4;
-
-/// Slots a [`KeyTable`] starts with (4 KiB): room for 512 distinct keys
-/// before it first grows.
-const INITIAL_SLOTS: usize = 1024;
 
 /// An id per vector, equal for two vectors exactly when they are
 /// bit-identical, numbered in order of first appearance.
@@ -47,6 +36,13 @@ pub(crate) fn vector_ids(vectors: &[BinaryHypervector]) -> Vec<usize> {
 /// of first use, and returns the region-local pixel that first used each
 /// stored row. `index` holds `region.area()` entries, and the region fits
 /// the encoders' grid.
+///
+/// A gray region with no more (position vector, gray code) combinations
+/// than pixels is keyed through a dense table of one slot per
+/// combination, which then costs no more memory than `index` itself; any
+/// other region (RGB, or many distinct position vectors) goes through a
+/// `HashMap`, whose hashing costs tens of nanoseconds a pixel against a
+/// dense table's array read.
 pub(crate) fn key_region(
     position: &PositionEncoder,
     color: &ColorEncoder,
@@ -75,7 +71,7 @@ pub(crate) fn key_region(
     let gray_levels = color.code_levels(0);
     let dense_slots = (row_count * col_count).checked_mul(gray_levels);
     match dense_slots {
-        Some(slots) if channels == 1 && slots <= DENSE_SLOTS_PER_PIXEL * region.area() => {
+        Some(slots) if channels == 1 && slots <= region.area() => {
             let mut table = vec![FREE; slots];
             assign(region, index, |lx, ly, next| {
                 let key = position_rank(lx, ly) * gray_levels
@@ -88,13 +84,18 @@ pub(crate) fn key_region(
             })
         }
         _ => {
-            let mut table = KeyTable::new();
+            // The default hasher: pixel bytes come from clients, and its
+            // per-map keys stop them from choosing pixels whose keys
+            // collide.
+            let mut table: HashMap<u64, u32> = HashMap::new();
             assign(region, index, |lx, ly, next| {
                 let px = pixel(lx, ly);
                 let colour = (0..channels).fold(0u64, |key, channel| {
                     key << 8 | u64::from(color.code_id(channel, px[channel]))
                 });
-                table.id((position_rank(lx, ly) as u64) << 24 | colour, next)
+                *table
+                    .entry((position_rank(lx, ly) as u64) << 24 | colour)
+                    .or_insert(next)
             })
         }
     }
@@ -140,68 +141,4 @@ fn ranks(ids: &[usize], axis_len: usize) -> (Vec<u32>, usize) {
         })
         .collect();
     (ranks, count as usize)
-}
-
-/// An open-addressing table from pixel keys to stored rows (linear
-/// probing, at most half full). Pixel bytes come from clients, so the
-/// slot hash is seeded per table: nobody can choose pixels whose keys
-/// pile into one run of slots.
-struct KeyTable {
-    seed: u64,
-    /// Stored row per slot, or [`FREE`].
-    slots: Vec<u32>,
-    /// The key of each stored row.
-    keys: Vec<u64>,
-}
-
-impl KeyTable {
-    fn new() -> Self {
-        Self {
-            seed: RandomState::new().hash_one(0u64),
-            slots: vec![FREE; INITIAL_SLOTS],
-            keys: Vec::new(),
-        }
-    }
-
-    /// The stored row of `key`, inserting it as `next` if it is new.
-    fn id(&mut self, key: u64, next: u32) -> u32 {
-        let mask = self.slots.len() - 1;
-        let mut slot = self.home(key);
-        loop {
-            let id = self.slots[slot];
-            if id == FREE {
-                self.slots[slot] = next;
-                self.keys.push(key);
-                if 2 * self.keys.len() > self.slots.len() {
-                    self.grow();
-                }
-                return next;
-            }
-            if self.keys[id as usize] == key {
-                return id;
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// The first slot probed for `key`: MurmurHash3's 64-bit finaliser
-    /// over the seeded key.
-    fn home(&self, key: u64) -> usize {
-        let mut hash = key ^ self.seed;
-        hash = (hash ^ hash >> 33).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        hash = (hash ^ hash >> 33).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-        (hash ^ hash >> 33) as usize & (self.slots.len() - 1)
-    }
-
-    fn grow(&mut self) {
-        self.slots = vec![FREE; 2 * self.slots.len()];
-        let mask = self.slots.len() - 1;
-        for (id, &key) in self.keys.iter().enumerate() {
-            let mut slot = self.home(key);
-            while self.slots[slot] != FREE {
-                slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = id as u32;
-        }
-    }
 }

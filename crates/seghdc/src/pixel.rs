@@ -141,11 +141,13 @@ impl PixelEncoder {
     /// ids are equal exactly for bit-identical codebook vectors — and
     /// `matrix` becomes a shared [`HvMatrix`]: one stored row per distinct
     /// key, in order of first use, plus a `u32` per pixel naming its
-    /// stored row. Gray regions key through a dense table when it has at
-    /// most a few slots per pixel, everything else through a hash table
-    /// seeded per call. Beyond `matrix` (whose stored rows grow to the
-    /// distinct key count), the call allocates only the key table, a rank
-    /// per region row and column, and the first pixel of each key.
+    /// stored row. Gray regions key through a dense table when it has no
+    /// more slots than the region has pixels, everything else through a
+    /// `HashMap` with the default hasher, whose keys are drawn per map.
+    /// Beyond `matrix` (whose stored rows grow to the distinct key count),
+    /// the call allocates only the key table (no bigger than the index, or
+    /// one entry per distinct key), a rank per region row and column, and
+    /// the first pixel of each key.
     ///
     /// # Errors
     ///

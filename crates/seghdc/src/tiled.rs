@@ -521,6 +521,21 @@ mod tests {
     }
 
     #[test]
+    fn writing_a_row_of_the_arena_after_a_larger_tile_keeps_the_recorded_peak() {
+        // A backend that writes the prepared arena row by row expands it
+        // to one stored row per row, into the buffers a larger tile grew.
+        let mut arena = TileArena::new();
+        arena.prepare(10, 128).unwrap();
+        arena.matrix.row_mut(0).clear();
+        let after_large = arena.peak_matrix_bytes();
+        assert_eq!(after_large, 10 * 4 + 10 * 2 * 8);
+        arena.prepare(2, 64).unwrap();
+        arena.matrix.row_mut(1).clear();
+        assert_eq!(arena.matrix.stored_rows(), 2);
+        assert_eq!(arena.peak_matrix_bytes(), after_large);
+    }
+
+    #[test]
     fn union_find_roots_at_the_smallest_member() {
         let mut uf = UnionFind::new(6);
         uf.union(4, 2);

@@ -439,7 +439,15 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> Result<(), 
                 response.encode_into(&mut write_buf);
                 let _ = write_frame(&mut stream, FRAME_RESPONSE, &write_buf, max_frame_bytes);
                 let _ = stream.flush();
-                drain_before_close(&mut stream, max_frame_bytes);
+                // A frame refused for its length is still arriving, and
+                // it is longer than the cap: sink the rest of it (payload
+                // and 8-byte checksum), so the hang-up does not reset a
+                // peer that is still writing it.
+                let in_flight = match err {
+                    WireError::FrameTooLarge { len, .. } => len.saturating_add(8),
+                    _ => max_frame_bytes,
+                };
+                drain_before_close(&mut stream, in_flight);
                 return Err(err);
             }
         };
