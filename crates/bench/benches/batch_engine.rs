@@ -6,7 +6,7 @@
 //! * serial versus parallel K-Means assignment (`RAYON_NUM_THREADS=1`
 //!   versus all cores) on the matrix path;
 //! * the naive end-to-end pipeline (per-pixel encode + per-vector
-//!   `cluster`) versus the batched `segment` path — the ≥2× speedup
+//!   `cluster`) versus the batched engine path — the ≥2× speedup
 //!   acceptance gate of the batch-engine refactor, checked at 128×128 with
 //!   d = 2048;
 //! * full engine requests through the scalar-pinned backend versus the
@@ -32,8 +32,7 @@ use hdc::kernels;
 use hdc::BinaryHypervector;
 use imaging::DynamicImage;
 use seghdc::{
-    DistanceMetric, HvKmeans, PixelEncoder, SegEngine, SegHdc, SegHdcConfig, SegmentRequest,
-    SimdCpuBackend,
+    DistanceMetric, HvKmeans, PixelEncoder, SegEngine, SegHdcConfig, SegmentRequest, SimdCpuBackend,
 };
 use std::hint::black_box;
 use synthdata::{DatasetProfile, NucleiImageGenerator};
@@ -60,9 +59,7 @@ fn config() -> SegHdcConfig {
 }
 
 fn build_encoder(image: &DynamicImage) -> PixelEncoder {
-    SegHdc::new(config())
-        .expect("config is valid")
-        .build_encoder(image.width(), image.height(), image.channels())
+    PixelEncoder::for_shape(&config(), image.width(), image.height(), image.channels())
         .expect("encoder builds")
 }
 

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdc::HvMatrix;
 use imaging::DynamicImage;
-use seghdc::{DistanceMetric, HvKmeans, SegHdc, SegHdcConfig};
+use seghdc::{DistanceMetric, HvKmeans, PixelEncoder, SegHdcConfig};
 use std::hint::black_box;
 use synthdata::{DatasetProfile, NucleiImageGenerator};
 
@@ -22,9 +22,7 @@ fn encoded_pixels(dim: usize) -> (HvMatrix, Vec<u8>) {
         .iterations(1)
         .build()
         .expect("config is valid");
-    let pipeline = SegHdc::new(config).expect("pipeline builds");
-    let encoder = pipeline
-        .build_encoder(image.width(), image.height(), image.channels())
+    let encoder = PixelEncoder::for_shape(&config, image.width(), image.height(), image.channels())
         .expect("encoder builds");
     let matrix = encoder.encode_matrix(&image).expect("encoding succeeds");
     let mut intensities = Vec::with_capacity(image.pixel_count());

@@ -7,8 +7,7 @@
 //! codebook cache amortises. Each workload is measured two ways:
 //!
 //! * **cold** — a fresh `SegEngine` per request, so every request rebuilds
-//!   the codebooks (the behaviour of the deprecated per-call `SegHdc`
-//!   wrappers);
+//!   the codebooks;
 //! * **warm** — one long-lived engine across requests, so every request
 //!   after the first hits the cache.
 //!

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imaging::DynamicImage;
-use seghdc::{PositionEncoding, SegHdc, SegHdcConfig};
+use seghdc::{PixelEncoder, PositionEncoding, SegHdcConfig};
 use std::hint::black_box;
 use synthdata::{DatasetProfile, NucleiImageGenerator};
 
@@ -34,11 +34,10 @@ fn bench_encode_by_dimension(c: &mut Criterion) {
     let image = sample_image(64, 64);
     for &dim in &[200usize, 400, 800] {
         group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |bencher, &dim| {
-            let pipeline = SegHdc::new(config(dim, PositionEncoding::BlockDecayManhattan))
-                .expect("config is valid");
-            let encoder = pipeline
-                .build_encoder(image.width(), image.height(), image.channels())
-                .expect("encoder builds");
+            let config = config(dim, PositionEncoding::BlockDecayManhattan);
+            let encoder =
+                PixelEncoder::for_shape(&config, image.width(), image.height(), image.channels())
+                    .expect("encoder builds");
             bencher.iter(|| black_box(encoder.encode_matrix(&image).unwrap()))
         });
     }
@@ -57,10 +56,10 @@ fn bench_encode_by_variant(c: &mut Criterion) {
     ];
     for (name, variant) in variants {
         group.bench_function(name, |bencher| {
-            let pipeline = SegHdc::new(config(800, variant)).expect("config is valid");
-            let encoder = pipeline
-                .build_encoder(image.width(), image.height(), image.channels())
-                .expect("encoder builds");
+            let config = config(800, variant);
+            let encoder =
+                PixelEncoder::for_shape(&config, image.width(), image.height(), image.channels())
+                    .expect("encoder builds");
             bencher.iter(|| black_box(encoder.encode_matrix(&image).unwrap()))
         });
     }
@@ -73,13 +72,16 @@ fn bench_codebook_construction(c: &mut Criterion) {
     let image = sample_image(64, 64);
     for &dim in &[800usize, 2000] {
         group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |bencher, &dim| {
-            let pipeline = SegHdc::new(config(dim, PositionEncoding::BlockDecayManhattan))
-                .expect("config is valid");
+            let config = config(dim, PositionEncoding::BlockDecayManhattan);
             bencher.iter(|| {
                 black_box(
-                    pipeline
-                        .build_encoder(image.width(), image.height(), image.channels())
-                        .unwrap(),
+                    PixelEncoder::for_shape(
+                        &config,
+                        image.width(),
+                        image.height(),
+                        image.channels(),
+                    )
+                    .unwrap(),
                 )
             })
         });

@@ -1,7 +1,7 @@
 //! Benchmarks of streaming tiled segmentation against the whole-image
 //! path on a synthetic microscopy scan.
 //!
-//! The point of `segment_streaming` is memory, not raw speed: the
+//! The point of a tiled request is memory, not raw speed: the
 //! whole-image path allocates one `pixels × d` matrix, the streaming path
 //! roughly one halo-padded tile. The bench reports both wall-clock times
 //! (the streaming path pays the halo overlap re-encode plus the stitch, so
@@ -18,7 +18,7 @@
 //! | 256×256 | 413.1 ms    | 558.3 ms  | 16.78 MB → 1.33 MB (12.6×)      |
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use imaging::{DynamicImage, ImageView};
+use imaging::DynamicImage;
 use seghdc::{SegEngine, SegHdcConfig, SegmentRequest, TileConfig};
 use std::hint::black_box;
 use synthdata::{DatasetProfile, NucleiImageGenerator};
@@ -34,7 +34,7 @@ fn scan_image(edge: usize) -> DynamicImage {
         .image
 }
 
-fn engine() -> SegEngine {
+fn new_engine() -> SegEngine {
     let config = SegHdcConfig::builder()
         .dimension(DIMENSION)
         .beta(8)
@@ -47,22 +47,22 @@ fn engine() -> SegEngine {
 fn bench_whole_vs_streaming(c: &mut Criterion) {
     let mut group = c.benchmark_group("whole_image_vs_streaming_tiles");
     group.sample_size(10);
-    let engine = engine();
+    let engine = new_engine();
     for &edge in &[128usize, 256] {
         let image = scan_image(edge);
         let tiles = TileConfig::square(64, 4).expect("tile parameters are valid");
 
-        // Report the memory trade once per size, outside the timing loop.
-        let view = ImageView::full(&image);
-        let mut arena = seghdc::TileArena::new();
-        engine
-            .run_tiled_in(&view, &tiles, &mut arena)
-            .expect("streaming segmentation succeeds");
+        // Report the memory trade once per size, outside the timing loop,
+        // from a fresh engine so the telemetry peak is this run's own.
+        let peak = new_engine()
+            .run(&SegmentRequest::image(&image).tiled(tiles))
+            .expect("streaming segmentation succeeds")
+            .telemetry
+            .peak_matrix_bytes;
         let whole_bytes = edge * edge * DIMENSION.div_ceil(64) * 8;
         println!(
-            "{edge}x{edge}: whole-image matrix {whole_bytes} B, streaming peak {} B ({:.1}x less)",
-            arena.peak_matrix_bytes(),
-            whole_bytes as f64 / arena.peak_matrix_bytes() as f64
+            "{edge}x{edge}: whole-image matrix {whole_bytes} B, streaming peak {peak} B ({:.1}x less)",
+            whole_bytes as f64 / peak as f64
         );
 
         group.bench_with_input(
@@ -98,7 +98,7 @@ fn bench_whole_vs_streaming(c: &mut Criterion) {
 fn bench_streaming_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("streaming_batch");
     group.sample_size(10);
-    let engine = engine();
+    let engine = new_engine();
     let images: Vec<DynamicImage> = (0..2).map(|_| scan_image(128)).collect();
     let tiles = TileConfig::square(64, 4).expect("tile parameters are valid");
     group.bench_function(BenchmarkId::from_parameter("2x128x128"), |bencher| {

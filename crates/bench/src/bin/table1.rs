@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let seghdc_config = seghdc_config_for(&profile, scale);
         // Generate each dataset's images once; every method then runs as one
         // batch over them (SegHDC-family methods share codebooks per shape
-        // through the public `segment_batch` engine).
+        // through the engine's batch request path).
         let mut images = Vec::with_capacity(samples);
         let mut truths = Vec::with_capacity(samples);
         for index in 0..samples.min(dataset.len()) {

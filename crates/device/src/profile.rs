@@ -1,5 +1,4 @@
 use crate::{DeviceError, Result, Workload};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Sustained-throughput description of a target device.
@@ -8,7 +7,7 @@ use std::time::Duration;
 /// the paper only rely on *relative* latencies (SegHDC vs. the CNN baseline)
 /// and on the absolute memory capacity, both of which are insensitive to
 /// ±2× errors in the throughput numbers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human readable device name.
     pub name: String,
@@ -31,7 +30,7 @@ pub struct DeviceProfile {
 }
 
 /// A latency estimate produced by [`DeviceProfile::estimate`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyEstimate {
     /// Time attributed to floating-point work.
     pub float_seconds: f64,

@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 /// Operation and memory accounting for one algorithm run on one image.
 ///
 /// Counts are analytical (derived from the algorithm definition), not
 /// sampled, so they are exact for the modelled implementation and
 /// independent of the machine the model runs on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Human readable workload name (shown by the experiment harnesses).
     pub name: String,

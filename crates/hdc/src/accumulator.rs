@@ -44,14 +44,6 @@ use crate::{BinaryHypervector, HdcError, HvRow, Result};
 /// # Ok(())
 /// # }
 /// ```
-// Serde caveat: the workspace's vendored `serde_derive` stub expands to
-// nothing, so this derive only keeps the attribute position compiling.
-// When the real serde is restored (see ROADMAP), `Accumulator` needs a
-// custom impl that (a) skips the `carry` scratch buffer — it is excluded
-// from `PartialEq` and would make logically-equal values serialize
-// differently — and (b) decides a migration story for the pre-0.4
-// `counts: Vec<u32>` wire layout this plane representation replaced.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Accumulator {
     dim: usize,
     words_per_plane: usize,

@@ -26,7 +26,6 @@ use crate::{kernels, HdcError, HdcRng, Result};
 /// # }
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BinaryHypervector {
     dim: usize,
     words: Vec<u64>,

@@ -74,17 +74,6 @@ impl ItemMemory {
     pub fn items(&self) -> &[BinaryHypervector] {
         &self.items
     }
-
-    /// Finds the index of the stored item closest (by Hamming distance) to
-    /// `query` — the classical HDC associative recall operation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if `query` has a different
-    /// dimension than the memory.
-    pub fn recall(&self, query: &BinaryHypervector) -> Result<usize> {
-        crate::similarity::nearest_by_hamming(query, &self.items)
-    }
 }
 
 /// A level memory: a codebook whose Hamming distances follow the numeric
@@ -247,18 +236,6 @@ mod tests {
                     .unwrap();
                 assert!((nh - 0.5).abs() < 0.05, "items {i},{j}: {nh}");
             }
-        }
-    }
-
-    #[test]
-    fn item_memory_recall_recovers_noisy_items() {
-        let mut r = rng();
-        let memory = ItemMemory::new(16, 4096, &mut r).unwrap();
-        for idx in 0..memory.len() {
-            let mut noisy = memory.item(idx).unwrap().clone();
-            // Flip 10% of the bits; recall should still find the original.
-            noisy.flip_range(0, 409).unwrap();
-            assert_eq!(memory.recall(&noisy).unwrap(), idx);
         }
     }
 

@@ -23,8 +23,6 @@
 //! * [`ItemMemory`] / [`LevelMemory`] — classical HDC codebooks: random
 //!   (pseudo-orthogonal) item memories and linearly-correlated level
 //!   memories built by progressive bit flipping.
-//! * [`similarity`] — free functions for Hamming and cosine metrics.
-//! * [`permutation`] — cyclic rotations used for sequence binding.
 //!
 //! # Example
 //!
@@ -60,9 +58,7 @@ mod error;
 mod item_memory;
 pub mod kernels;
 mod matrix;
-pub mod permutation;
 mod rng;
-pub mod similarity;
 
 pub use accumulator::{Accumulator, BitSlicedCounts, BitSlicedGroup};
 pub use binary::BinaryHypervector;

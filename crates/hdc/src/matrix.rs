@@ -61,7 +61,6 @@ use rayon::prelude::*;
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HvMatrix {
     rows: usize,
     dim: usize,

@@ -1,6 +1,6 @@
 //! Property-based tests for the hypervector substrate.
 
-use hdc::{similarity, Accumulator, BinaryHypervector, HdcRng, HvMatrix};
+use hdc::{Accumulator, BinaryHypervector, HdcRng, HvMatrix};
 use proptest::prelude::*;
 
 fn arb_dim() -> impl Strategy<Value = usize> {
@@ -66,8 +66,8 @@ proptest! {
         let mut rng = HdcRng::seed_from(seed);
         let a = BinaryHypervector::random(dim, &mut rng);
         let b = BinaryHypervector::random(dim, &mut rng);
-        let sab = similarity::cosine(&a, &b).unwrap();
-        let sba = similarity::cosine(&b, &a).unwrap();
+        let sab = a.cosine_similarity(&b).unwrap();
+        let sba = b.cosine_similarity(&a).unwrap();
         prop_assert!((sab - sba).abs() < 1e-12);
         prop_assert!((-1e-12..=1.0 + 1e-12).contains(&sab));
     }

@@ -3,12 +3,11 @@
 //! The unit of work every [`crate::SegEngine`] path reduces to — whole
 //! image, batch, or streaming tiles — is "encode one region into a scratch
 //! matrix, then cluster that matrix". [`ExecBackend`] abstracts exactly that
-//! unit so it can be dispatched to different hardware: [`CpuBackend`] is the
-//! reference implementation pinned to the scalar word kernels,
-//! [`SimdCpuBackend`] runs the same unit through an explicit
-//! [`hdc::kernels`] selection (runtime-detected AVX2/NEON by default), and a
-//! GPU/accelerator backend only needs to reproduce these two calls over a
-//! device-resident scratch buffer.
+//! unit so it can be dispatched to different hardware: [`SimdCpuBackend`]
+//! runs it through an explicit [`hdc::kernels`] selection (runtime-detected
+//! SIMD by default; [`SimdCpuBackend::scalar`] pins the scalar kernels, the
+//! bit-exact reference), and a GPU/accelerator backend only needs to
+//! reproduce these two calls over a device-resident scratch buffer.
 
 use crate::{ClusterOutcome, HvKmeans, PixelEncoder, Result};
 use hdc::kernels::{self, Kernels};
@@ -18,18 +17,17 @@ use imaging::{ImageView, TileRect};
 /// A segmentation execution backend: the per-tile "encode region + cluster
 /// matrix" unit every engine path runs through.
 ///
-/// # Scratch-buffer lifecycle (the `TileArena` contract)
+/// # Scratch-matrix lifecycle
 ///
-/// Both calls operate over **one [`crate::TileArena`]-sized scratch
-/// buffer** owned by the caller (the engine or the streaming tiler), never
-/// by the backend:
+/// Both calls operate over **one scratch [`HvMatrix`]** owned by the
+/// caller (the engine, from its pool of scratch arenas), never by the
+/// backend:
 ///
 /// 1. Before [`encode_region`](Self::encode_region) the caller shapes the
-///    arena's matrix to exactly `region.area()` rows of the encoder's
-///    dimension with [`crate::TileArena::prepare`], which calls
-///    [`hdc::HvMatrix::reset_shared`]: every row reads one all-zero stored
-///    row, and the buffers are *reused*, not reallocated, whenever their
-///    capacity suffices.
+///    matrix to exactly `region.area()` rows of the encoder's dimension
+///    with [`hdc::HvMatrix::reset_shared`]: every row reads one all-zero
+///    stored row, and the buffers are *reused*, not reallocated, whenever
+///    their capacity suffices.
 /// 2. The backend fills the matrix in place, one row per region pixel.
 ///    The CPU backends key the pixels and store each distinct key's row
 ///    once ([`PixelEncoder::encode_region_into`]), so the stored rows grow
@@ -42,7 +40,7 @@ use imaging::{ImageView, TileRect};
 ///    elsewhere silently breaks it.
 /// 3. [`cluster_matrix`](Self::cluster_matrix) reads the same matrix
 ///    immutably and returns the labels, clustering each stored row once
-///    for every row that reads it; the caller then prepares the arena for
+///    for every row that reads it; the caller then reshapes the matrix for
 ///    the next tile.
 ///
 /// This is deliberately the lifecycle of a device scratch buffer: an
@@ -52,10 +50,10 @@ use imaging::{ImageView, TileRect};
 /// # Determinism
 ///
 /// Implementations must be deterministic for fixed inputs and must produce
-/// labels equivalent to [`CpuBackend`]'s (byte-identical for the CPU-exact
-/// case; a backend with different float reduction order should document its
-/// tolerance). The engine's equivalence tests pin `CpuBackend` to the
-/// legacy single-call pipeline bit-for-bit.
+/// labels equivalent to [`SimdCpuBackend::scalar`]'s (byte-identical for
+/// the CPU-exact case; a backend with different float reduction order
+/// should document its tolerance). The kernel and engine equivalence
+/// suites pin every kernel selection to that reference bit-for-bit.
 pub trait ExecBackend: std::fmt::Debug + Send + Sync {
     /// A short human-readable backend name for telemetry and reports.
     fn name(&self) -> &'static str;
@@ -123,46 +121,6 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
     ) -> Result<ClusterOutcome>;
 }
 
-/// The reference CPU backend: runs the per-tile unit through the **scalar**
-/// word kernels ([`hdc::kernels::scalar`]), parallelised across rows with
-/// the workspace thread pool.
-///
-/// This backend is deliberately pinned to the scalar kernels so it stays
-/// the bit-exact specification faster backends are checked against; for
-/// production throughput use [`SimdCpuBackend`] (the default backend of
-/// [`crate::SegEngine`]), which produces byte-identical labels.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CpuBackend;
-
-impl ExecBackend for CpuBackend {
-    fn name(&self) -> &'static str {
-        "cpu"
-    }
-
-    fn host_kernels(&self) -> &'static dyn Kernels {
-        kernels::scalar()
-    }
-
-    fn encode_region(
-        &self,
-        encoder: &PixelEncoder,
-        view: &ImageView<'_>,
-        region: &TileRect,
-        scratch: &mut HvMatrix,
-    ) -> Result<()> {
-        encoder.encode_region_into_with(view, region, scratch, kernels::scalar())
-    }
-
-    fn cluster_matrix(
-        &self,
-        kmeans: &HvKmeans,
-        pixels: &HvMatrix,
-        intensities: &[u8],
-    ) -> Result<ClusterOutcome> {
-        kmeans.cluster_matrix_with(pixels, intensities, kernels::scalar())
-    }
-}
-
 /// A CPU backend that executes the per-tile unit through an explicit
 /// [`Kernels`] selection — SIMD (AVX2/NEON) when the build and the CPU
 /// support it.
@@ -171,9 +129,10 @@ impl ExecBackend for CpuBackend {
 /// [`SimdCpuBackend::auto`] probes the CPU once and picks the best kernels
 /// (falling back to scalar on unsupported hardware or `--no-default-features`
 /// builds), so engines get the SIMD path without opting in. Labels are
-/// **byte-identical** to [`CpuBackend`] for every selection — kernels are
-/// exact integer operations and the pipeline's float math consumes only
-/// their results (the invariant pinned by the `kernel_equivalence` suite).
+/// **byte-identical** to [`SimdCpuBackend::scalar`] for every selection —
+/// kernels are exact integer operations and the pipeline's float math
+/// consumes only their results (the invariant pinned by the
+/// `kernel_equivalence` suite).
 /// [`ExecBackend::kernel_isa`] reports which instruction set actually ran.
 ///
 /// To force the scalar kernels on a SIMD-capable machine, install
@@ -283,7 +242,7 @@ mod tests {
     }
 
     #[test]
-    fn cpu_backend_encode_matches_the_direct_kernel_bitwise() {
+    fn scalar_backend_encode_matches_the_direct_kernel_bitwise() {
         let enc = encoder(1000, 8, 6);
         let image = gradient(8, 6);
         let view = ImageView::full(&image);
@@ -296,22 +255,21 @@ mod tests {
         let mut direct = HvMatrix::zeros(region.area(), 1000).unwrap();
         enc.encode_region_into(&view, &region, &mut direct).unwrap();
         let mut via_backend = HvMatrix::zeros(region.area(), 1000).unwrap();
-        CpuBackend
+        SimdCpuBackend::scalar()
             .encode_region(&enc, &view, &region, &mut via_backend)
             .unwrap();
         assert_eq!(direct, via_backend);
-        assert_eq!(CpuBackend.name(), "cpu");
     }
 
     #[test]
-    fn cpu_backend_cluster_matches_the_direct_kernel() {
+    fn scalar_backend_cluster_matches_the_direct_kernel() {
         let enc = encoder(512, 6, 6);
         let image = gradient(6, 6);
         let matrix = enc.encode_matrix(&image).unwrap();
         let intensities: Vec<u8> = (0..36).map(|i| (i * 7) as u8).collect();
         let kmeans = HvKmeans::new(2, 3, DistanceMetric::Cosine, false).unwrap();
         let direct = kmeans.cluster_matrix(&matrix, &intensities).unwrap();
-        let via_backend = CpuBackend
+        let via_backend = SimdCpuBackend::scalar()
             .cluster_matrix(&kmeans, &matrix, &intensities)
             .unwrap();
         assert_eq!(direct.labels, via_backend.labels);
@@ -321,14 +279,12 @@ mod tests {
     #[test]
     fn backend_trait_objects_are_shareable_across_threads() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<CpuBackend>();
         assert_send_sync::<SimdCpuBackend>();
         assert_send_sync::<Box<dyn ExecBackend>>();
     }
 
     #[test]
     fn backends_report_their_kernel_isa() {
-        assert_eq!(CpuBackend.kernel_isa(), "scalar");
         assert_eq!(SimdCpuBackend::scalar().kernel_isa(), "scalar");
         let auto = SimdCpuBackend::auto();
         assert_eq!(auto.name(), "simd-cpu");
@@ -350,7 +306,7 @@ mod tests {
             height: 5,
         };
         let mut scalar = HvMatrix::zeros(region.area(), 1000).unwrap();
-        CpuBackend
+        SimdCpuBackend::scalar()
             .encode_region(&enc, &view, &region, &mut scalar)
             .unwrap();
         let mut simd = HvMatrix::zeros(region.area(), 1000).unwrap();
@@ -361,7 +317,7 @@ mod tests {
 
         let intensities: Vec<u8> = (0..region.area()).map(|i| (i * 7) as u8).collect();
         let kmeans = HvKmeans::new(2, 3, DistanceMetric::Cosine, true).unwrap();
-        let by_scalar = CpuBackend
+        let by_scalar = SimdCpuBackend::scalar()
             .cluster_matrix(&kmeans, &scalar, &intensities)
             .unwrap();
         let by_simd = SimdCpuBackend::auto()

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Identity of one built codebook set: everything
-/// [`crate::SegHdc::build_encoder`] derives the codebooks from, and nothing
+/// [`PixelEncoder::for_shape`] derives the codebooks from, and nothing
 /// else.
 ///
 /// Two configurations that agree on these fields produce bit-identical
@@ -438,7 +438,6 @@ impl Drop for UnregisterBuild<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SegHdc;
 
     fn config(seed: u64) -> SegHdcConfig {
         SegHdcConfig::builder()
@@ -451,10 +450,7 @@ mod tests {
     }
 
     fn build_for(config: &SegHdcConfig, width: usize, height: usize) -> PixelEncoder {
-        SegHdc::new(config.clone())
-            .unwrap()
-            .build_encoder(width, height, 1)
-            .unwrap()
+        PixelEncoder::for_shape(config, width, height, 1).unwrap()
     }
 
     #[test]

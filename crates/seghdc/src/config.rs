@@ -2,7 +2,6 @@ use crate::{Result, SegHdcError};
 
 /// Position-encoding variant (§III-1 of the paper, Fig. 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PositionEncoding {
     /// Row and column flips share the same bit range (Fig. 3a). Distances
     /// between positions on the same diagonal collapse to zero — shown in
@@ -25,7 +24,6 @@ pub enum PositionEncoding {
 
 /// Colour-encoding variant (§III-2 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ColorEncoding {
     /// Level encoding whose Hamming distances follow the Manhattan distance
     /// of the 8-bit intensity values, one concatenated chunk per channel.
@@ -37,7 +35,6 @@ pub enum ColorEncoding {
 
 /// Distance metric used by the clusterer (§III-4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DistanceMetric {
     /// Cosine distance (Eq. 7) — the paper's choice, because summed integer
     /// centroids do not need re-normalisation.
@@ -47,7 +44,8 @@ pub enum DistanceMetric {
     Hamming,
 }
 
-/// Full configuration of a [`crate::SegHdc`] pipeline.
+/// Full configuration of the SegHDC algorithm a [`crate::SegEngine`]
+/// runs.
 ///
 /// The defaults correspond to the paper's Table I setup for the DSB2018
 /// dataset: `d = 10 000`, `α = 0.2`, `β = 26`, `γ = 1`, two clusters and ten
@@ -68,7 +66,6 @@ pub enum DistanceMetric {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SegHdcConfig {
     /// Hypervector dimensionality `d`.
     pub dimension: usize,

@@ -1,9 +1,8 @@
 //! The long-lived segmentation engine: one unified planner over every
 //! execution path.
 //!
-//! [`SegEngine`] replaces the five historical `SegHdc` entry points
-//! (`segment`, `segment_batch`, `segment_streaming`,
-//! `segment_streaming_in`, `segment_streaming_batch`) with one flow:
+//! [`SegEngine`] is the crate's one way in: whole images, batches and
+//! streaming tiles all go through one flow:
 //!
 //! ```text
 //! SegmentRequest ──► SegEngine::plan ──► SegEngine::run ──► SegmentReport
@@ -13,15 +12,15 @@
 //!
 //! * an [`ExecBackend`] — the per-tile "encode region + cluster matrix"
 //!   unit every path executes through ([`SimdCpuBackend::auto`] by
-//!   default, which picks SIMD word kernels when the CPU supports them; a
-//!   scalar-pinned [`crate::CpuBackend`] or a device backend via
+//!   default, which picks SIMD word kernels when the CPU supports them;
+//!   the scalar-pinned [`SimdCpuBackend::scalar`] or another backend via
 //!   [`SegEngineBuilder::backend`]);
 //! * a persistent [`CodebookCache`] — codebooks are keyed on
 //!   `(seed, shape, dimension, encodings)` and reused across calls and
 //!   threads, so a warm request skips the dominant fixed cost;
-//! * a pool of [`TileArena`] scratch buffers, reused across requests and
-//!   workers, whose byte high-water mark is reported on every
-//!   [`SegmentReport`].
+//! * a pool of scratch arenas (one hypervector matrix and one intensity
+//!   buffer each), reused across requests and workers, whose byte
+//!   high-water mark is reported on every [`SegmentReport`].
 //!
 //! # Example
 //!
@@ -59,7 +58,7 @@
 use crate::cache::{CacheStats, CodebookCache, CodebookKey};
 use crate::observe::RunObserver;
 use crate::sync::lock_unpoisoned;
-use crate::tiled::{self, StreamingSegmentation, TileArena, TileConfig};
+use crate::tiled::{self, TileArena, TileConfig};
 use crate::{
     ExecBackend, HvKmeans, PixelEncoder, Result, SegHdcConfig, SegHdcError, SimdCpuBackend,
 };
@@ -398,9 +397,8 @@ impl SegEngineBuilder {
     ///
     /// The default is [`SimdCpuBackend::auto`], which picks the best word
     /// kernels for the running CPU (SIMD when supported, scalar otherwise).
-    /// Install [`SimdCpuBackend::scalar`] (or the reference
-    /// [`crate::CpuBackend`]) to force the scalar kernels; labels are
-    /// byte-identical either way.
+    /// Install [`SimdCpuBackend::scalar`] to force the scalar kernels;
+    /// labels are byte-identical either way.
     pub fn backend(mut self, backend: Box<dyn ExecBackend>) -> Self {
         self.backend = Some(backend);
         self
@@ -617,38 +615,6 @@ impl SegEngine {
         })
     }
 
-    /// Streaming tiled execution into a **caller-owned** arena — the
-    /// escape hatch for services that manage their own scratch memory (and
-    /// the implementation of the deprecated
-    /// [`crate::SegHdc::segment_streaming_in`]). The codebooks still come
-    /// from the engine cache and every tile executes through the engine
-    /// backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the tile geometry is invalid for the view shape
-    /// or if encoding/clustering fails.
-    pub fn run_tiled_in(
-        &self,
-        view: &ImageView<'_>,
-        tiles: &TileConfig,
-        arena: &mut TileArena,
-    ) -> Result<StreamingSegmentation> {
-        let encoder = self.encoder_for(view.width(), view.height(), view.channels())?;
-        let result = tiled::segment_streaming_with(
-            &self.config,
-            &encoder,
-            view,
-            tiles,
-            arena,
-            self.backend.as_ref(),
-            RunObserver::new().for_image(0),
-        );
-        self.peak_matrix_bytes
-            .fetch_max(arena.peak_matrix_bytes(), Ordering::Relaxed);
-        result
-    }
-
     /// Current engine-lifetime telemetry.
     pub fn telemetry(&self) -> EngineTelemetry {
         let stats = self.cache.stats();
@@ -688,8 +654,9 @@ impl SegEngine {
     ) -> Result<Arc<PixelEncoder>> {
         let key = CodebookKey::for_shape(&self.config, width, height, channels);
         let config = &self.config;
-        self.cache
-            .get_or_build(key, || build_encoder(config, width, height, channels))
+        self.cache.get_or_build(key, || {
+            PixelEncoder::for_shape(config, width, height, channels)
+        })
     }
 
     /// Executes one image according to its plan decision.
@@ -786,7 +753,7 @@ impl SegEngine {
         observer: &RunObserver<'_>,
     ) -> Result<SegmentOutput> {
         self.with_arena(|arena| {
-            let streamed = tiled::segment_streaming_with(
+            tiled::segment_streaming_with(
                 &self.config,
                 encoder,
                 view,
@@ -794,30 +761,7 @@ impl SegEngine {
                 arena,
                 self.backend.as_ref(),
                 observer.for_image(image_index),
-            )?;
-
-            // Stitched-group sizes in ascending label order, so the report
-            // shape matches whole-image outputs.
-            let mut sizes: std::collections::BTreeMap<u32, usize> =
-                std::collections::BTreeMap::new();
-            for &label in streamed.label_map.as_raw() {
-                *sizes.entry(label).or_insert(0) += 1;
-            }
-
-            Ok(SegmentOutput {
-                label_map: streamed.label_map,
-                snapshots: Vec::new(),
-                iterations_run: streamed.iterations_run,
-                cluster_sizes: sizes.into_values().collect(),
-                mode: ExecutedMode::Tiled {
-                    tiles_x: streamed.tiles_x,
-                    tiles_y: streamed.tiles_y,
-                    stitched_labels: streamed.stitched_labels,
-                },
-                encode_time: streamed.encode_time,
-                cluster_time: streamed.cluster_time,
-                stitch_time: streamed.stitch_time,
-            })
+            )
         })
     }
 
@@ -849,37 +793,6 @@ impl SegEngine {
         }
         result
     }
-}
-
-/// Builds the pixel encoder (position + colour codebooks) for `config` at
-/// one image shape — the single codebook-construction path every engine
-/// lookup funnels through.
-pub(crate) fn build_encoder(
-    config: &SegHdcConfig,
-    width: usize,
-    height: usize,
-    channels: usize,
-) -> Result<PixelEncoder> {
-    let root = hdc::HdcRng::seed_from(config.seed);
-    let mut position_rng = root.derive(1);
-    let mut color_rng = root.derive(2);
-    let position = crate::PositionEncoder::new(
-        config.position_encoding,
-        config.dimension,
-        height,
-        width,
-        config.alpha,
-        config.beta,
-        &mut position_rng,
-    )?;
-    let color = crate::ColorEncoder::new(
-        config.color_encoding,
-        config.dimension,
-        channels,
-        config.gamma,
-        &mut color_rng,
-    )?;
-    PixelEncoder::new(position, color)
 }
 
 #[cfg(test)]
@@ -917,12 +830,12 @@ mod tests {
         assert_eq!(engine.backend_name(), "simd-cpu");
         assert!(hdc::kernels::KNOWN_ISAS.contains(&engine.kernel_isa()));
         assert_eq!(engine.config().dimension, 512);
-        // The reference backend stays installable.
+        // The scalar reference stays installable.
         let reference = SegEngine::builder(fast_config())
-            .backend(Box::new(crate::CpuBackend))
+            .backend(Box::new(SimdCpuBackend::scalar()))
             .build()
             .unwrap();
-        assert_eq!(reference.backend_name(), "cpu");
+        assert_eq!(reference.backend_name(), "simd-cpu");
         assert_eq!(reference.kernel_isa(), "scalar");
     }
 
@@ -1298,7 +1211,7 @@ mod tests {
         assert!(cold.telemetry.cache_bytes > 0);
         // The arena holds a u32 index entry per pixel and one row per
         // distinct (row vector, column vector, colour code) key.
-        let encoder = build_encoder(&fast_config(), 24, 24, 1).unwrap();
+        let encoder = PixelEncoder::for_shape(&fast_config(), 24, 24, 1).unwrap();
         let position = encoder.position();
         let keys: std::collections::HashSet<(Vec<u64>, Vec<u64>, Vec<u64>)> = (0..24)
             .flat_map(|y| (0..24).map(move |x| (x, y)))
@@ -1362,5 +1275,115 @@ mod tests {
         let report = second.run(&SegmentRequest::image(&image)).unwrap();
         assert_eq!(report.telemetry.cache_misses, 1);
         assert_eq!(report.telemetry.cache_hits, 1);
+    }
+
+    /// A bright square on a dark background plus its ground truth. Both
+    /// regions carry intensity jitter, so the colour codebooks are
+    /// exercised over many distinct values.
+    fn jittered_square(size: usize) -> (DynamicImage, LabelMap) {
+        let mut img = GrayImage::new(size, size).unwrap();
+        let mut truth = LabelMap::new(size, size).unwrap();
+        let (lo, hi) = (size / 4, 3 * size / 4);
+        for y in 0..size {
+            for x in 0..size {
+                let jitter = ((x * 7 + y * 3) % 30) as u8;
+                if (lo..hi).contains(&x) && (lo..hi).contains(&y) {
+                    img.set(x, y, 200 + jitter).unwrap();
+                    truth.set(x, y, 1).unwrap();
+                } else {
+                    img.set(x, y, 15 + jitter).unwrap();
+                }
+            }
+        }
+        (DynamicImage::Gray(img), truth)
+    }
+
+    #[test]
+    fn segments_a_high_contrast_square_accurately() {
+        let (image, truth) = jittered_square(32);
+        let config = SegHdcConfig {
+            dimension: 1024,
+            ..fast_config()
+        };
+        let report = SegEngine::new(config.clone())
+            .unwrap()
+            .run(&SegmentRequest::image(&image).whole_image())
+            .unwrap();
+        let result = report.single();
+        let iou = imaging::metrics::matched_binary_iou(&result.label_map, &truth).unwrap();
+        assert!(iou > 0.9, "IoU {iou}");
+        // The passes that actually ran, checked against the full-pass
+        // per-vector oracle on the same pixels.
+        let view = ImageView::full(&image);
+        let intensities: Vec<u8> = (0..32 * 32)
+            .map(|i| view.intensity_at(i % 32, i / 32).unwrap())
+            .collect();
+        let pixels = PixelEncoder::for_shape(&config, 32, 32, 1)
+            .unwrap()
+            .encode_image(&image)
+            .unwrap();
+        let oracle = HvKmeans::new(
+            config.clusters,
+            config.iterations,
+            config.distance_metric,
+            true,
+        )
+        .unwrap()
+        .cluster(&pixels, &intensities)
+        .unwrap();
+        assert_eq!(result.label_map.as_raw(), oracle.labels.as_slice());
+        crate::cluster::assert_true_pass_count(result.iterations_run, &oracle);
+        assert_eq!(result.cluster_sizes.iter().sum::<usize>(), 32 * 32);
+        assert!(result.total_time() >= result.encode_time);
+    }
+
+    #[test]
+    fn snapshots_are_recorded_when_requested() {
+        let (image, _) = jittered_square(16);
+        let config = SegHdcConfig::builder()
+            .dimension(512)
+            .iterations(4)
+            .beta(2)
+            .record_snapshots(true)
+            .build()
+            .unwrap();
+        let request = SegmentRequest::image(&image).whole_image();
+        let report = SegEngine::new(config).unwrap().run(&request).unwrap();
+        let result = report.single();
+        assert_eq!(result.snapshots.len(), 4);
+        assert_eq!(result.snapshots.last().unwrap(), &result.label_map);
+        // Without the flag no snapshots are kept.
+        let report = SegEngine::new(fast_config())
+            .unwrap()
+            .run(&request)
+            .unwrap();
+        assert!(report.single().snapshots.is_empty());
+    }
+
+    #[test]
+    fn rgb_images_are_segmented_alone_and_in_a_mixed_batch() {
+        let (gray, truth) = jittered_square(24);
+        let rgb = DynamicImage::Rgb(gray.to_rgb());
+        let config = SegHdcConfig {
+            dimension: 1024,
+            ..fast_config()
+        };
+        let engine = SegEngine::new(config).unwrap();
+        let both = [gray, rgb];
+        let batch = engine
+            .run(&SegmentRequest::batch(&both).whole_image())
+            .unwrap();
+        for (image, batched) in both.iter().zip(&batch.outputs) {
+            let single = engine
+                .run(&SegmentRequest::image(image).whole_image())
+                .unwrap();
+            assert_eq!(
+                batched.label_map.as_raw(),
+                single.single().label_map.as_raw()
+            );
+        }
+        let iou =
+            imaging::metrics::matched_binary_iou(&batch.outputs[1].label_map, &truth).unwrap();
+        assert!(iou > 0.85, "IoU {iou}");
     }
 }

@@ -21,23 +21,21 @@
 //!   colour difference and updated by integer bundling (§III-4, Eq. 7).
 //!   [`HvKmeans::cluster_matrix`] clusters an [`hdc::HvMatrix`] in place,
 //!   parallelising the assignment step across pixel rows.
-//! * [`SegEngine`] — the long-lived execution engine and the crate's
-//!   primary entry point: one [`SegmentRequest`] → [`SegEngine::plan`] →
-//!   [`SegEngine::run`] flow replaces the five legacy `SegHdc` calls. The
-//!   engine owns an [`ExecBackend`] (the per-tile "encode region + cluster
-//!   matrix" unit — [`SimdCpuBackend`] by default, which dispatches every
-//!   word-level bit kernel to runtime-detected SIMD via
-//!   [`hdc::kernels`] and reports the ISA on every report; the
-//!   scalar-pinned [`CpuBackend`] is the bit-exact reference), a persistent
+//! * [`SegEngine`] — the long-lived execution engine and the crate's one
+//!   way in: one [`SegmentRequest`] → [`SegEngine::plan`] →
+//!   [`SegEngine::run`] flow for single images, batches and views, whole
+//!   or tiled. The engine owns an [`ExecBackend`] (the per-tile "encode
+//!   region + cluster matrix" unit — [`SimdCpuBackend`] by default, which
+//!   dispatches every word-level bit kernel to runtime-detected SIMD via
+//!   [`hdc::kernels`] and reports the ISA on every report;
+//!   [`SimdCpuBackend::scalar`] is the bit-exact reference), a persistent
 //!   byte-bounded [`CodebookCache`] shared across calls and threads, and a
-//!   pool of reusable [`TileArena`] scratch buffers; it plans whole-image
-//!   versus streaming tiled execution per image against a memory budget and
+//!   pool of reusable scratch arenas; it plans whole-image versus
+//!   streaming tiled execution per image against a memory budget and
 //!   reports cache/arena telemetry on every [`SegmentReport`].
-//! * [`SegHdc`] — the legacy per-call pipeline; its segmentation methods
-//!   remain as thin deprecated wrappers over the engine.
 //! * [`tiled`] — streaming tiled segmentation for images larger than
-//!   memory: one halo-padded tile at a time inside a bounded [`TileArena`],
-//!   stitched into one globally consistent map.
+//!   memory: one halo-padded tile at a time inside a bounded scratch
+//!   arena, stitched into one globally consistent map.
 //!
 //! # Quickstart
 //!
@@ -80,7 +78,6 @@ pub mod engine;
 mod error;
 mod keys;
 pub mod observe;
-mod pipeline;
 mod pixel;
 mod position;
 pub mod snapshot;
@@ -89,7 +86,7 @@ mod sync;
 pub mod tiled;
 pub mod toy;
 
-pub use backend::{CpuBackend, ExecBackend, SimdCpuBackend};
+pub use backend::{ExecBackend, SimdCpuBackend};
 pub use cache::{CacheStats, CodebookCache, CodebookKey};
 pub use cluster::{ClusterOutcome, HvKmeans};
 pub use color::ColorEncoder;
@@ -102,11 +99,10 @@ pub use engine::{
 };
 pub use error::SegHdcError;
 pub use observe::{CancelToken, RunObserver, RunProgress};
-pub use pipeline::{SegHdc, Segmentation};
 pub use pixel::PixelEncoder;
 pub use position::PositionEncoder;
 pub use snapshot::{CentroidSetSnapshot, Snapshot, SnapshotError};
-pub use tiled::{StreamingSegmentation, TileArena, TileConfig};
+pub use tiled::TileConfig;
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, SegHdcError>;

@@ -1,4 +1,4 @@
-use crate::{keys, ColorEncoder, PositionEncoder, Result, SegHdcError};
+use crate::{keys, ColorEncoder, PositionEncoder, Result, SegHdcConfig, SegHdcError};
 use hdc::kernels::{self, Kernels};
 use hdc::{BinaryHypervector, HvMatrix};
 use imaging::{DynamicImage, ImageView, TileRect};
@@ -53,6 +53,45 @@ impl PixelEncoder {
             });
         }
         Ok(Self { position, color })
+    }
+
+    /// Builds the position and colour codebooks of `config` for a
+    /// `width × height` image with `channels` colour channels — the single
+    /// codebook-construction path every engine cache lookup funnels
+    /// through.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SegHdcError::InvalidConfig`] if the configuration is
+    /// inconsistent or the shape is degenerate (e.g. the hypervector
+    /// dimension is smaller than the number of colour channels).
+    pub fn for_shape(
+        config: &SegHdcConfig,
+        width: usize,
+        height: usize,
+        channels: usize,
+    ) -> Result<Self> {
+        config.validate()?;
+        let root = hdc::HdcRng::seed_from(config.seed);
+        let mut position_rng = root.derive(1);
+        let mut color_rng = root.derive(2);
+        let position = PositionEncoder::new(
+            config.position_encoding,
+            config.dimension,
+            height,
+            width,
+            config.alpha,
+            config.beta,
+            &mut position_rng,
+        )?;
+        let color = ColorEncoder::new(
+            config.color_encoding,
+            config.dimension,
+            channels,
+            config.gamma,
+            &mut color_rng,
+        )?;
+        Self::new(position, color)
     }
 
     /// The shared hypervector dimensionality.

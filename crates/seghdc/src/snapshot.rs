@@ -720,7 +720,7 @@ impl SnapReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SegHdc, SegHdcConfig};
+    use crate::SegHdcConfig;
     use hdc::{Accumulator, HdcRng};
 
     fn config(seed: u64) -> SegHdcConfig {
@@ -736,10 +736,7 @@ mod tests {
     fn built_codebook(seed: u64, width: usize, height: usize) -> (CodebookKey, PixelEncoder) {
         let cfg = config(seed);
         let key = CodebookKey::for_shape(&cfg, width, height, 1);
-        let encoder = SegHdc::new(cfg)
-            .unwrap()
-            .build_encoder(width, height, 1)
-            .unwrap();
+        let encoder = PixelEncoder::for_shape(&cfg, width, height, 1).unwrap();
         (key, encoder)
     }
 

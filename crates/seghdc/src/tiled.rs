@@ -1,13 +1,15 @@
 //! Streaming tiled segmentation: encode and cluster one halo-padded tile at
-//! a time inside a bounded, reusable [`TileArena`], then stitch the per-tile
-//! cluster labels into one globally consistent
-//! [`imaging::LabelMap`].
+//! a time inside a bounded, reusable scratch arena, then stitch the
+//! per-tile cluster labels into one globally consistent
+//! [`imaging::LabelMap`]. [`crate::SegEngine`] runs this path for a
+//! request in [`crate::ExecutionMode::Tiled`] (or when its planner picks
+//! tiles); [`TileConfig`] is the geometry such a request carries.
 //!
-//! A whole-image [`crate::SegHdc::segment`] run materialises one packed
-//! hypervector row per pixel — a 512×512 scan at `d = 4096` needs ~128 MB of
-//! transient matrix, which rules out exactly the edge devices the SegHDC
-//! paper targets. Streaming mode bounds that transient to roughly **one
-//! halo-padded tile** regardless of the image size:
+//! A whole-image run prices its hypervector matrix at one packed row per
+//! pixel — a 512×512 scan at `d = 4096` up to ~128 MB of transient matrix,
+//! which rules out exactly the edge devices the SegHDC paper targets.
+//! Streaming mode bounds that transient to roughly **one halo-padded
+//! tile** regardless of the image size:
 //!
 //! 1. [`imaging::TileGrid`] plans interiors (an exact partition of
 //!    the image) plus halo-padded processing regions.
@@ -29,18 +31,20 @@
 //!    stitched label instead of being absorbed into the least-dissimilar
 //!    neighbour group.
 
+use crate::engine::{ExecutedMode, SegmentOutput};
 use crate::observe::ImageObserver;
 use crate::{ExecBackend, HvKmeans, PixelEncoder, Result, SegHdcConfig, SegHdcError};
 use hdc::{Accumulator, BitSlicedCounts, HvMatrix};
 use imaging::{ImageView, LabelMap, TileGrid};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 /// Two candidate centroid matches whose cosine similarities are closer than
 /// this are considered tied, and the halo-overlap majority vote decides.
 const STITCH_TIE_EPSILON: f64 = 0.01;
 
-/// Tile geometry parameters for [`crate::SegHdc::segment_streaming`].
+/// Tile geometry of a streaming tiled run
+/// ([`crate::ExecutionMode::Tiled`]).
 ///
 /// # Example
 ///
@@ -131,7 +135,7 @@ impl TileConfig {
 /// [`PixelEncoder::encode_region_into`]), so that is one `u32` index entry
 /// per tile pixel plus one row per distinct pixel key.
 #[derive(Debug)]
-pub struct TileArena {
+pub(crate) struct TileArena {
     pub(crate) matrix: HvMatrix,
     pub(crate) intensities: Vec<u8>,
 }
@@ -139,7 +143,7 @@ pub struct TileArena {
 impl TileArena {
     /// Creates an empty arena; buffers are grown on first use and reused
     /// afterwards.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             matrix: HvMatrix::zeros(0, 1).expect("dimension 1 is valid"),
             intensities: Vec::new(),
@@ -150,14 +154,14 @@ impl TileArena {
     /// whole lifetime (across every tile and every segmentation run that
     /// used this arena). The matrix buffers only ever grow, so this is
     /// their current capacity.
-    pub fn peak_matrix_bytes(&self) -> usize {
+    pub(crate) fn peak_matrix_bytes(&self) -> usize {
         self.matrix.capacity_bytes()
     }
 
     /// Shapes the arena for a region of `rows` pixels at dimension `dim`
     /// and clears the intensity buffer.
     ///
-    /// This is step 1 of the [`ExecBackend`] scratch-buffer lifecycle: the
+    /// This is step 1 of the [`ExecBackend`] scratch-matrix lifecycle: the
     /// matrix is reshaped with [`HvMatrix::reset_shared`], which writes a
     /// `u32` per pixel (not a row per pixel) and **reuses** the backing
     /// allocations whenever their capacity suffices, so a sequence of
@@ -168,7 +172,7 @@ impl TileArena {
     /// # Errors
     ///
     /// Returns an error if `dim` is zero or `rows` does not fit a `u32`.
-    pub fn prepare(&mut self, rows: usize, dim: usize) -> Result<()> {
+    pub(crate) fn prepare(&mut self, rows: usize, dim: usize) -> Result<()> {
         self.matrix.reset_shared(rows, dim)?;
         self.intensities.clear();
         Ok(())
@@ -178,48 +182,6 @@ impl TileArena {
 impl Default for TileArena {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Result of a streaming tiled segmentation run.
-#[derive(Debug, Clone)]
-pub struct StreamingSegmentation {
-    /// Final stitched per-pixel labels, globally consistent across tiles.
-    /// Labels are provisional tile-cluster ids compacted per stitched
-    /// group; for a single-tile run they equal the raw cluster indices, so
-    /// the output is byte-identical to [`crate::SegHdc::segment`].
-    pub label_map: LabelMap,
-    /// Number of tile columns in the processed grid.
-    pub tiles_x: usize,
-    /// Number of tile rows in the processed grid.
-    pub tiles_y: usize,
-    /// Number of distinct stitched label groups in the output map.
-    pub stitched_labels: usize,
-    /// Clustering passes run by the tile that needed the most (see
-    /// [`crate::ClusterOutcome::iterations_run`]); 0 when every tile was
-    /// too small to cluster.
-    pub iterations_run: usize,
-    /// High-water mark of the arena's matrix allocation during this run —
-    /// the streaming memory guarantee, measured (≈ one halo-padded tile,
-    /// not one image).
-    pub peak_matrix_bytes: usize,
-    /// Wall-clock time spent encoding tile regions.
-    pub encode_time: Duration,
-    /// Wall-clock time spent clustering tiles.
-    pub cluster_time: Duration,
-    /// Wall-clock time spent matching centroids and relabelling.
-    pub stitch_time: Duration,
-}
-
-impl StreamingSegmentation {
-    /// Total number of tiles processed.
-    pub fn tile_count(&self) -> usize {
-        self.tiles_x * self.tiles_y
-    }
-
-    /// Total wall-clock time (encode + cluster + stitch).
-    pub fn total_time(&self) -> Duration {
-        self.encode_time + self.cluster_time + self.stitch_time
     }
 }
 
@@ -260,11 +222,16 @@ impl UnionFind {
 /// snapshot per (non-empty) local cluster.
 type TileCentroids = Vec<Option<BitSlicedCounts>>;
 
-/// Runs the streaming engine. `encoder` must have been built for the view's
-/// exact shape; `arena` supplies (and keeps) the bounded working memory;
-/// every per-tile encode and cluster executes through `backend`. The
-/// `observed` hooks fire once per completed tile row (progress) and are
-/// polled between tiles (cancellation).
+/// Runs the streaming engine and returns the view's stitched output.
+/// `encoder` must have been built for the view's exact shape; `arena`
+/// supplies (and keeps) the bounded working memory; every per-tile encode
+/// and cluster executes through `backend`. The `observed` hooks fire once
+/// per completed tile row (progress) and are polled between tiles
+/// (cancellation).
+///
+/// Output labels are provisional tile-cluster ids compacted per stitched
+/// group; for a single-tile run they equal the raw cluster indices, so the
+/// output is byte-identical to a whole-image run.
 pub(crate) fn segment_streaming_with(
     config: &SegHdcConfig,
     encoder: &PixelEncoder,
@@ -273,7 +240,7 @@ pub(crate) fn segment_streaming_with(
     arena: &mut TileArena,
     backend: &dyn ExecBackend,
     observed: ImageObserver<'_, '_>,
-) -> Result<StreamingSegmentation> {
+) -> Result<SegmentOutput> {
     let grid = tiles.grid_for(view.width(), view.height())?;
     let width = view.width();
     let clusters = config.clusters;
@@ -470,13 +437,23 @@ pub(crate) fn segment_streaming_with(
     let label_map = LabelMap::from_raw(width, view.height(), labels)?;
     let stitch_time = stitch_start.elapsed();
 
-    Ok(StreamingSegmentation {
+    // Stitched-group sizes in ascending label order, so the report shape
+    // matches whole-image outputs.
+    let mut sizes: BTreeMap<u32, usize> = BTreeMap::new();
+    for &label in label_map.as_raw() {
+        *sizes.entry(label).or_insert(0) += 1;
+    }
+
+    Ok(SegmentOutput {
         label_map,
-        tiles_x: grid.tiles_x(),
-        tiles_y: grid.tiles_y(),
-        stitched_labels,
+        snapshots: Vec::new(),
         iterations_run,
-        peak_matrix_bytes: arena.peak_matrix_bytes(),
+        cluster_sizes: sizes.into_values().collect(),
+        mode: ExecutedMode::Tiled {
+            tiles_x: grid.tiles_x(),
+            tiles_y: grid.tiles_y(),
+            stitched_labels,
+        },
         encode_time,
         cluster_time,
         stitch_time,

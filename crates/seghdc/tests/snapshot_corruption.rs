@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use seghdc::cache::CodebookKey;
 use seghdc::snapshot::{CentroidSetSnapshot, Snapshot, SnapshotError, SNAPSHOT_MAGIC};
-use seghdc::{SegHdc, SegHdcConfig};
+use seghdc::{PixelEncoder, SegHdcConfig};
 use std::sync::Arc;
 
 fn config(seed: u64) -> SegHdcConfig {
@@ -22,7 +22,7 @@ fn config(seed: u64) -> SegHdcConfig {
 fn sample_bytes() -> Vec<u8> {
     let cfg = config(11);
     let key = CodebookKey::for_shape(&cfg, 7, 5, 1);
-    let encoder = SegHdc::new(cfg).unwrap().build_encoder(7, 5, 1).unwrap();
+    let encoder = PixelEncoder::for_shape(&cfg, 7, 5, 1).unwrap();
     let mut snapshot = Snapshot::new();
     snapshot.push_codebook(key, Arc::new(encoder)).unwrap();
 

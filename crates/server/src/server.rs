@@ -693,14 +693,18 @@ fn admit_and_wait(
     }
 }
 
-/// Whether two queued jobs may run inside one fused engine batch: same
-/// codebook key, same full engine configuration, same execution mode,
-/// same image shape. The codebook key alone is not enough — it ignores
-/// `clusters`, `iterations`, and the distance metric, all of which change
-/// the label maps, so a batch mixing them would silently serve wrong
-/// results.
+/// Whether two queued jobs may run inside one fused engine batch: neither
+/// opted into progress, same codebook key, same full engine
+/// configuration, same execution mode, same image shape. The codebook key
+/// alone is not enough — it ignores `clusters`, `iterations`, and the
+/// distance metric, all of which change the label maps, so a batch mixing
+/// them would silently serve wrong results. A progress-opted job runs
+/// alone through [`execute`], the path that streams its progress frames
+/// and polls its deadline-armed cancel token between tiles.
 fn fusible(a: &Job, b: &Job) -> bool {
-    a.key == b.key
+    !a.request.progress
+        && !b.request.progress
+        && a.key == b.key
         && a.request.config == b.request.config
         && a.request.mode == b.request.mode
         && a.request.channels == b.request.channels
@@ -1702,6 +1706,59 @@ mod tests {
             0,
         );
         assert_eq!(client.segment(&quick).unwrap().status(), WireStatus::Ok);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn progress_opted_requests_do_not_fuse_and_each_streams_progress() {
+        let handle = serve("127.0.0.1:0", one_worker()).unwrap();
+        let hold = handle.hold_at(HoldSite::JobStart);
+        let addr = handle.local_addr();
+
+        // Occupy the single worker so the two identical requests queue
+        // behind it and would dequeue as one fusible group.
+        let occupant = std::thread::spawn(move || {
+            let mut client = SegClient::connect(addr).unwrap();
+            client
+                .segment(&request(&test_config(61), &test_image(24, 0), 60_000))
+                .unwrap()
+        });
+        hold.wait_until_held();
+
+        let tiled = WireSegmentRequest::from_image(
+            &test_config(62),
+            &test_image(32, 1),
+            RequestMode::Tiled {
+                tile_width: 16,
+                tile_height: 16,
+                halo: 2,
+            },
+            60_000,
+        );
+        let opted: Vec<_> = (0..2)
+            .map(|_| {
+                let tiled = tiled.clone();
+                std::thread::spawn(move || {
+                    let mut client = SegClient::connect(addr).unwrap();
+                    let mut frames = 0;
+                    let response = client
+                        .segment_with_progress(&tiled, |_| frames += 1)
+                        .unwrap();
+                    (frames, response)
+                })
+            })
+            .collect();
+        hold.wait_until_admitted(3);
+        hold.open();
+
+        for worker in opted {
+            let (frames, response) = worker.join().unwrap();
+            assert_eq!(response.status(), WireStatus::Ok);
+            assert!(frames >= 1, "no progress frame before the final frame");
+        }
+        assert_eq!(occupant.join().unwrap().status(), WireStatus::Ok);
+        let stats = SegClient::connect(addr).unwrap().stats().unwrap();
+        assert_eq!(stats.server.fused_groups, 0);
         handle.shutdown();
     }
 }

@@ -140,8 +140,8 @@ impl DatasetProfile {
     /// Profile approximating a full **microscopy scan**: a 1024×1024
     /// single-channel stitched-objective capture with many well-separated
     /// bright nuclei on a dark, lightly vignetted background. This is the
-    /// large-image workload the streaming tiled segmenter (seghdc's
-    /// `segment_streaming` path) exists for — the whole-image hypervector
+    /// large-image workload the streaming tiled segmenter (seghdc's tiled
+    /// execution mode) exists for — the whole-image hypervector
     /// matrix of a scan this size does not fit on the paper's target edge
     /// devices.
     pub fn microscopy_scan_like() -> Self {

@@ -58,10 +58,9 @@ pub mod prelude {
     pub use hdc::{Accumulator, BinaryHypervector, HdcRng, HvMatrix};
     pub use imaging::{metrics, DynamicImage, GrayImage, ImageView, LabelMap, RgbImage, TileGrid};
     pub use seghdc::{
-        CodebookCache, ColorEncoding, CpuBackend, DistanceMetric, EngineOptions, ExecBackend,
-        ExecutedMode, ExecutionMode, PositionEncoding, SegEngine, SegHdc, SegHdcConfig,
-        SegmentReport, SegmentRequest, Segmentation, SimdCpuBackend, Snapshot, SnapshotError,
-        StreamingSegmentation, TileArena, TileConfig,
+        CodebookCache, ColorEncoding, DistanceMetric, EngineOptions, ExecBackend, ExecutedMode,
+        ExecutionMode, PositionEncoding, SegEngine, SegHdcConfig, SegmentReport, SegmentRequest,
+        SimdCpuBackend, Snapshot, SnapshotError, TileConfig,
     };
     pub use seghdc_server::{
         serve, RequestMode, SegClient, ServerConfig, ServerError, WireSegmentRequest,

@@ -1,12 +1,6 @@
 //! Integration tests comparing SegHDC with the CNN baseline across crates —
 //! the qualitative claims of Table I and Table II at test scale.
 
-// These tests run through the deprecated `SegHdc` wrappers on purpose:
-// since the engine redesign they double as the regression suite proving the
-// legacy entry points still delegate to `SegEngine` without observable
-// change (see `tests/engine_equivalence.rs` for the direct comparison).
-#![allow(deprecated)]
-
 use seghdc_suite::prelude::*;
 
 #[test]
@@ -33,11 +27,11 @@ fn seghdc_matches_or_beats_the_scaled_baseline_on_an_easy_profile() {
         .iterations(4)
         .build()
         .unwrap();
-    let seghdc = SegHdc::new(seghdc_config)
+    let seghdc = SegEngine::new(seghdc_config)
         .unwrap()
-        .segment(&sample.image)
+        .run(&SegmentRequest::image(&sample.image).whole_image())
         .unwrap();
-    let seghdc_iou = metrics::matched_binary_iou(&seghdc.label_map, &truth).unwrap();
+    let seghdc_iou = metrics::matched_binary_iou(&seghdc.single().label_map, &truth).unwrap();
 
     assert!(
         seghdc_iou + 0.05 >= baseline_iou,
@@ -62,9 +56,9 @@ fn seghdc_is_much_faster_than_the_baseline_at_equal_image_size() {
         .iterations(3)
         .build()
         .unwrap();
-    SegHdc::new(seghdc_config)
+    SegEngine::new(seghdc_config)
         .unwrap()
-        .segment(&sample.image)
+        .run(&SegmentRequest::image(&sample.image).whole_image())
         .unwrap();
     let seghdc_time = start.elapsed();
 

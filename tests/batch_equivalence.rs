@@ -1,11 +1,6 @@
-//! Property tests for the batched engine: `segment_batch` must be an
-//! observationally exact, faster spelling of per-image `segment`.
-
-// These tests run through the deprecated `SegHdc` wrappers on purpose:
-// since the engine redesign they double as the regression suite proving the
-// legacy entry points still delegate to `SegEngine` without observable
-// change (see `tests/engine_equivalence.rs` for the direct comparison).
-#![allow(deprecated)]
+//! Property tests for the batched engine: a whole-image batch request
+//! must be an observationally exact, faster spelling of one whole-image
+//! request per image.
 
 use proptest::prelude::*;
 use seghdc_suite::prelude::*;
@@ -43,12 +38,18 @@ proptest! {
             .seed(seed)
             .build()
             .unwrap();
-        let pipeline = SegHdc::new(config).unwrap();
+        let engine = SegEngine::new(config).unwrap();
 
-        let batch = pipeline.segment_batch(&images).unwrap();
+        let batch = engine
+            .run(&SegmentRequest::batch(&images).whole_image())
+            .unwrap()
+            .outputs;
         prop_assert_eq!(batch.len(), images.len());
         for (image, batched) in images.iter().zip(&batch) {
-            let single = pipeline.segment(image).unwrap();
+            let report = engine
+                .run(&SegmentRequest::image(image).whole_image())
+                .unwrap();
+            let single = report.single();
             prop_assert_eq!(single.label_map.as_raw(), batched.label_map.as_raw());
             prop_assert_eq!(&single.cluster_sizes, &batched.cluster_sizes);
             prop_assert_eq!(single.iterations_run, batched.iterations_run);
@@ -76,10 +77,13 @@ proptest! {
             .seed(seed)
             .build()
             .unwrap();
-        let pipeline = SegHdc::new(config).unwrap();
-        let encoder = pipeline
-            .build_encoder(image.width(), image.height(), image.channels())
-            .unwrap();
+        let encoder = seghdc::PixelEncoder::for_shape(
+            &config,
+            image.width(),
+            image.height(),
+            image.channels(),
+        )
+        .unwrap();
         let matrix = encoder.encode_matrix(&image).unwrap();
         prop_assert_eq!(matrix.rows(), image.pixel_count());
         for index in [0usize, 7, 100, 255] {

@@ -1,6 +1,6 @@
 //! Cache-semantics harness for the engine's persistent codebook cache at
 //! the public API level: keying, byte-capacity eviction, and cross-thread
-//! sharing under `segment_batch`-style parallelism.
+//! sharing under parallel batch requests.
 
 use seghdc_suite::prelude::*;
 use std::sync::Arc;

@@ -1,14 +1,10 @@
-//! Equivalence harness for the engine redesign: every one of the five
-//! legacy `SegHdc` entry points must behave as a thin wrapper over
-//! `SegEngine` —
+//! Equivalence harness for the engine's execution paths:
 //!
-//! * `segment` / `segment_batch`: **byte-identical** label maps to the
-//!   engine's whole-image request path;
-//! * `segment_streaming` / `segment_streaming_in` /
-//!   `segment_streaming_batch`: byte-identical to the engine's tiled
-//!   request path, and **permutation-equivalent** (the same partition of
-//!   the pixels) to whole-image execution.
-#![allow(deprecated)]
+//! * tiled runs and tiled batches are **permutation-equivalent** (the same
+//!   partition of the pixels) to whole-image execution, and a tiled batch
+//!   is byte-identical to one tiled request per image;
+//! * auto-planned runs are byte-identical to the forced mode the planner
+//!   picked.
 
 use seghdc_suite::prelude::*;
 
@@ -32,18 +28,13 @@ fn square_image(size: usize) -> DynamicImage {
     DynamicImage::Gray(img)
 }
 
-fn sample_images() -> Vec<DynamicImage> {
-    let dataset =
-        SyntheticDataset::new(DatasetProfile::dsb2018_like().scaled(40, 40), 19, 2).unwrap();
-    let mut images: Vec<DynamicImage> = dataset.iter().map(|s| s.image).collect();
-    // A second shape so batch paths resolve two codebooks.
-    let other = SyntheticDataset::new(DatasetProfile::bbbc005_like().scaled(32, 32), 23, 1)
+/// A synthetic DSB2018-style sample.
+fn sample_image() -> DynamicImage {
+    SyntheticDataset::new(DatasetProfile::dsb2018_like().scaled(40, 40), 19, 2)
         .unwrap()
         .sample(0)
         .unwrap()
-        .image;
-    images.push(other);
-    images
+        .image
 }
 
 fn config() -> SegHdcConfig {
@@ -56,142 +47,37 @@ fn config() -> SegHdcConfig {
 }
 
 #[test]
-fn legacy_segment_is_byte_identical_to_an_engine_whole_image_run() {
-    let engine = SegEngine::new(config()).unwrap();
-    let legacy = SegHdc::new(config()).unwrap();
-    for image in sample_images() {
-        let wrapped = legacy.segment(&image).unwrap();
-        let direct = engine
-            .run(&SegmentRequest::image(&image).whole_image())
-            .unwrap();
-        assert_eq!(
-            wrapped.label_map.as_raw(),
-            direct.outputs[0].label_map.as_raw()
-        );
-        assert_eq!(wrapped.cluster_sizes, direct.outputs[0].cluster_sizes);
-        assert_eq!(wrapped.iterations_run, direct.outputs[0].iterations_run);
-    }
-}
-
-#[test]
-fn legacy_segment_batch_is_byte_identical_to_an_engine_batch_run() {
-    let images = sample_images();
-    let engine = SegEngine::new(config()).unwrap();
-    let legacy = SegHdc::new(config()).unwrap();
-    let wrapped = legacy.segment_batch(&images).unwrap();
-    let direct = engine
-        .run(&SegmentRequest::batch(&images).whole_image())
-        .unwrap();
-    assert_eq!(wrapped.len(), direct.outputs.len());
-    for (w, d) in wrapped.iter().zip(&direct.outputs) {
-        assert_eq!(w.label_map.as_raw(), d.label_map.as_raw());
-        assert_eq!(w.cluster_sizes, d.cluster_sizes);
-    }
-    assert!(legacy.segment_batch(&[]).unwrap().is_empty());
-}
-
-#[test]
-fn legacy_streaming_matches_engine_tiled_and_permutes_whole_image() {
-    let image = square_image(40);
-    let tiles = TileConfig::square(16, 2).unwrap();
-    let engine = SegEngine::new(config()).unwrap();
-    let legacy = SegHdc::new(config()).unwrap();
-
-    let wrapped = legacy
-        .segment_streaming(&ImageView::full(&image), &tiles)
-        .unwrap();
-    let direct = engine
-        .run(&SegmentRequest::image(&image).tiled(tiles))
-        .unwrap();
-    assert_eq!(
-        wrapped.label_map.as_raw(),
-        direct.outputs[0].label_map.as_raw()
-    );
-    let ExecutedMode::Tiled {
-        tiles_x,
-        tiles_y,
-        stitched_labels,
-    } = direct.outputs[0].mode
-    else {
-        panic!("tiled request must execute tiled");
-    };
-    assert_eq!((wrapped.tiles_x, wrapped.tiles_y), (tiles_x, tiles_y));
-    assert_eq!(wrapped.stitched_labels, stitched_labels);
-
-    // Permutation-equivalence against the whole-image engine path.
-    let whole = engine
-        .run(&SegmentRequest::image(&image).whole_image())
-        .unwrap();
-    assert!(wrapped
-        .label_map
-        .is_permutation_of(&whole.outputs[0].label_map));
-}
-
-#[test]
-fn legacy_streaming_in_reuses_the_caller_arena_like_the_engine_does() {
-    let image = sample_images().remove(0);
-    let tiles = TileConfig::square(16, 2).unwrap();
-    let legacy = SegHdc::new(config()).unwrap();
-    let engine = SegEngine::new(config()).unwrap();
-
-    let mut wrapper_arena = TileArena::new();
-    let wrapped = legacy
-        .segment_streaming_in(&ImageView::full(&image), &tiles, &mut wrapper_arena)
-        .unwrap();
-    let mut engine_arena = TileArena::new();
-    let direct = engine
-        .run_tiled_in(&ImageView::full(&image), &tiles, &mut engine_arena)
-        .unwrap();
-    assert_eq!(wrapped.label_map.as_raw(), direct.label_map.as_raw());
-    assert_eq!(
-        wrapper_arena.peak_matrix_bytes(),
-        engine_arena.peak_matrix_bytes()
-    );
-    // The caller-owned arena keeps accumulating across calls.
-    let peak = wrapper_arena.peak_matrix_bytes();
-    assert!(peak > 0);
-    legacy
-        .segment_streaming_in(&ImageView::full(&image), &tiles, &mut wrapper_arena)
-        .unwrap();
-    assert_eq!(wrapper_arena.peak_matrix_bytes(), peak);
-}
-
-#[test]
-fn legacy_streaming_batch_is_byte_identical_to_an_engine_tiled_batch() {
+fn tiled_runs_and_batches_permute_the_whole_image_partition() {
     let images = vec![square_image(40), square_image(32), square_image(24)];
     let tiles = TileConfig::square(16, 2).unwrap();
     let engine = SegEngine::new(config()).unwrap();
-    let legacy = SegHdc::new(config()).unwrap();
-    let wrapped = legacy.segment_streaming_batch(&images, &tiles).unwrap();
-    let direct = engine
+    let batch = engine
         .run(&SegmentRequest::batch(&images).tiled(tiles))
         .unwrap();
-    assert_eq!(wrapped.len(), direct.outputs.len());
-    for (w, d) in wrapped.iter().zip(&direct.outputs) {
-        assert_eq!(w.label_map.as_raw(), d.label_map.as_raw());
-    }
-    for (image, w) in images.iter().zip(&wrapped) {
-        // Every streaming-batch output is permutation-equivalent to its
-        // whole-image segmentation...
+    assert_eq!(batch.outputs.len(), images.len());
+    for (image, batched) in images.iter().zip(&batch.outputs) {
+        let single = engine
+            .run(&SegmentRequest::image(image).tiled(tiles))
+            .unwrap();
+        let single = single.single();
+        assert_eq!(batched.label_map.as_raw(), single.label_map.as_raw());
+        let edge_tiles = image.width().div_ceil(16);
+        assert!(matches!(
+            single.mode,
+            ExecutedMode::Tiled { tiles_x, tiles_y, .. } if (tiles_x, tiles_y) == (edge_tiles, edge_tiles)
+        ));
+        // Permutation-equivalence against the whole-image engine path.
         let whole = engine
             .run(&SegmentRequest::image(image).whole_image())
             .unwrap();
-        assert!(w.label_map.is_permutation_of(&whole.outputs[0].label_map));
-        // ...and carries its *own* arena peak (legacy semantics: one fresh
-        // arena per image), not a batch-wide maximum.
-        let single = legacy
-            .segment_streaming(&ImageView::full(image), &tiles)
-            .unwrap();
-        assert_eq!(w.peak_matrix_bytes, single.peak_matrix_bytes);
+        assert!(single
+            .label_map
+            .is_permutation_of(&whole.single().label_map));
     }
-    // Differently-sized images must report different peaks.
-    assert_ne!(
-        wrapped[0].peak_matrix_bytes, wrapped[2].peak_matrix_bytes,
-        "per-image peaks must not be flattened to the batch maximum"
-    );
-    assert!(legacy
-        .segment_streaming_batch(&[], &tiles)
+    assert!(engine
+        .run(&SegmentRequest::batch(&[]).tiled(tiles))
         .unwrap()
+        .outputs
         .is_empty());
 }
 
@@ -200,7 +86,7 @@ fn auto_planned_runs_match_forced_modes() {
     // Auto mode must not change outputs, only pick between the same two
     // executors: under the budget it is byte-identical to whole-image,
     // over the budget byte-identical to tiled.
-    let image = sample_images().remove(0);
+    let image = sample_image();
     let under = SegEngine::new(config()).unwrap();
     let auto = under.run(&SegmentRequest::image(&image)).unwrap();
     let whole = under

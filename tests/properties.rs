@@ -1,12 +1,6 @@
 //! Workspace-level property-based tests: invariants that must hold across
 //! crate boundaries for arbitrary (small) inputs.
 
-// These tests run through the deprecated `SegHdc` wrappers on purpose:
-// since the engine redesign they double as the regression suite proving the
-// legacy entry points still delegate to `SegEngine` without observable
-// change (see `tests/engine_equivalence.rs` for the direct comparison).
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 use seghdc_suite::prelude::*;
 
@@ -61,7 +55,11 @@ proptest! {
             .seed(seed)
             .build()
             .unwrap();
-        let segmentation = SegHdc::new(config).unwrap().segment(&sample.image).unwrap();
+        let report = SegEngine::new(config)
+            .unwrap()
+            .run(&SegmentRequest::image(&sample.image).whole_image())
+            .unwrap();
+        let segmentation = report.single();
         prop_assert_eq!(segmentation.label_map.pixel_count(), 1600);
         for &label in segmentation.label_map.as_raw() {
             prop_assert!((label as usize) < clusters);
@@ -89,7 +87,13 @@ proptest! {
             .iterations(2)
             .build()
             .unwrap();
-        let prediction = SegHdc::new(config).unwrap().segment(&sample.image).unwrap().label_map;
+        let prediction = SegEngine::new(config)
+            .unwrap()
+            .run(&SegmentRequest::image(&sample.image).whole_image())
+            .unwrap()
+            .outputs
+            .remove(0)
+            .label_map;
         let original = metrics::matched_binary_iou(&prediction, &truth).unwrap();
 
         // Swap the two cluster ids.

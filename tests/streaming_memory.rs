@@ -1,15 +1,10 @@
 //! Peak-memory regression harness for streaming tiled segmentation.
 //!
-//! The whole point of `segment_streaming` is that transient matrix memory
-//! stays ≈ one halo-padded tile regardless of the image size. The
-//! [`TileArena`] byte counter makes that guarantee observable; this test
-//! pins it so it cannot silently rot.
-
-// These tests run through the deprecated `SegHdc` wrappers on purpose:
-// since the engine redesign they double as the regression suite proving the
-// legacy entry points still delegate to `SegEngine` without observable
-// change (see `tests/engine_equivalence.rs` for the direct comparison).
-#![allow(deprecated)]
+//! The whole point of a tiled request is that transient matrix memory
+//! stays ≈ one halo-padded tile regardless of the image size. The engine's
+//! `peak_matrix_bytes` telemetry makes that guarantee observable; this
+//! test pins it so it cannot silently rot. Each measured run uses a fresh
+//! engine, so the engine-lifetime peak is that run's own.
 
 use seghdc_suite::prelude::*;
 use seghdc_suite::seghdc::{ColorEncoder, PositionEncoder};
@@ -17,6 +12,20 @@ use seghdc_suite::seghdc::{ColorEncoder, PositionEncoder};
 /// Bytes of one packed hypervector row at dimension `dim`.
 fn row_bytes(dim: usize) -> usize {
     dim.div_ceil(64) * 8
+}
+
+/// Runs `image` tiled on a fresh engine: the single output and the run's
+/// own matrix peak.
+fn run_tiled(
+    config: &SegHdcConfig,
+    image: &DynamicImage,
+    tiles: TileConfig,
+) -> (seghdc::SegmentOutput, usize) {
+    let mut report = SegEngine::new(config.clone())
+        .unwrap()
+        .run(&SegmentRequest::image(image).tiled(tiles))
+        .unwrap();
+    (report.outputs.remove(0), report.telemetry.peak_matrix_bytes)
 }
 
 #[test]
@@ -36,22 +45,26 @@ fn streaming_a_512x512_scan_stays_within_two_tiles_of_matrix_memory() {
         .beta(8)
         .build()
         .unwrap();
-    let pipeline = SegHdc::new(config.clone()).unwrap();
     let tiles = TileConfig::square(tile_edge, halo).unwrap();
-    let result = pipeline
-        .segment_streaming(&ImageView::full(&sample.image), &tiles)
-        .unwrap();
+    let (result, peak_matrix_bytes) = run_tiled(&config, &sample.image, tiles);
 
     assert_eq!(result.label_map.pixel_count(), 512 * 512);
-    assert_eq!(result.tile_count(), 16);
+    assert!(matches!(
+        result.mode,
+        ExecutedMode::Tiled {
+            tiles_x: 4,
+            tiles_y: 4,
+            ..
+        }
+    ));
 
     // The bound itself: no more matrix bytes than ~2 halo-padded tiles.
     let padded_tile_bytes = (tile_edge + 2 * halo) * (tile_edge + 2 * halo) * row_bytes(dim);
-    assert!(result.peak_matrix_bytes > 0);
+    assert!(peak_matrix_bytes > 0);
     assert!(
-        result.peak_matrix_bytes <= 2 * padded_tile_bytes,
+        peak_matrix_bytes <= 2 * padded_tile_bytes,
         "peak {} exceeds two padded tiles ({})",
-        result.peak_matrix_bytes,
+        peak_matrix_bytes,
         2 * padded_tile_bytes
     );
 
@@ -91,13 +104,13 @@ fn streaming_a_512x512_scan_stays_within_two_tiles_of_matrix_memory() {
         .max()
         .unwrap();
     assert_eq!(
-        result.peak_matrix_bytes,
+        peak_matrix_bytes,
         most_keys * row_bytes(dim) + grid.max_padded_pixels() * 4
     );
     // And the whole-image matrix would have been an order of magnitude
     // more.
     let whole_image_bytes = 512 * 512 * row_bytes(dim);
-    assert!(result.peak_matrix_bytes * 8 <= whole_image_bytes);
+    assert!(peak_matrix_bytes * 8 <= whole_image_bytes);
 }
 
 #[test]
@@ -110,16 +123,11 @@ fn arena_peak_scales_with_the_tile_not_the_image() {
         .beta(4)
         .build()
         .unwrap();
-    let pipeline = SegHdc::new(config).unwrap();
     let tiles = TileConfig::square(16, 2).unwrap();
 
     let small = DynamicImage::Gray(GrayImage::filled(48, 48, 90).unwrap());
     let large = DynamicImage::Gray(GrayImage::filled(96, 96, 90).unwrap());
-    let small_run = pipeline
-        .segment_streaming(&ImageView::full(&small), &tiles)
-        .unwrap();
-    let large_run = pipeline
-        .segment_streaming(&ImageView::full(&large), &tiles)
-        .unwrap();
-    assert_eq!(small_run.peak_matrix_bytes, large_run.peak_matrix_bytes);
+    let (_, small_peak) = run_tiled(&config, &small, tiles);
+    let (_, large_peak) = run_tiled(&config, &large, tiles);
+    assert_eq!(small_peak, large_peak);
 }

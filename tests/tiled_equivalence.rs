@@ -1,6 +1,6 @@
-//! Tier-1 harness for the streaming tiled segmenter: `segment_streaming`
-//! must be an observationally equivalent, memory-bounded spelling of
-//! `segment`.
+//! Tier-1 harness for the streaming tiled segmenter: a tiled request must
+//! be an observationally equivalent, memory-bounded spelling of a
+//! whole-image request.
 //!
 //! * Single-tile runs are **byte-identical** to the whole-image path, for
 //!   arbitrary (noise) images — the code paths share the encoder and the
@@ -11,15 +11,33 @@
 //! * Tile geometry invariants (exact interior cover, halo clamping) hold
 //!   for arbitrary grids.
 
-// These tests run through the deprecated `SegHdc` wrappers on purpose:
-// since the engine redesign they double as the regression suite proving the
-// legacy entry points still delegate to `SegEngine` without observable
-// change (see `tests/engine_equivalence.rs` for the direct comparison).
-#![allow(deprecated)]
-
 use proptest::prelude::*;
+use seghdc::SegmentOutput;
 use seghdc_suite::imaging::TileRect;
 use seghdc_suite::prelude::*;
+
+/// Runs a one-image request and returns its output.
+fn run_one(engine: &SegEngine, request: SegmentRequest<'_>) -> SegmentOutput {
+    engine.run(&request).unwrap().outputs.remove(0)
+}
+
+/// `(tiles_x, tiles_y, stitched_labels)` of a tiled output.
+fn tiling(output: &SegmentOutput) -> (usize, usize, usize) {
+    match output.mode {
+        ExecutedMode::Tiled {
+            tiles_x,
+            tiles_y,
+            stitched_labels,
+        } => (tiles_x, tiles_y, stitched_labels),
+        ExecutedMode::WholeImage => panic!("a tiled request must execute tiled"),
+    }
+}
+
+/// Tiles processed by a tiled output.
+fn tile_count(output: &SegmentOutput) -> usize {
+    let (tiles_x, tiles_y, _) = tiling(output);
+    tiles_x * tiles_y
+}
 
 /// A deterministic pseudo-random grayscale image (pure noise; used where
 /// only bit-level equivalence matters, not segmentation quality).
@@ -78,8 +96,8 @@ fn assert_permutation_equivalent(stitched: &LabelMap, whole: &LabelMap, context:
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// One tile covering the whole image must reproduce `segment` (and
-    /// therefore `segment_batch`) byte for byte, even on pure noise.
+    /// One tile covering the whole image must reproduce a whole-image run
+    /// (and a whole-image batch) byte for byte, even on pure noise.
     #[test]
     fn single_tile_streaming_is_byte_identical_to_segment(
         seed in any::<u64>(),
@@ -88,21 +106,22 @@ proptest! {
         halo in 0usize..3,
     ) {
         let image = noise_image(width, height, seed);
-        let pipeline = SegHdc::new(config_for(seed, 512, 2)).unwrap();
-        let whole = pipeline.segment(&image).unwrap();
-        let batched = pipeline.segment_batch(std::slice::from_ref(&image)).unwrap();
+        let engine = SegEngine::new(config_for(seed, 512, 2)).unwrap();
+        let whole = run_one(&engine, SegmentRequest::image(&image).whole_image());
+        let batched = engine
+            .run(&SegmentRequest::batch(std::slice::from_ref(&image)).whole_image())
+            .unwrap();
 
         // Tile edge >= image edge: the grid degenerates to a single tile.
         let tiles = TileConfig::square(32, halo).unwrap();
-        let streamed = pipeline
-            .segment_streaming(&ImageView::full(&image), &tiles)
-            .unwrap();
+        let streamed = run_one(&engine, SegmentRequest::image(&image).tiled(tiles));
 
-        prop_assert_eq!((streamed.tiles_x, streamed.tiles_y), (1, 1));
+        let (tiles_x, tiles_y, _) = tiling(&streamed);
+        prop_assert_eq!((tiles_x, tiles_y), (1, 1));
         prop_assert_eq!(streamed.label_map.as_raw(), whole.label_map.as_raw());
         prop_assert_eq!(
             streamed.label_map.as_raw(),
-            batched[0].label_map.as_raw()
+            batched.outputs[0].label_map.as_raw()
         );
     }
 
@@ -126,15 +145,13 @@ proptest! {
             height: height / 2,
         };
         let (image, _) = rectangle_image(width, height, rect);
-        let pipeline = SegHdc::new(config_for(seed, 768, 3)).unwrap();
-        let whole = pipeline.segment(&image).unwrap();
+        let engine = SegEngine::new(config_for(seed, 768, 3)).unwrap();
+        let whole = run_one(&engine, SegmentRequest::image(&image).whole_image());
 
         let tiles = TileConfig::square(tile_edge, halo).unwrap();
-        let streamed = pipeline
-            .segment_streaming(&ImageView::full(&image), &tiles)
-            .unwrap();
+        let streamed = run_one(&engine, SegmentRequest::image(&image).tiled(tiles));
 
-        prop_assert!(streamed.tile_count() > 1, "meant to exercise stitching");
+        prop_assert!(tile_count(&streamed) > 1, "meant to exercise stitching");
         assert_permutation_equivalent(
             &streamed.label_map,
             &whole.label_map,
@@ -199,15 +216,11 @@ fn object_confined_to_the_last_tile_keeps_its_own_label() {
         height: 8,
     };
     let (image, _) = rectangle_image(32, 32, rect);
-    let pipeline = SegHdc::new(config_for(3, 768, 3)).unwrap();
-    let whole = pipeline.segment(&image).unwrap();
-    let streamed = pipeline
-        .segment_streaming(
-            &ImageView::full(&image),
-            &TileConfig::square(16, 2).unwrap(),
-        )
-        .unwrap();
-    assert_eq!(streamed.tile_count(), 4);
+    let engine = SegEngine::new(config_for(3, 768, 3)).unwrap();
+    let whole = run_one(&engine, SegmentRequest::image(&image).whole_image());
+    let tiles = TileConfig::square(16, 2).unwrap();
+    let streamed = run_one(&engine, SegmentRequest::image(&image).tiled(tiles));
+    assert_eq!(tile_count(&streamed), 4);
     assert_permutation_equivalent(&streamed.label_map, &whole.label_map, "confined object");
     // The object really is separated from the background in the output.
     let object_label = streamed.label_map.get(25, 25).unwrap();
@@ -226,20 +239,16 @@ fn rgb_multi_tile_streaming_matches_the_whole_image_partition() {
     };
     let (gray, _) = rectangle_image(28, 26, rect);
     let image = DynamicImage::Rgb(gray.to_rgb());
-    let pipeline = SegHdc::new(config_for(11, 768, 3)).unwrap();
-    let whole = pipeline.segment(&image).unwrap();
-    let streamed = pipeline
-        .segment_streaming(
-            &ImageView::full(&image),
-            &TileConfig::square(10, 2).unwrap(),
-        )
-        .unwrap();
-    assert!(streamed.tile_count() > 1);
+    let engine = SegEngine::new(config_for(11, 768, 3)).unwrap();
+    let whole = run_one(&engine, SegmentRequest::image(&image).whole_image());
+    let tiles = TileConfig::square(10, 2).unwrap();
+    let streamed = run_one(&engine, SegmentRequest::image(&image).tiled(tiles));
+    assert!(tile_count(&streamed) > 1);
     assert_permutation_equivalent(&streamed.label_map, &whole.label_map, "rgb");
 }
 
-/// `segment_streaming_batch` pipelines images in parallel and agrees with
-/// per-image streaming runs.
+/// A tiled batch request pipelines images in parallel and agrees with
+/// per-image tiled runs.
 #[test]
 fn streaming_batch_agrees_with_per_image_runs() {
     let (a, _) = rectangle_image(
@@ -262,16 +271,16 @@ fn streaming_batch_agrees_with_per_image_runs() {
             height: 15,
         },
     );
-    let pipeline = SegHdc::new(config_for(5, 512, 2)).unwrap();
+    let engine = SegEngine::new(config_for(5, 512, 2)).unwrap();
     let tiles = TileConfig::square(12, 2).unwrap();
-    let batch = pipeline
-        .segment_streaming_batch(&[a.clone(), b.clone()], &tiles)
-        .unwrap();
+    let images = [a, b];
+    let batch = engine
+        .run(&SegmentRequest::batch(&images).tiled(tiles))
+        .unwrap()
+        .outputs;
     assert_eq!(batch.len(), 2);
-    for (image, batched) in [a, b].iter().zip(&batch) {
-        let single = pipeline
-            .segment_streaming(&ImageView::full(image), &tiles)
-            .unwrap();
+    for (image, batched) in images.iter().zip(&batch) {
+        let single = run_one(&engine, SegmentRequest::image(image).tiled(tiles));
         assert_eq!(single.label_map.as_raw(), batched.label_map.as_raw());
     }
 }
@@ -289,33 +298,37 @@ fn large_scan_1024_stitches_consistently() {
     assert_eq!(sample.image.width(), 1024);
 
     let config = config_for(7, 2048, 3);
-    let pipeline = SegHdc::new(config).unwrap();
+    let engine = SegEngine::new(config).unwrap();
     let tiles = TileConfig::square(256, 8).unwrap();
 
-    let streamed = pipeline
-        .segment_streaming(&ImageView::full(&sample.image), &tiles)
+    // The tiled run goes first, so the engine-lifetime matrix peak is its
+    // own.
+    let report = engine
+        .run(&SegmentRequest::image(&sample.image).tiled(tiles))
         .unwrap();
-    assert_eq!((streamed.tiles_x, streamed.tiles_y), (4, 4));
+    let peak_matrix_bytes = report.telemetry.peak_matrix_bytes;
+    let streamed = report.single();
+    let (tiles_x, tiles_y, stitched_labels) = tiling(streamed);
+    assert_eq!((tiles_x, tiles_y), (4, 4));
     // Background and nuclei groups, plus at most a handful of extra groups
     // for nuclei confined to a single tile's interior (the vote-gated
     // stitcher deliberately keeps those separate rather than force-merging).
-    assert!(streamed.stitched_labels >= 2);
+    assert!(stitched_labels >= 2);
     assert!(
-        streamed.stitched_labels <= 2 + streamed.tile_count(),
-        "unexpected fragmentation: {} groups",
-        streamed.stitched_labels
+        stitched_labels <= 2 + tiles_x * tiles_y,
+        "unexpected fragmentation: {stitched_labels} groups"
     );
 
     // Memory bound: at most ~2 halo-padded tiles' worth of matrix bytes,
     // far below the ~268 MB whole-image matrix.
     let stride_bytes = 2048usize.div_ceil(64) * 8;
     let padded_tile_bytes = (256 + 2 * 8) * (256 + 2 * 8) * stride_bytes;
-    assert!(streamed.peak_matrix_bytes <= 2 * padded_tile_bytes);
-    assert!(streamed.peak_matrix_bytes < 1024 * 1024 * stride_bytes / 8);
+    assert!(peak_matrix_bytes <= 2 * padded_tile_bytes);
+    assert!(peak_matrix_bytes < 1024 * 1024 * stride_bytes / 8);
 
     // Quality: close agreement with the whole-image run (boundary pixels on
     // blurred nucleus rims may legitimately flip) and with the ground truth.
-    let whole = pipeline.segment(&sample.image).unwrap();
+    let whole = run_one(&engine, SegmentRequest::image(&sample.image).whole_image());
     let agreement =
         metrics::matched_binary_iou(&streamed.label_map, &whole.label_map.to_binary()).unwrap();
     assert!(agreement > 0.95, "tiled vs whole agreement IoU {agreement}");
