@@ -1,7 +1,9 @@
 //! Equivalence harness for the engine's execution paths:
 //!
-//! * tiled runs and tiled batches are **permutation-equivalent** (the same
-//!   partition of the pixels) to whole-image execution, and a tiled batch
+//! * tiled runs and tiled batches, the engine form of the former
+//!   streaming entry points, are **permutation-equivalent** (the same
+//!   partition of the pixels) to whole-image execution, a tiled view
+//!   request is byte-identical to a tiled image request, and a tiled batch
 //!   is byte-identical to one tiled request per image;
 //! * auto-planned runs are byte-identical to the forced mode the planner
 //!   picked.
@@ -47,7 +49,46 @@ fn config() -> SegHdcConfig {
 }
 
 #[test]
-fn tiled_runs_and_batches_permute_the_whole_image_partition() {
+fn legacy_streaming_matches_engine_tiled_and_permutes_whole_image() {
+    // The former streaming entry point took an `ImageView`; its engine
+    // form is a tiled view request, which must tile exactly like a tiled
+    // image request.
+    let image = square_image(40);
+    let tiles = TileConfig::square(16, 2).unwrap();
+    let engine = SegEngine::new(config()).unwrap();
+
+    let streamed = engine
+        .run(&SegmentRequest::view(ImageView::full(&image)).tiled(tiles))
+        .unwrap();
+    let direct = engine
+        .run(&SegmentRequest::image(&image).tiled(tiles))
+        .unwrap();
+    let (streamed, direct) = (streamed.single(), direct.single());
+    assert_eq!(streamed.label_map.as_raw(), direct.label_map.as_raw());
+    assert_eq!(streamed.cluster_sizes, direct.cluster_sizes);
+    assert_eq!(streamed.mode, direct.mode);
+    let ExecutedMode::Tiled {
+        tiles_x,
+        tiles_y,
+        stitched_labels,
+    } = direct.mode
+    else {
+        panic!("tiled request must execute tiled");
+    };
+    assert_eq!((tiles_x, tiles_y), (3, 3));
+    assert_eq!(stitched_labels, direct.cluster_sizes.len());
+
+    // Permutation-equivalence against the whole-image engine path.
+    let whole = engine
+        .run(&SegmentRequest::image(&image).whole_image())
+        .unwrap();
+    assert!(streamed
+        .label_map
+        .is_permutation_of(&whole.single().label_map));
+}
+
+#[test]
+fn legacy_streaming_batch_is_byte_identical_to_an_engine_tiled_batch() {
     let images = vec![square_image(40), square_image(32), square_image(24)];
     let tiles = TileConfig::square(16, 2).unwrap();
     let engine = SegEngine::new(config()).unwrap();
@@ -55,25 +96,38 @@ fn tiled_runs_and_batches_permute_the_whole_image_partition() {
         .run(&SegmentRequest::batch(&images).tiled(tiles))
         .unwrap();
     assert_eq!(batch.outputs.len(), images.len());
+    let mut peaks = Vec::new();
     for (image, batched) in images.iter().zip(&batch.outputs) {
-        let single = engine
+        // Every tiled-batch output is byte-identical to a tiled run of
+        // its image alone...
+        let fresh = SegEngine::new(config()).unwrap();
+        let single = fresh
             .run(&SegmentRequest::image(image).tiled(tiles))
             .unwrap();
-        let single = single.single();
-        assert_eq!(batched.label_map.as_raw(), single.label_map.as_raw());
-        let edge_tiles = image.width().div_ceil(16);
-        assert!(matches!(
-            single.mode,
-            ExecutedMode::Tiled { tiles_x, tiles_y, .. } if (tiles_x, tiles_y) == (edge_tiles, edge_tiles)
-        ));
-        // Permutation-equivalence against the whole-image engine path.
+        assert_eq!(
+            batched.label_map.as_raw(),
+            single.single().label_map.as_raw()
+        );
+        assert_eq!(batched.mode, single.single().mode);
+        peaks.push(single.telemetry.peak_matrix_bytes);
+        // ...and permutation-equivalent to its whole-image segmentation.
         let whole = engine
             .run(&SegmentRequest::image(image).whole_image())
             .unwrap();
-        assert!(single
+        assert!(batched
             .label_map
             .is_permutation_of(&whole.single().label_map));
     }
+    // Each image's arena peak depends on its own tiles, and the batch's
+    // engine-lifetime peak is the largest of them, not a sum.
+    assert_ne!(
+        peaks[0], peaks[2],
+        "differently-sized images must peak differently"
+    );
+    assert_eq!(
+        batch.telemetry.peak_matrix_bytes,
+        peaks.iter().copied().max().unwrap()
+    );
     assert!(engine
         .run(&SegmentRequest::batch(&[]).tiled(tiles))
         .unwrap()
