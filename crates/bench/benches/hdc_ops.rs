@@ -58,17 +58,17 @@ fn bench_accumulator(c: &mut Criterion) {
         bencher.iter(|| {
             let mut acc = Accumulator::zeros(dim).unwrap();
             for hv in &hvs {
-                acc.add(hv).unwrap();
+                acc.add_row(hv.as_row()).unwrap();
             }
             black_box(acc)
         })
     });
     let mut acc = Accumulator::zeros(dim).unwrap();
     for hv in &hvs {
-        acc.add(hv).unwrap();
+        acc.add_row(hv.as_row()).unwrap();
     }
     group.bench_function("cosine_distance_to_centroid", |bencher| {
-        bencher.iter(|| black_box(acc.cosine_distance(&hvs[0]).unwrap()))
+        bencher.iter(|| black_box(acc.cosine_distance_row(hvs[0].as_row()).unwrap()))
     });
     group.finish();
 }

@@ -101,11 +101,12 @@ fn bench_plane_dot(report: &mut Reporter) {
         accumulator.add_row(matrix.row(row)).expect("dims match");
     }
     for k in kernels::available() {
-        let sliced = accumulator.to_bit_sliced_with(k);
         let ns = bench_json::median_ns_per_op(SAMPLES, ROWS as u64, || {
             let mut total = 0u64;
             for row in 0..ROWS {
-                total += sliced.dot_row_with(matrix.row(row), k).expect("dims match");
+                total += accumulator
+                    .dot_row_with(matrix.row(row), k)
+                    .expect("dims match");
             }
             black_box(total)
         });

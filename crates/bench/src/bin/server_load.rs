@@ -38,8 +38,8 @@
 //!
 //! `--batch-burst` measures fused same-codebook batch execution instead:
 //! a closed-loop burst of one-key traffic is served twice by a one-worker
-//! server — once with group fusion off (the serial per-request baseline)
-//! and once with fusion on plus a short batching window — and the
+//! server — once with groups of one request (the serial per-request
+//! baseline) and once with fusion on plus a short batching window — and the
 //! sustained req/s of both arms is reported with the fusion counters. It
 //! records:
 //!
@@ -200,19 +200,21 @@ fn batch_burst(quick: bool) {
 
     // Both arms pin one worker: the burst is one codebook key, which
     // consistent hashing routes to one shard anyway, and a single worker
-    // keeps the serial-versus-fused comparison free of steal noise.
+    // keeps the serial-versus-fused comparison free of steal noise. The
+    // serial arm dequeues groups of one request, so nothing fuses.
     let run = |fuse: bool| {
+        let defaults = ServerConfig::default();
         let handle = serve(
             "127.0.0.1:0",
             ServerConfig {
                 workers: 1,
-                fuse_groups: fuse,
+                max_group: if fuse { defaults.max_group } else { 1 },
                 fuse_window: if fuse {
                     Duration::from_micros(500)
                 } else {
                     Duration::ZERO
                 },
-                ..ServerConfig::default()
+                ..defaults
             },
         )
         .expect("bind burst server");

@@ -37,10 +37,10 @@ use crate::{BinaryHypervector, HdcError, HvRow, Result};
 /// let mut rng = HdcRng::seed_from(1);
 /// let a = BinaryHypervector::random(512, &mut rng);
 /// let mut acc = Accumulator::zeros(512)?;
-/// acc.add(&a)?;
-/// acc.add(&a)?;
+/// acc.add_row(a.as_row())?;
+/// acc.add_row(a.as_row())?;
 /// // A centroid made only of copies of `a` is maximally similar to `a`.
-/// assert!((acc.cosine_similarity(&a)? - 1.0).abs() < 1e-9);
+/// assert!((acc.cosine_similarity_row(a.as_row())? - 1.0).abs() < 1e-9);
 /// # Ok(())
 /// # }
 /// ```
@@ -123,13 +123,6 @@ impl Accumulator {
         })
     }
 
-    /// Creates an accumulator seeded with a single binary hypervector.
-    pub fn from_binary(hv: &BinaryHypervector) -> Self {
-        let mut acc = Self::zeros(hv.dim()).expect("hypervector dimensions are non-zero");
-        acc.add(hv).expect("dimensions match by construction");
-        acc
-    }
-
     /// Returns the dimension of the accumulator.
     pub fn dim(&self) -> usize {
         self.dim
@@ -186,8 +179,9 @@ impl Accumulator {
     }
 
     /// Carry-adds one packed bit plane at significance `level` (counts get
-    /// `2^level` wherever `bits` is set). Used by [`merge`](Self::merge)
-    /// and [`add_row_weighted_with`](Self::add_row_weighted_with).
+    /// `2^level` wherever `bits` is set). Used by
+    /// [`add_row_weighted_with`](Self::add_row_weighted_with) and to undo a
+    /// partial [`remove_row`](Self::remove_row).
     fn add_plane_at_level(&mut self, level: usize, bits: &[u64], kernels: &dyn Kernels) {
         if bits.iter().all(|&word| word == 0) {
             return;
@@ -208,34 +202,9 @@ impl Accumulator {
         }
     }
 
-    /// Adds a binary hypervector element-wise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn add(&mut self, hv: &BinaryHypervector) -> Result<()> {
-        self.add_with(hv, kernels::auto())
-    }
-
-    /// [`add`](Self::add) through an explicit [`Kernels`] selection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn add_with(&mut self, hv: &BinaryHypervector, kernels: &dyn Kernels) -> Result<()> {
-        if hv.dim() != self.dim {
-            return Err(HdcError::DimensionMismatch {
-                left: self.dim,
-                right: hv.dim(),
-            });
-        }
-        self.add_words(hv.as_words(), kernels);
-        Ok(())
-    }
-
-    /// Adds one [`crate::HvMatrix`] row element-wise, without materialising
-    /// a [`BinaryHypervector`] — the allocation-free bundling step of the
-    /// batched clusterer.
+    /// Adds one row element-wise — an [`crate::HvMatrix`] row, or a vector
+    /// borrowed with [`BinaryHypervector::as_row`] — without allocating:
+    /// the bundling step of the clusterer.
     ///
     /// # Errors
     ///
@@ -386,58 +355,57 @@ impl Accumulator {
         false
     }
 
-    /// Merges another accumulator into this one (plane-wise carry adds, one
-    /// per plane of `other`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn merge(&mut self, other: &Self) -> Result<()> {
-        if other.dim != self.dim {
-            return Err(HdcError::DimensionMismatch {
-                left: self.dim,
-                right: other.dim,
-            });
-        }
-        let kernels = kernels::auto();
-        for level in 0..other.plane_count() {
-            let start = level * other.words_per_plane;
-            let plane = &other.planes[start..start + other.words_per_plane];
-            self.add_plane_at_level(level, plane, kernels);
-        }
-        self.items += other.items;
-        Ok(())
-    }
-
-    /// Dot product with a binary hypervector (sum of counts at set bits).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn dot(&self, hv: &BinaryHypervector) -> Result<u64> {
-        if hv.dim() != self.dim {
-            return Err(HdcError::DimensionMismatch {
-                left: self.dim,
-                right: hv.dim(),
-            });
-        }
-        Ok(kernels::auto().plane_dot(&self.planes, self.words_per_plane, hv.as_words()))
-    }
-
-    /// Dot product with a matrix row (sum of counts at set bits), without
-    /// materialising a [`BinaryHypervector`].
+    /// Dot product with a row (sum of counts at set bits).
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
     pub fn dot_row(&self, row: HvRow<'_>) -> Result<u64> {
+        self.dot_row_with(row, kernels::auto())
+    }
+
+    /// [`dot_row`](Self::dot_row) through an explicit [`Kernels`]
+    /// selection.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
+    pub fn dot_row_with(&self, row: HvRow<'_>, kernels: &dyn Kernels) -> Result<u64> {
         if row.dim() != self.dim {
             return Err(HdcError::DimensionMismatch {
                 left: self.dim,
                 right: row.dim(),
             });
         }
-        Ok(kernels::auto().plane_dot(&self.planes, self.words_per_plane, row.as_words()))
+        Ok(kernels.plane_dot(&self.planes, self.words_per_plane, row.as_words()))
+    }
+
+    /// Exact dot product between two bundles:
+    /// `Σ_i self.counts[i] · other.counts[i]`, computed plane against
+    /// plane as `Σ_{p,q} 2^{p+q} · popcount(plane_p AND other_plane_q)`.
+    ///
+    /// This is the centroid-against-centroid similarity primitive the tiled
+    /// segmenter's label stitching runs on: with `P` and `Q` planes the
+    /// whole dot product costs `P · Q` word-wide AND+popcount kernel passes
+    /// instead of a `dim`-length integer multiply-accumulate.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
+    pub fn dot_bundle_with(&self, other: &Accumulator, kernels: &dyn Kernels) -> Result<u64> {
+        if other.dim != self.dim {
+            return Err(HdcError::DimensionMismatch {
+                left: self.dim,
+                right: other.dim,
+            });
+        }
+        let mut total = 0u64;
+        for (p, plane) in self.planes.chunks_exact(self.words_per_plane).enumerate() {
+            for (q, other_plane) in other.planes.chunks_exact(other.words_per_plane).enumerate() {
+                total += kernels.and_popcount(plane, other_plane) << (p + q);
+            }
+        }
+        Ok(total)
     }
 
     /// Euclidean norm of the integer count vector.
@@ -466,33 +434,10 @@ impl Accumulator {
         (total as f64).sqrt()
     }
 
-    /// Cosine similarity between this accumulator and a binary hypervector,
-    /// as defined in Eq. 7 of the SegHDC paper.
+    /// Cosine similarity against a row, as defined in Eq. 7 of the SegHDC
+    /// paper.
     ///
     /// Zero vectors have zero similarity with everything by convention.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn cosine_similarity(&self, hv: &BinaryHypervector) -> Result<f64> {
-        Ok(cosine_of(self.dot(hv)?, self.norm(), hv.count_ones()))
-    }
-
-    /// Cosine distance (`1 - cosine_similarity`), the clustering metric used
-    /// by SegHDC.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn cosine_distance(&self, hv: &BinaryHypervector) -> Result<f64> {
-        Ok(1.0 - self.cosine_similarity(hv)?)
-    }
-
-    /// Cosine similarity against a matrix row.
-    ///
-    /// The arithmetic mirrors [`cosine_similarity`](Self::cosine_similarity)
-    /// operation for operation, so the batched clusterer produces
-    /// bit-identical distances to the single-vector path.
     ///
     /// # Errors
     ///
@@ -501,35 +446,14 @@ impl Accumulator {
         Ok(cosine_of(self.dot_row(row)?, self.norm(), row.count_ones()))
     }
 
-    /// Cosine distance (`1 - cosine_similarity_row`) against a matrix row.
+    /// Cosine distance (`1 - cosine_similarity_row`) against a row, the
+    /// clustering metric used by SegHDC.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
     pub fn cosine_distance_row(&self, row: HvRow<'_>) -> Result<f64> {
         Ok(1.0 - self.cosine_similarity_row(row)?)
-    }
-
-    /// Snapshots the accumulator into a [`BitSlicedCounts`] for fast
-    /// repeated dot products against matrix rows.
-    ///
-    /// Since the accumulator itself is stored bit-sliced, the snapshot is a
-    /// plane copy plus the cached norm; dot products and distances derived
-    /// from it are bit-identical to [`cosine_distance`](Self::cosine_distance).
-    pub fn to_bit_sliced(&self) -> BitSlicedCounts {
-        self.to_bit_sliced_with(kernels::auto())
-    }
-
-    /// [`to_bit_sliced`](Self::to_bit_sliced) through an explicit
-    /// [`Kernels`] selection (used for the cached norm computation).
-    pub fn to_bit_sliced_with(&self, kernels: &dyn Kernels) -> BitSlicedCounts {
-        BitSlicedCounts {
-            dim: self.dim,
-            words_per_plane: self.words_per_plane,
-            planes: self.planes.clone(),
-            norm: self.norm_with(kernels),
-            items: self.items,
-        }
     }
 
     /// Thresholds the accumulator back into a binary hypervector with the
@@ -553,256 +477,10 @@ impl Accumulator {
     }
 }
 
-/// A bit-sliced snapshot of an [`Accumulator`], optimised for computing
-/// many dot products against [`HvRow`]s.
-///
-/// The integer count vector is held as binary *planes*: plane `p` is a
-/// packed bit vector whose bit `i` is bit `p` of `counts[i]`. A dot product
-/// with a binary row then decomposes as
-/// `Σ_p 2^p · popcount(row AND plane_p)` — word-wide operations dispatched
-/// through the [`kernels`](crate::kernels) layer instead of a per-set-bit
-/// counter walk. With `n` accumulated vectors there are at most
-/// `⌈log2(n + 1)⌉` planes.
-///
-/// The snapshot also caches the Euclidean norm, which the cosine metric
-/// needs once per centroid rather than once per pixel. Dot products are
-/// exact, so [`cosine_distance_row`](Self::cosine_distance_row) returns
-/// bit-identical values to [`Accumulator::cosine_distance`].
-#[derive(Debug, Clone)]
-pub struct BitSlicedCounts {
-    dim: usize,
-    words_per_plane: usize,
-    /// Plane-major packed bits: `planes[p * words_per_plane + w]`.
-    planes: Vec<u64>,
-    norm: f64,
-    items: usize,
-}
-
-impl BitSlicedCounts {
-    /// Reassembles a snapshot from its raw parts, the inverse of
-    /// [`dim`](Self::dim) / [`plane_words`](Self::plane_words) /
-    /// [`norm`](Self::norm) / [`items`](Self::items) — the persistence
-    /// constructor: a serialized centroid set round-trips through these
-    /// accessors bit-identically (including the cached norm, which is
-    /// stored rather than recomputed so cosine distances stay exact).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::ZeroDimension`] if `dim == 0`, and
-    /// [`HdcError::InvalidParameter`] if `planes` is not a whole number of
-    /// `dim.div_ceil(64)`-word planes, a tail bit beyond `dim` is set, or
-    /// `norm` is not a finite non-negative value.
-    pub fn from_parts(dim: usize, planes: Vec<u64>, norm: f64, items: usize) -> Result<Self> {
-        if dim == 0 {
-            return Err(HdcError::ZeroDimension);
-        }
-        let words_per_plane = dim.div_ceil(64);
-        if !planes.len().is_multiple_of(words_per_plane) {
-            return Err(HdcError::InvalidParameter {
-                message: format!(
-                    "plane words ({}) are not a multiple of the {words_per_plane}-word plane size",
-                    planes.len()
-                ),
-            });
-        }
-        let tail_bits = dim % 64;
-        if tail_bits != 0 {
-            let mask = !0u64 << tail_bits;
-            for plane in planes.chunks_exact(words_per_plane) {
-                if plane[words_per_plane - 1] & mask != 0 {
-                    return Err(HdcError::InvalidParameter {
-                        message: format!("plane tail bits beyond dimension {dim} are set"),
-                    });
-                }
-            }
-        }
-        if !(norm.is_finite() && norm >= 0.0) {
-            return Err(HdcError::InvalidParameter {
-                message: format!("norm must be finite and non-negative, got {norm}"),
-            });
-        }
-        Ok(Self {
-            dim,
-            words_per_plane,
-            planes,
-            norm,
-            items,
-        })
-    }
-
-    /// The hypervector dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The raw plane-major packed counter bits
-    /// (`planes[p * dim.div_ceil(64) + w]`), for persistence; feed them
-    /// back through [`from_parts`](Self::from_parts).
-    pub fn plane_words(&self) -> &[u64] {
-        &self.planes
-    }
-
-    /// Number of binary planes (`⌈log2(max_count + 1)⌉`).
-    pub fn plane_count(&self) -> usize {
-        self.planes
-            .len()
-            .checked_div(self.words_per_plane)
-            .unwrap_or(0)
-    }
-
-    /// Number of vectors that were accumulated when the snapshot was taken.
-    pub fn items(&self) -> usize {
-        self.items
-    }
-
-    /// The cached Euclidean norm of the snapshotted count vector.
-    pub fn norm(&self) -> f64 {
-        self.norm
-    }
-
-    /// Exact dot product with a matrix row (sum of counts at set bits).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn dot_row(&self, row: HvRow<'_>) -> Result<u64> {
-        self.dot_row_with(row, kernels::auto())
-    }
-
-    /// [`dot_row`](Self::dot_row) through an explicit [`Kernels`]
-    /// selection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn dot_row_with(&self, row: HvRow<'_>, kernels: &dyn Kernels) -> Result<u64> {
-        if row.dim() != self.dim {
-            return Err(HdcError::DimensionMismatch {
-                left: self.dim,
-                right: row.dim(),
-            });
-        }
-        Ok(kernels.plane_dot(&self.planes, self.words_per_plane, row.as_words()))
-    }
-
-    /// Cosine similarity against a matrix row, arithmetically identical to
-    /// [`Accumulator::cosine_similarity`] (same dot product, same cached
-    /// norm value, same operation order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn cosine_similarity_row(&self, row: HvRow<'_>) -> Result<f64> {
-        self.cosine_similarity_row_with(row, kernels::auto())
-    }
-
-    /// [`cosine_similarity_row`](Self::cosine_similarity_row) through an
-    /// explicit [`Kernels`] selection — the K-Means assignment step threads
-    /// its backend kernels in here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn cosine_similarity_row_with(&self, row: HvRow<'_>, kernels: &dyn Kernels) -> Result<f64> {
-        Ok(cosine_of(
-            self.dot_row_with(row, kernels)?,
-            self.norm,
-            kernels.popcount(row.as_words()) as usize,
-        ))
-    }
-
-    /// Cosine distance (`1 - cosine_similarity_row`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn cosine_distance_row(&self, row: HvRow<'_>) -> Result<f64> {
-        Ok(1.0 - self.cosine_similarity_row(row)?)
-    }
-
-    /// [`cosine_distance_row`](Self::cosine_distance_row) through an
-    /// explicit [`Kernels`] selection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn cosine_distance_row_with(&self, row: HvRow<'_>, kernels: &dyn Kernels) -> Result<f64> {
-        Ok(1.0 - self.cosine_similarity_row_with(row, kernels)?)
-    }
-
-    /// Exact dot product between two bit-sliced count vectors:
-    /// `Σ_i self.counts[i] · other.counts[i]`, computed plane-against-plane
-    /// as `Σ_{p,q} 2^{p+q} · popcount(plane_p AND other_plane_q)`.
-    ///
-    /// This is the centroid-against-centroid similarity primitive the tiled
-    /// segmenter's label stitching runs on: with `P` and `Q` planes the
-    /// whole dot product costs `P · Q` word-wide AND+popcount kernel passes
-    /// instead of a `dim`-length integer multiply-accumulate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn dot_sliced(&self, other: &BitSlicedCounts) -> Result<u64> {
-        self.dot_sliced_with(other, kernels::auto())
-    }
-
-    /// [`dot_sliced`](Self::dot_sliced) through an explicit [`Kernels`]
-    /// selection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn dot_sliced_with(&self, other: &BitSlicedCounts, kernels: &dyn Kernels) -> Result<u64> {
-        if other.dim != self.dim {
-            return Err(HdcError::DimensionMismatch {
-                left: self.dim,
-                right: other.dim,
-            });
-        }
-        let mut total = 0u64;
-        for (p, plane) in self.planes.chunks_exact(self.words_per_plane).enumerate() {
-            for (q, other_plane) in other.planes.chunks_exact(other.words_per_plane).enumerate() {
-                total += kernels.and_popcount(plane, other_plane) << (p + q);
-            }
-        }
-        Ok(total)
-    }
-
-    /// Cosine similarity between two bit-sliced count vectors (exact dot
-    /// product over the cached norms; zero vectors have zero similarity
-    /// with everything by convention).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn cosine_similarity_sliced(&self, other: &BitSlicedCounts) -> Result<f64> {
-        self.cosine_similarity_sliced_with(other, kernels::auto())
-    }
-
-    /// [`cosine_similarity_sliced`](Self::cosine_similarity_sliced) through
-    /// an explicit [`Kernels`] selection — the tiled segmenter's stitching
-    /// pass threads its backend kernels in here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn cosine_similarity_sliced_with(
-        &self,
-        other: &BitSlicedCounts,
-        kernels: &dyn Kernels,
-    ) -> Result<f64> {
-        let dot = self.dot_sliced_with(other, kernels)? as f64;
-        if self.norm == 0.0 || other.norm == 0.0 {
-            return Ok(0.0);
-        }
-        Ok(dot / (self.norm * other.norm))
-    }
-}
-
 /// A group of bit-sliced counters stacked contiguously, ready for the
 /// fused multi-centroid kernels.
 ///
-/// Where [`BitSlicedCounts`] snapshots one accumulator, this view stacks the
+/// Where an [`Accumulator`] holds one bundle's planes, this view stacks the
 /// planes of *all* K-Means centroids back-to-back in one buffer (with each
 /// centroid's cached norm), which is exactly the layout
 /// [`Kernels::plane_dot_multi`] consumes: one pixel row is swept against
@@ -1047,8 +725,8 @@ impl BitSlicedGroup {
 
     /// Cosine distance of member `member` given its exact dot product with
     /// a row of `ones` set bits — arithmetically identical to
-    /// [`BitSlicedCounts::cosine_distance_row_with`] (same `cosine_of`
-    /// funnel, same cached-norm value).
+    /// [`Accumulator::cosine_distance_row`] (same `cosine_of` funnel, same
+    /// norm value).
     pub fn cosine_distance_of(&self, member: usize, dot: u64, ones: usize) -> f64 {
         1.0 - cosine_of(dot, self.norms[member], ones)
     }
@@ -1073,9 +751,9 @@ fn set_bits(mut n: usize) -> impl Iterator<Item = usize> {
 
 /// The single definition of Eq. 7's cosine similarity between an integer
 /// bundle (given as exact `dot` and Euclidean norm) and a binary vector
-/// with `ones` set bits. Every cosine entry point — `Accumulator` against
-/// vectors or rows, and `BitSlicedCounts` against rows — funnels through
-/// here, which is what makes their results bit-identical by construction.
+/// with `ones` set bits. Every cosine entry point — `Accumulator` and
+/// `BitSlicedGroup` against rows — funnels through here, which is what
+/// makes their results bit-identical by construction.
 /// Zero vectors have zero similarity with everything by convention.
 fn cosine_of(dot: u64, bundle_norm: f64, ones: usize) -> f64 {
     cosine_of_prenorm(dot, bundle_norm, (ones as f64).sqrt())
@@ -1097,6 +775,15 @@ mod tests {
     use super::*;
     use crate::HdcRng;
 
+    /// The bundle of `members`, added one row at a time.
+    fn bundle_of(members: &[BinaryHypervector]) -> Accumulator {
+        let mut acc = Accumulator::zeros(members[0].dim()).unwrap();
+        for member in members {
+            acc.add_row(member.as_row()).unwrap();
+        }
+        acc
+    }
+
     #[test]
     fn zero_dim_rejected() {
         assert_eq!(Accumulator::zeros(0).unwrap_err(), HdcError::ZeroDimension);
@@ -1105,9 +792,7 @@ mod tests {
     #[test]
     fn add_counts_set_bits() {
         let hv = BinaryHypervector::from_bits(&[true, false, true, true]).unwrap();
-        let mut acc = Accumulator::zeros(4).unwrap();
-        acc.add(&hv).unwrap();
-        acc.add(&hv).unwrap();
+        let acc = bundle_of(&[hv.clone(), hv]);
         assert_eq!(acc.counts(), [2, 0, 2, 2]);
         assert_eq!(acc.items(), 2);
         // Count 2 needs exactly two planes (binary 10).
@@ -1121,10 +806,7 @@ mod tests {
             let members: Vec<BinaryHypervector> = (0..11)
                 .map(|_| BinaryHypervector::random(dim, &mut rng))
                 .collect();
-            let mut acc = Accumulator::zeros(dim).unwrap();
-            for m in &members {
-                acc.add(m).unwrap();
-            }
+            let acc = bundle_of(&members);
             let counts = acc.counts();
             for (i, &count) in counts.iter().enumerate() {
                 let naive = members.iter().filter(|m| m.bit(i).unwrap()).count() as u32;
@@ -1137,30 +819,19 @@ mod tests {
     }
 
     #[test]
-    fn dimension_mismatch_detected() {
-        let hv = BinaryHypervector::zeros(8).unwrap();
-        let mut acc = Accumulator::zeros(4).unwrap();
-        assert!(acc.add(&hv).is_err());
-        assert!(acc.dot(&hv).is_err());
-        assert!(acc.cosine_similarity(&hv).is_err());
-        let other = Accumulator::zeros(8).unwrap();
-        assert!(acc.merge(&other).is_err());
-    }
-
-    #[test]
     fn cosine_similarity_matches_manual_computation() {
         let hv = BinaryHypervector::from_bits(&[true, true, false, false]).unwrap();
-        let mut acc = Accumulator::zeros(4).unwrap();
-        acc.add(&BinaryHypervector::from_bits(&[true, false, true, false]).unwrap())
-            .unwrap();
-        acc.add(&BinaryHypervector::from_bits(&[true, true, false, false]).unwrap())
-            .unwrap();
+        let acc = bundle_of(&[
+            BinaryHypervector::from_bits(&[true, false, true, false]).unwrap(),
+            hv.clone(),
+        ]);
         // counts = [2, 1, 1, 0]; dot with hv = 2 + 1 = 3
         // |acc| = sqrt(4+1+1) = sqrt(6); |hv| = sqrt(2)
         let expected = 3.0 / (6.0f64.sqrt() * 2.0f64.sqrt());
-        let got = acc.cosine_similarity(&hv).unwrap();
+        let got = acc.cosine_similarity_row(hv.as_row()).unwrap();
         assert!((got - expected).abs() < 1e-12);
-        assert!((acc.cosine_distance(&hv).unwrap() - (1.0 - expected)).abs() < 1e-12);
+        let distance = acc.cosine_distance_row(hv.as_row()).unwrap();
+        assert!((distance - (1.0 - expected)).abs() < 1e-12);
     }
 
     #[test]
@@ -1173,15 +844,10 @@ mod tests {
             .map(|_| BinaryHypervector::random(1024, &mut rng))
             .collect();
         let probe = BinaryHypervector::random(1024, &mut rng);
-        let mut once = Accumulator::zeros(1024).unwrap();
-        let mut twice = Accumulator::zeros(1024).unwrap();
-        for m in &members {
-            once.add(m).unwrap();
-            twice.add(m).unwrap();
-            twice.add(m).unwrap();
-        }
-        let s1 = once.cosine_similarity(&probe).unwrap();
-        let s2 = twice.cosine_similarity(&probe).unwrap();
+        let once = bundle_of(&members);
+        let twice = bundle_of(&[members.clone(), members].concat());
+        let s1 = once.cosine_similarity_row(probe.as_row()).unwrap();
+        let s2 = twice.cosine_similarity_row(probe.as_row()).unwrap();
         assert!((s1 - s2).abs() < 1e-9);
     }
 
@@ -1221,11 +887,11 @@ mod tests {
     #[test]
     fn clone_from_copies_the_counts_into_the_existing_buffers() {
         let mut rng = HdcRng::seed_from(48);
-        let mut deep = Accumulator::zeros(300).unwrap();
-        for _ in 0..9 {
-            deep.add(&BinaryHypervector::random(300, &mut rng)).unwrap();
-        }
-        let shallow = Accumulator::from_binary(&BinaryHypervector::random(300, &mut rng));
+        let members: Vec<BinaryHypervector> = (0..10)
+            .map(|_| BinaryHypervector::random(300, &mut rng))
+            .collect();
+        let deep = bundle_of(&members[..9]);
+        let shallow = bundle_of(&members[9..]);
         let mut target = deep.clone();
         let bytes = target.heap_bytes();
         target.clone_from(&shallow);
@@ -1386,54 +1052,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential_adds() {
-        let mut rng = HdcRng::seed_from(4);
-        let hvs: Vec<BinaryHypervector> = (0..6)
-            .map(|_| BinaryHypervector::random(256, &mut rng))
-            .collect();
-        let mut all = Accumulator::zeros(256).unwrap();
-        for hv in &hvs {
-            all.add(hv).unwrap();
-        }
-        let mut left = Accumulator::zeros(256).unwrap();
-        let mut right = Accumulator::zeros(256).unwrap();
-        for hv in &hvs[..3] {
-            left.add(hv).unwrap();
-        }
-        for hv in &hvs[3..] {
-            right.add(hv).unwrap();
-        }
-        left.merge(&right).unwrap();
-        assert_eq!(left, all);
-        assert_eq!(left.counts(), all.counts());
-    }
-
-    #[test]
-    fn merge_into_an_empty_accumulator_copies_the_counts() {
-        let mut rng = HdcRng::seed_from(44);
-        let mut source = Accumulator::zeros(300).unwrap();
-        for _ in 0..9 {
-            source
-                .add(&BinaryHypervector::random(300, &mut rng))
-                .unwrap();
-        }
-        let mut target = Accumulator::zeros(300).unwrap();
-        target.merge(&source).unwrap();
-        assert_eq!(target, source);
-        // And merging an empty accumulator changes nothing.
-        let before = target.clone();
-        target.merge(&Accumulator::zeros(300).unwrap()).unwrap();
-        assert_eq!(target.counts(), before.counts());
-    }
-
-    #[test]
     fn majority_of_identical_vectors_is_that_vector() {
         let mut rng = HdcRng::seed_from(5);
         let hv = BinaryHypervector::random(300, &mut rng);
-        let mut acc = Accumulator::zeros(300).unwrap();
-        for _ in 0..3 {
-            acc.add(&hv).unwrap();
-        }
+        let acc = bundle_of(&[hv.clone(), hv.clone(), hv.clone()]);
         assert_eq!(acc.to_majority().unwrap(), hv);
     }
 
@@ -1445,53 +1067,13 @@ mod tests {
 
     #[test]
     fn clear_resets_state() {
-        let hv = BinaryHypervector::ones(32).unwrap();
-        let mut acc = Accumulator::from_binary(&hv);
+        let mut acc = bundle_of(&[BinaryHypervector::ones(32).unwrap()]);
         assert_eq!(acc.items(), 1);
         acc.clear();
         assert_eq!(acc.items(), 0);
         assert_eq!(acc.plane_count(), 0);
         assert!(acc.counts().iter().all(|&c| c == 0));
         assert_eq!(acc, Accumulator::zeros(32).unwrap());
-    }
-
-    #[test]
-    fn row_operations_match_vector_operations() {
-        let mut rng = HdcRng::seed_from(6);
-        let members: Vec<BinaryHypervector> = (0..4)
-            .map(|_| BinaryHypervector::random(500, &mut rng))
-            .collect();
-        let probe = BinaryHypervector::random(500, &mut rng);
-        let matrix = crate::HvMatrix::from_vectors(&members).unwrap();
-        let probe_matrix = crate::HvMatrix::from_vectors(std::slice::from_ref(&probe)).unwrap();
-
-        let mut by_vector = Accumulator::zeros(500).unwrap();
-        let mut by_row = Accumulator::zeros(500).unwrap();
-        for (i, m) in members.iter().enumerate() {
-            by_vector.add(m).unwrap();
-            by_row.add_row(matrix.row(i)).unwrap();
-        }
-        assert_eq!(by_vector, by_row);
-        assert_eq!(
-            by_vector.dot(&probe).unwrap(),
-            by_row.dot_row(probe_matrix.row(0)).unwrap()
-        );
-        // Bit-identical floats, not approximate equality: the batched
-        // clusterer depends on it.
-        assert_eq!(
-            by_vector.cosine_similarity(&probe).unwrap().to_bits(),
-            by_row
-                .cosine_similarity_row(probe_matrix.row(0))
-                .unwrap()
-                .to_bits()
-        );
-        assert_eq!(
-            by_vector.cosine_distance(&probe).unwrap().to_bits(),
-            by_row
-                .cosine_distance_row(probe_matrix.row(0))
-                .unwrap()
-                .to_bits()
-        );
     }
 
     #[test]
@@ -1519,80 +1101,26 @@ mod tests {
             );
             let probe = matrix.row(0);
             assert_eq!(
-                by_scalar
-                    .to_bit_sliced_with(kernels::scalar())
-                    .cosine_distance_row_with(probe, kernels::scalar())
-                    .unwrap()
-                    .to_bits(),
-                by_auto
-                    .to_bit_sliced_with(kernels::auto())
-                    .cosine_distance_row_with(probe, kernels::auto())
-                    .unwrap()
-                    .to_bits()
+                by_scalar.dot_row_with(probe, kernels::scalar()).unwrap(),
+                by_auto.dot_row_with(probe, kernels::auto()).unwrap()
             );
-        }
-    }
-
-    #[test]
-    fn bit_sliced_dot_and_cosine_match_the_accumulator_exactly() {
-        let mut rng = HdcRng::seed_from(13);
-        for dim in [70usize, 256, 1000] {
-            let members: Vec<BinaryHypervector> = (0..9)
-                .map(|_| BinaryHypervector::random(dim, &mut rng))
-                .collect();
-            let mut acc = Accumulator::zeros(dim).unwrap();
-            for m in &members {
-                acc.add(m).unwrap();
-            }
-            let sliced = acc.to_bit_sliced();
-            assert_eq!(sliced.dim(), dim);
-            assert_eq!(sliced.items(), 9);
-            assert_eq!(sliced.norm().to_bits(), acc.norm().to_bits());
-            // Exactly enough planes for the largest count present.
-            let max_count = acc.counts().iter().copied().max().unwrap();
+            let half = bundle_of(&members[..6]);
             assert_eq!(
-                sliced.plane_count(),
-                (32 - max_count.leading_zeros()) as usize
+                by_scalar.dot_bundle_with(&half, kernels::scalar()).unwrap(),
+                by_auto.dot_bundle_with(&half, kernels::auto()).unwrap()
             );
-            assert!(sliced.plane_count() <= 4); // counts are in 0..=9
-
-            let probes = crate::HvMatrix::from_vectors(&members).unwrap();
-            for (i, member) in members.iter().enumerate() {
-                let row = probes.row(i);
-                assert_eq!(sliced.dot_row(row).unwrap(), acc.dot(member).unwrap());
-                assert_eq!(
-                    sliced.cosine_distance_row(row).unwrap().to_bits(),
-                    acc.cosine_distance(member).unwrap().to_bits(),
-                    "dim {dim}, member {i}"
-                );
-            }
         }
     }
 
     #[test]
-    fn bit_sliced_empty_accumulator_has_no_planes_and_zero_similarity() {
-        let acc = Accumulator::zeros(64).unwrap();
-        let sliced = acc.to_bit_sliced();
-        assert_eq!(sliced.plane_count(), 0);
-        let probe = crate::HvMatrix::from_vectors(&[BinaryHypervector::ones(64).unwrap()]).unwrap();
-        assert_eq!(sliced.dot_row(probe.row(0)).unwrap(), 0);
-        assert_eq!(sliced.cosine_similarity_row(probe.row(0)).unwrap(), 0.0);
-        let wrong = crate::HvMatrix::zeros(1, 128).unwrap();
-        assert!(sliced.dot_row(wrong.row(0)).is_err());
-    }
-
-    #[test]
-    fn sliced_dot_matches_the_scalar_count_product() {
+    fn bundle_dot_matches_the_scalar_count_product() {
         let mut rng = HdcRng::seed_from(21);
         for dim in [70usize, 256, 1000] {
-            let mut a = Accumulator::zeros(dim).unwrap();
-            let mut b = Accumulator::zeros(dim).unwrap();
-            for _ in 0..7 {
-                a.add(&BinaryHypervector::random(dim, &mut rng)).unwrap();
-            }
-            for _ in 0..12 {
-                b.add(&BinaryHypervector::random(dim, &mut rng)).unwrap();
-            }
+            let members: Vec<BinaryHypervector> = (0..19)
+                .map(|_| BinaryHypervector::random(dim, &mut rng))
+                .collect();
+            let a = bundle_of(&members[..7]);
+            let b = bundle_of(&members[7..]);
             let b_counts = b.counts();
             let expected: u64 = a
                 .counts()
@@ -1600,27 +1128,25 @@ mod tests {
                 .zip(&b_counts)
                 .map(|(&x, &y)| u64::from(x) * u64::from(y))
                 .sum();
-            let sa = a.to_bit_sliced();
-            let sb = b.to_bit_sliced();
-            assert_eq!(sa.dot_sliced(&sb).unwrap(), expected, "dim {dim}");
-            assert_eq!(sb.dot_sliced(&sa).unwrap(), expected, "dim {dim}");
-            let cos = sa.cosine_similarity_sliced(&sb).unwrap();
-            let manual = expected as f64 / (a.norm() * b.norm());
-            assert!((cos - manual).abs() < 1e-12);
-            // Self-similarity of a non-zero bundle is exactly 1.
-            assert!((sa.cosine_similarity_sliced(&sa).unwrap() - 1.0).abs() < 1e-12);
+            let auto = kernels::auto();
+            assert_eq!(a.dot_bundle_with(&b, auto).unwrap(), expected, "dim {dim}");
+            assert_eq!(b.dot_bundle_with(&a, auto).unwrap(), expected, "dim {dim}");
+            // A bundle's dot with itself is the squared norm, exactly.
+            let square: u64 = a.counts().iter().map(|&x| u64::from(x).pow(2)).sum();
+            assert_eq!(a.dot_bundle_with(&a, auto).unwrap(), square);
+            assert_eq!(a.norm().to_bits(), (square as f64).sqrt().to_bits());
         }
     }
 
     #[test]
-    fn sliced_dot_with_empty_or_mismatched_operands() {
-        let empty = Accumulator::zeros(64).unwrap().to_bit_sliced();
-        let full = Accumulator::from_binary(&BinaryHypervector::ones(64).unwrap()).to_bit_sliced();
-        assert_eq!(empty.dot_sliced(&full).unwrap(), 0);
-        assert_eq!(empty.cosine_similarity_sliced(&full).unwrap(), 0.0);
-        let wrong = Accumulator::zeros(128).unwrap().to_bit_sliced();
-        assert!(full.dot_sliced(&wrong).is_err());
-        assert!(full.cosine_similarity_sliced(&wrong).is_err());
+    fn bundle_dot_with_empty_or_mismatched_operands() {
+        let auto = kernels::auto();
+        let empty = Accumulator::zeros(64).unwrap();
+        let full = bundle_of(&[BinaryHypervector::ones(64).unwrap()]);
+        assert_eq!(empty.dot_bundle_with(&full, auto).unwrap(), 0);
+        assert_eq!(full.dot_bundle_with(&empty, auto).unwrap(), 0);
+        let wrong = Accumulator::zeros(128).unwrap();
+        assert!(full.dot_bundle_with(&wrong, auto).is_err());
     }
 
     #[test]
@@ -1630,22 +1156,27 @@ mod tests {
         assert!(acc.add_row(matrix.row(0)).is_err());
         assert!(acc.dot_row(matrix.row(0)).is_err());
         assert!(acc.cosine_similarity_row(matrix.row(0)).is_err());
+        let other = Accumulator::zeros(8).unwrap();
+        assert!(acc.dot_bundle_with(&other, kernels::auto()).is_err());
     }
 
     #[test]
     fn cosine_with_zero_operands_is_zero() {
         let acc = Accumulator::zeros(16).unwrap();
         let hv = BinaryHypervector::ones(16).unwrap();
-        assert_eq!(acc.cosine_similarity(&hv).unwrap(), 0.0);
+        assert_eq!(acc.dot_row(hv.as_row()).unwrap(), 0);
+        assert_eq!(acc.cosine_similarity_row(hv.as_row()).unwrap(), 0.0);
         let zero_hv = BinaryHypervector::zeros(16).unwrap();
-        let nonzero = Accumulator::from_binary(&hv);
-        assert_eq!(nonzero.cosine_similarity(&zero_hv).unwrap(), 0.0);
+        let nonzero = bundle_of(&[hv]);
+        assert_eq!(
+            nonzero.cosine_similarity_row(zero_hv.as_row()).unwrap(),
+            0.0
+        );
     }
 
     #[test]
     fn adding_a_zero_vector_only_bumps_items() {
-        let mut acc = Accumulator::zeros(64).unwrap();
-        acc.add(&BinaryHypervector::zeros(64).unwrap()).unwrap();
+        let acc = bundle_of(&[BinaryHypervector::zeros(64).unwrap()]);
         assert_eq!(acc.items(), 1);
         assert_eq!(acc.plane_count(), 0);
         assert!(acc.counts().iter().all(|&c| c == 0));
@@ -1661,7 +1192,8 @@ mod tests {
                     // Different member sizes -> different plane counts,
                     // including an empty member (zero planes).
                     for _ in 0..(k * 3) {
-                        acc.add(&BinaryHypervector::random(dim, &mut rng)).unwrap();
+                        let hv = BinaryHypervector::random(dim, &mut rng);
+                        acc.add_row(hv.as_row()).unwrap();
                     }
                     acc
                 })
@@ -1671,23 +1203,18 @@ mod tests {
             assert_eq!(group.len(), 5);
             assert_eq!(group.dim(), dim);
 
-            let probe_hv = BinaryHypervector::random(dim, &mut rng);
-            let probes = crate::HvMatrix::from_vectors(std::slice::from_ref(&probe_hv)).unwrap();
-            let row = probes.row(0);
-            let ones = probe_hv.count_ones();
+            let probe = BinaryHypervector::random(dim, &mut rng);
+            let row = probe.as_row();
+            let ones = probe.count_ones();
 
             let mut dots = vec![0u64; group.len()];
             group.dot_row_range_with(0..group.len(), row, &mut dots, kernels);
             for (k, member) in members.iter().enumerate() {
-                let sliced = member.to_bit_sliced_with(kernels);
-                assert_eq!(dots[k], sliced.dot_row_with(row, kernels).unwrap());
-                assert_eq!(group.norm(k).to_bits(), sliced.norm().to_bits());
+                assert_eq!(dots[k], member.dot_row_with(row, kernels).unwrap());
+                assert_eq!(group.norm(k).to_bits(), member.norm().to_bits());
                 assert_eq!(
                     group.cosine_distance_of(k, dots[k], ones).to_bits(),
-                    sliced
-                        .cosine_distance_row_with(row, kernels)
-                        .unwrap()
-                        .to_bits(),
+                    member.cosine_distance_row(row).unwrap().to_bits(),
                     "dim {dim}, member {k}"
                 );
             }
@@ -1710,29 +1237,25 @@ mod tests {
         let dim = 70usize; // ragged tail word as well
         let mut rng = HdcRng::seed_from(74);
         let repeated = BinaryHypervector::random(dim, &mut rng);
-        let mut big = Accumulator::zeros(dim).unwrap();
-        for _ in 0..40_000 {
-            big.add(&repeated).unwrap();
-        }
-        assert!(big.plane_count() > 15);
-        let mut small = Accumulator::zeros(dim).unwrap();
-        for _ in 0..3 {
-            small
-                .add(&BinaryHypervector::random(dim, &mut rng))
-                .unwrap();
-        }
         let kernels = kernels::auto();
+        let mut big = Accumulator::zeros(dim).unwrap();
+        big.add_row_weighted_with(repeated.as_row(), 40_000, kernels)
+            .unwrap();
+        assert!(big.plane_count() > 15);
+        let small = bundle_of(&[
+            BinaryHypervector::random(dim, &mut rng),
+            BinaryHypervector::random(dim, &mut rng),
+            BinaryHypervector::random(dim, &mut rng),
+        ]);
         let members = vec![big, small];
         let group = BitSlicedGroup::from_accumulators(&members, kernels).unwrap();
         let probe = BinaryHypervector::random(dim, &mut rng);
-        let probes = crate::HvMatrix::from_vectors(std::slice::from_ref(&probe)).unwrap();
         let mut dots = vec![0u64; members.len()];
-        group.dot_row_range_with(0..members.len(), probes.row(0), &mut dots, kernels);
+        group.dot_row_range_with(0..members.len(), probe.as_row(), &mut dots, kernels);
         for (k, member) in members.iter().enumerate() {
-            let sliced = member.to_bit_sliced_with(kernels);
             assert_eq!(
                 dots[k],
-                sliced.dot_row_with(probes.row(0), kernels).unwrap(),
+                member.dot_row_with(probe.as_row(), kernels).unwrap(),
                 "member {k}"
             );
         }
@@ -1742,7 +1265,7 @@ mod tests {
     fn group_rebuild_reuses_buffers_and_validates_dims() {
         let mut rng = HdcRng::seed_from(72);
         let members: Vec<Accumulator> = (0..3)
-            .map(|_| Accumulator::from_binary(&BinaryHypervector::random(128, &mut rng)))
+            .map(|_| bundle_of(&[BinaryHypervector::random(128, &mut rng)]))
             .collect();
         let kernels = kernels::auto();
         let mut group = BitSlicedGroup::new();
@@ -1770,11 +1293,10 @@ mod tests {
         let mut rng = HdcRng::seed_from(73);
         let members: Vec<Accumulator> = (0..7)
             .map(|k| {
-                let mut acc = Accumulator::zeros(640).unwrap();
-                for _ in 0..(1 << k) {
-                    acc.add(&BinaryHypervector::random(640, &mut rng)).unwrap();
-                }
-                acc
+                let members: Vec<BinaryHypervector> = (0..(1 << k))
+                    .map(|_| BinaryHypervector::random(640, &mut rng))
+                    .collect();
+                bundle_of(&members)
             })
             .collect();
         let group = BitSlicedGroup::from_accumulators(&members, kernels::auto()).unwrap();

@@ -1,4 +1,4 @@
-use crate::{kernels, HdcError, HdcRng, Result};
+use crate::{kernels, HdcError, HdcRng, HvRow, Result};
 
 /// A densely packed binary hypervector.
 ///
@@ -155,6 +155,14 @@ impl BinaryHypervector {
     /// Returns the packed 64-bit words backing this hypervector.
     pub fn as_words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// Borrows the vector as an [`HvRow`], the operand of every bundle
+    /// operation ([`Accumulator::add_row`](crate::Accumulator::add_row),
+    /// [`Accumulator::dot_row`](crate::Accumulator::dot_row), …), without
+    /// copying.
+    pub fn as_row(&self) -> HvRow<'_> {
+        HvRow::new(&self.words, self.dim)
     }
 
     /// Heap bytes held by the packed word buffer — the number that matters

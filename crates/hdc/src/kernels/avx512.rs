@@ -12,7 +12,7 @@
 //!   every AVX-512 CPU; a hypothetical F-only part falls back to AVX2).
 //!
 //! Ragged tails never leave the vector unit: both variants use AVX-512's
-//! masked loads/stores (`_mm512_maskz_loadu_epi64`), so a 67-word row is
+//! masked loads (`_mm512_maskz_loadu_epi64`), so a 67-word row is
 //! eight full vectors plus one three-lane masked vector — no scalar tail
 //! loop to keep in sync.
 //!
@@ -54,9 +54,8 @@ macro_rules! avx512_ops {
         mod $modname {
             use core::arch::x86_64::{
                 __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_epi64,
-                _mm512_mask_storeu_epi64, _mm512_maskz_loadu_epi64, _mm512_reduce_add_epi64,
-                _mm512_setzero_si512, _mm512_sll_epi64, _mm512_storeu_epi64, _mm512_xor_si512,
-                _mm_cvtsi32_si128,
+                _mm512_maskz_loadu_epi64, _mm512_reduce_add_epi64, _mm512_setzero_si512,
+                _mm512_sll_epi64, _mm512_xor_si512, _mm_cvtsi32_si128,
             };
 
             /// `u64` words per 512-bit vector.
@@ -128,25 +127,6 @@ macro_rules! avx512_ops {
                     acc = _mm512_add_epi64(acc, $popcnt(x));
                 }
                 _mm512_reduce_add_epi64(acc) as u64
-            }
-
-            #[target_feature(enable = $feat)]
-            pub(super) unsafe fn xor_into_words(dst: &mut [u64], src: &[u64]) {
-                let full = dst.len() / LANES * LANES;
-                let rem = dst.len() - full;
-                for offset in (0..full).step_by(LANES) {
-                    let value = _mm512_xor_si512(load(dst, offset), load(src, offset));
-                    _mm512_storeu_epi64(dst.as_mut_ptr().add(offset).cast(), value);
-                }
-                if rem != 0 {
-                    let value =
-                        _mm512_xor_si512(load_tail(dst, full, rem), load_tail(src, full, rem));
-                    _mm512_mask_storeu_epi64(
-                        dst.as_mut_ptr().add(full).cast(),
-                        tail_mask(rem),
-                        value,
-                    );
-                }
             }
 
             /// Fused bit-sliced dot product of `row` against one plane
@@ -307,27 +287,21 @@ macro_rules! avx512_kernels_impl {
                 $name
             }
 
-            fn xor_into(&self, dst: &mut [u64], src: &[u64]) {
-                debug_assert_eq!(dst.len(), src.len());
+            fn popcount(&self, words: &[u64]) -> u64 {
                 // SAFETY: `available` gated construction of this kernel on
                 // runtime support for every enabled feature.
-                unsafe { $ops::xor_into_words(dst, src) }
-            }
-
-            fn popcount(&self, words: &[u64]) -> u64 {
-                // SAFETY: see `xor_into`.
                 unsafe { $ops::popcount_words(words) }
             }
 
             fn hamming(&self, a: &[u64], b: &[u64]) -> u64 {
                 debug_assert_eq!(a.len(), b.len());
-                // SAFETY: see `xor_into`.
+                // SAFETY: see `popcount`.
                 unsafe { $ops::hamming_words(a, b) }
             }
 
             fn and_popcount(&self, a: &[u64], b: &[u64]) -> u64 {
                 debug_assert_eq!(a.len(), b.len());
-                // SAFETY: see `xor_into`.
+                // SAFETY: see `popcount`.
                 unsafe { $ops::and_popcount_words(a, b) }
             }
 
@@ -335,7 +309,7 @@ macro_rules! avx512_kernels_impl {
                 debug_assert_ne!(words_per_plane, 0);
                 debug_assert_eq!(planes.len() % words_per_plane, 0);
                 debug_assert_eq!(row.len(), words_per_plane);
-                // SAFETY: see `xor_into`.
+                // SAFETY: see `popcount`.
                 unsafe { $ops::plane_dot_group(planes, words_per_plane, row) }
             }
 
@@ -353,7 +327,7 @@ macro_rules! avx512_kernels_impl {
                 let mut offset = 0;
                 for (slot, &count) in out.iter_mut().zip(group_plane_counts) {
                     let end = offset + count * words_per_plane;
-                    // SAFETY: see `xor_into`.
+                    // SAFETY: see `popcount`.
                     *slot += unsafe {
                         $ops::plane_dot_group(&planes[offset..end], words_per_plane, row)
                     };
@@ -364,7 +338,7 @@ macro_rules! avx512_kernels_impl {
             fn hamming_multi(&self, row: &[u64], stacked: &[u64], out: &mut [u64]) {
                 debug_assert_eq!(stacked.len(), row.len() * out.len());
                 for (k, slot) in out.iter_mut().enumerate() {
-                    // SAFETY: see `xor_into`. Direct internal call keeps
+                    // SAFETY: see `popcount`. Direct internal call keeps
                     // the per-centroid loop free of virtual dispatch.
                     *slot =
                         unsafe { $ops::hamming_words(row, &stacked[k * row.len()..][..row.len()]) };

@@ -18,13 +18,6 @@ impl Kernels for ScalarKernels {
         "scalar"
     }
 
-    fn xor_into(&self, dst: &mut [u64], src: &[u64]) {
-        debug_assert_eq!(dst.len(), src.len());
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d ^= s;
-        }
-    }
-
     fn popcount(&self, words: &[u64]) -> u64 {
         words.iter().map(|w| u64::from(w.count_ones())).sum()
     }

@@ -338,45 +338,26 @@ mod x86 {
         }
     }
 
-    #[target_feature(enable = "avx2")]
-    unsafe fn xor_into_avx2(dst: &mut [u64], src: &[u64]) {
-        let chunks = dst.chunks_exact_mut(LANES);
-        let split = src.len() - src.len() % LANES;
-        for (chunk, other) in chunks.zip(src.chunks_exact(LANES)) {
-            let value = _mm256_xor_si256(load(chunk), load(other));
-            _mm256_storeu_si256(chunk.as_mut_ptr().cast(), value);
-        }
-        for (d, s) in dst[split..].iter_mut().zip(&src[split..]) {
-            *d ^= s;
-        }
-    }
-
     impl Kernels for Avx2Kernels {
         fn name(&self) -> &'static str {
             "avx2"
         }
 
-        fn xor_into(&self, dst: &mut [u64], src: &[u64]) {
-            debug_assert_eq!(dst.len(), src.len());
+        fn popcount(&self, words: &[u64]) -> u64 {
             // SAFETY: `is_supported` gated construction of this kernel on
             // runtime AVX2 support.
-            unsafe { xor_into_avx2(dst, src) }
-        }
-
-        fn popcount(&self, words: &[u64]) -> u64 {
-            // SAFETY: see `xor_into`.
             unsafe { popcount_avx2(words) }
         }
 
         fn hamming(&self, a: &[u64], b: &[u64]) -> u64 {
             debug_assert_eq!(a.len(), b.len());
-            // SAFETY: see `xor_into`.
+            // SAFETY: see `popcount`.
             unsafe { hamming_avx2(a, b) }
         }
 
         fn and_popcount(&self, a: &[u64], b: &[u64]) -> u64 {
             debug_assert_eq!(a.len(), b.len());
-            // SAFETY: see `xor_into`.
+            // SAFETY: see `popcount`.
             unsafe { and_popcount_avx2(a, b) }
         }
 
@@ -384,7 +365,7 @@ mod x86 {
             debug_assert_ne!(words_per_plane, 0);
             debug_assert_eq!(planes.len() % words_per_plane, 0);
             debug_assert_eq!(row.len(), words_per_plane);
-            // SAFETY: see `xor_into`.
+            // SAFETY: see `popcount`.
             unsafe { plane_dot_group_avx2(planes, words_per_plane, row) }
         }
 
@@ -402,7 +383,7 @@ mod x86 {
             let mut offset = 0;
             for (slot, &count) in out.iter_mut().zip(group_plane_counts) {
                 let end = offset + count * words_per_plane;
-                // SAFETY: see `xor_into`.
+                // SAFETY: see `popcount`.
                 *slot +=
                     unsafe { plane_dot_group_avx2(&planes[offset..end], words_per_plane, row) };
                 offset = end;
@@ -412,7 +393,7 @@ mod x86 {
         fn hamming_multi(&self, row: &[u64], stacked: &[u64], out: &mut [u64]) {
             debug_assert_eq!(stacked.len(), row.len() * out.len());
             for (k, slot) in out.iter_mut().enumerate() {
-                // SAFETY: see `xor_into`. Direct internal call keeps the
+                // SAFETY: see `popcount`. Direct internal call keeps the
                 // per-centroid loop free of virtual dispatch.
                 *slot = unsafe { hamming_avx2(row, &stacked[k * row.len()..][..row.len()]) };
             }
@@ -420,16 +401,17 @@ mod x86 {
 
         fn counts_dot_multi(&self, counts: &[u16], row: &[u64], out: &mut [u64]) -> bool {
             debug_assert_eq!(counts.len(), row.len() * 64 * out.len());
-            // SAFETY: see `xor_into`.
+            // SAFETY: see `popcount`.
             unsafe { counts_dot_multi_avx2(counts, row, out) };
             true
         }
 
-        // `bundle_add_planes` deliberately keeps the trait's default body:
-        // the carry add is pure AND/XOR data movement with an early exit,
-        // which the compiler already auto-vectorizes; a hand-written
-        // AVX2 version measured *slower* (extra liveness reduction per
-        // plane) in the `kernels` bench.
+        // `xor_into` and `bundle_add_planes` deliberately keep the trait's
+        // default bodies: both are pure AND/XOR data movement, which the
+        // compiler already auto-vectorizes. In the `kernels` bench a
+        // hand-written AVX2 `xor_into` tied it, and a hand-written
+        // `bundle_add_planes` measured *slower* (an extra liveness
+        // reduction per plane).
     }
 }
 
@@ -438,7 +420,6 @@ mod aarch64 {
     use super::Kernels;
     use core::arch::aarch64::{
         uint64x2_t, vaddlvq_u8, vandq_u64, vcntq_u8, veorq_u64, vld1q_u64, vreinterpretq_u8_u64,
-        vst1q_u64,
     };
 
     /// Number of `u64` words per 128-bit NEON vector.
@@ -535,44 +516,26 @@ mod aarch64 {
         total
     }
 
-    #[target_feature(enable = "neon")]
-    unsafe fn xor_into_neon(dst: &mut [u64], src: &[u64]) {
-        let split = dst.len() - dst.len() % LANES;
-        for (chunk, other) in dst.chunks_exact_mut(LANES).zip(src.chunks_exact(LANES)) {
-            let value = veorq_u64(load(chunk), load(other));
-            vst1q_u64(chunk.as_mut_ptr(), value);
-        }
-        for (d, s) in dst[split..].iter_mut().zip(&src[split..]) {
-            *d ^= s;
-        }
-    }
-
     impl Kernels for NeonKernels {
         fn name(&self) -> &'static str {
             "neon"
         }
 
-        fn xor_into(&self, dst: &mut [u64], src: &[u64]) {
-            debug_assert_eq!(dst.len(), src.len());
+        fn popcount(&self, words: &[u64]) -> u64 {
             // SAFETY: `is_supported` gated construction of this kernel on
             // runtime NEON support.
-            unsafe { xor_into_neon(dst, src) }
-        }
-
-        fn popcount(&self, words: &[u64]) -> u64 {
-            // SAFETY: see `xor_into`.
             unsafe { popcount_neon(words) }
         }
 
         fn hamming(&self, a: &[u64], b: &[u64]) -> u64 {
             debug_assert_eq!(a.len(), b.len());
-            // SAFETY: see `xor_into`.
+            // SAFETY: see `popcount`.
             unsafe { hamming_neon(a, b) }
         }
 
         fn and_popcount(&self, a: &[u64], b: &[u64]) -> u64 {
             debug_assert_eq!(a.len(), b.len());
-            // SAFETY: see `xor_into`.
+            // SAFETY: see `popcount`.
             unsafe { and_popcount_neon(a, b) }
         }
 
@@ -580,7 +543,7 @@ mod aarch64 {
             debug_assert_ne!(words_per_plane, 0);
             debug_assert_eq!(planes.len() % words_per_plane, 0);
             debug_assert_eq!(row.len(), words_per_plane);
-            // SAFETY: see `xor_into`.
+            // SAFETY: see `popcount`.
             unsafe { plane_dot_group_neon(planes, words_per_plane, row) }
         }
 
@@ -598,7 +561,7 @@ mod aarch64 {
             let mut offset = 0;
             for (slot, &count) in out.iter_mut().zip(group_plane_counts) {
                 let end = offset + count * words_per_plane;
-                // SAFETY: see `xor_into`.
+                // SAFETY: see `popcount`.
                 *slot +=
                     unsafe { plane_dot_group_neon(&planes[offset..end], words_per_plane, row) };
                 offset = end;
@@ -608,7 +571,7 @@ mod aarch64 {
         fn hamming_multi(&self, row: &[u64], stacked: &[u64], out: &mut [u64]) {
             debug_assert_eq!(stacked.len(), row.len() * out.len());
             for (k, slot) in out.iter_mut().enumerate() {
-                // SAFETY: see `xor_into`. Direct internal call keeps the
+                // SAFETY: see `popcount`. Direct internal call keeps the
                 // per-centroid loop free of virtual dispatch.
                 *slot = unsafe { hamming_neon(row, &stacked[k * row.len()..][..row.len()]) };
             }

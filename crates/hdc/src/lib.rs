@@ -12,10 +12,12 @@
 //!   hot path (batch encoding and clustering) runs on; rows round-trip
 //!   with [`BinaryHypervector`] bit-for-bit.
 //! * [`Accumulator`] — an integer "bundled" hypervector used as a K-Means
-//!   centroid: the element-wise sum of many binary hypervectors (or matrix
-//!   rows), stored as a vertical (bit-sliced) counter and updated by
-//!   word-parallel bit-serial adds, with cosine similarity against binary
-//!   vectors.
+//!   centroid: the element-wise sum of many [`HvRow`]s (matrix rows, or
+//!   vectors borrowed with [`BinaryHypervector::as_row`]), stored as a
+//!   vertical (bit-sliced) counter and updated by word-parallel bit-serial
+//!   adds, with cosine similarity against rows and exact dot products
+//!   against other bundles. [`BitSlicedGroup`] stacks every centroid's
+//!   planes for the fused assignment kernels.
 //! * [`kernels`] — the unified word-level bit-kernel layer every hot loop
 //!   above dispatches through: a [`kernels::Kernels`] trait with a scalar
 //!   reference implementation and runtime-detected SIMD (AVX2/NEON) behind
@@ -60,7 +62,7 @@ pub mod kernels;
 mod matrix;
 mod rng;
 
-pub use accumulator::{Accumulator, BitSlicedCounts, BitSlicedGroup};
+pub use accumulator::{Accumulator, BitSlicedGroup};
 pub use binary::BinaryHypervector;
 pub use error::HdcError;
 pub use item_memory::{ItemMemory, LevelMemory};

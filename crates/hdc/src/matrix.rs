@@ -411,7 +411,9 @@ fn check_first_use_order(index: &[u32], stored: usize) -> Result<()> {
     Ok(())
 }
 
-/// A shared, never-allocating view of one [`HvMatrix`] row.
+/// A shared, never-allocating view of one [`HvMatrix`] row, or of a whole
+/// [`BinaryHypervector`] ([`BinaryHypervector::as_row`]): the one operand
+/// type of the bundle operations.
 #[derive(Debug, Clone, Copy)]
 pub struct HvRow<'a> {
     words: &'a [u64],
@@ -419,6 +421,13 @@ pub struct HvRow<'a> {
 }
 
 impl<'a> HvRow<'a> {
+    /// A view of `words`, which must be exactly `dim.div_ceil(64)` words
+    /// with every bit beyond `dim` clear.
+    pub(crate) fn new(words: &'a [u64], dim: usize) -> Self {
+        debug_assert_eq!(words.len(), dim.div_ceil(64));
+        Self { words, dim }
+    }
+
     /// The hypervector dimension of this row.
     pub fn dim(&self) -> usize {
         self.dim
@@ -454,55 +463,6 @@ impl<'a> HvRow<'a> {
         Ok(kernels::auto().hamming(self.words, other.words) as usize)
     }
 
-    /// Hamming distance to a single hypervector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn hamming_hv(&self, hv: &BinaryHypervector) -> Result<usize> {
-        self.hamming_hv_with(hv, kernels::auto())
-    }
-
-    /// [`hamming_hv`](Self::hamming_hv) through an explicit [`Kernels`]
-    /// selection — the hot-path variant an execution backend threads its
-    /// kernels into.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn hamming_hv_with(&self, hv: &BinaryHypervector, kernels: &dyn Kernels) -> Result<usize> {
-        if self.dim != hv.dim() {
-            return Err(HdcError::DimensionMismatch {
-                left: self.dim,
-                right: hv.dim(),
-            });
-        }
-        Ok(kernels.hamming(self.words, hv.as_words()) as usize)
-    }
-
-    /// Normalized Hamming distance (`hamming / dim`) to a hypervector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn normalized_hamming_hv(&self, hv: &BinaryHypervector) -> Result<f64> {
-        Ok(self.hamming_hv(hv)? as f64 / self.dim as f64)
-    }
-
-    /// [`normalized_hamming_hv`](Self::normalized_hamming_hv) through an
-    /// explicit [`Kernels`] selection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn normalized_hamming_hv_with(
-        &self,
-        hv: &BinaryHypervector,
-        kernels: &dyn Kernels,
-    ) -> Result<f64> {
-        Ok(self.hamming_hv_with(hv, kernels)? as f64 / self.dim as f64)
-    }
-
     /// Copies this row into an owned [`BinaryHypervector`] (allocates).
     pub fn to_hypervector(&self) -> BinaryHypervector {
         BinaryHypervector::from_words(self.dim, self.words.to_vec())
@@ -523,14 +483,6 @@ impl HvRowMut<'_> {
         self.dim
     }
 
-    /// Reborrows as a shared row view.
-    pub fn as_row(&self) -> HvRow<'_> {
-        HvRow {
-            words: self.words,
-            dim: self.dim,
-        }
-    }
-
     /// Sets every bit of the row to zero.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -544,17 +496,6 @@ impl HvRowMut<'_> {
     pub fn copy_from(&mut self, hv: &BinaryHypervector) -> Result<()> {
         self.check_dim(hv.dim())?;
         self.words.copy_from_slice(hv.as_words());
-        Ok(())
-    }
-
-    /// Overwrites the row with another row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn copy_from_row(&mut self, row: HvRow<'_>) -> Result<()> {
-        self.check_dim(row.dim())?;
-        self.words.copy_from_slice(row.as_words());
         Ok(())
     }
 
@@ -577,17 +518,6 @@ impl HvRowMut<'_> {
     pub fn xor_assign_with(&mut self, hv: &BinaryHypervector, kernels: &dyn Kernels) -> Result<()> {
         self.check_dim(hv.dim())?;
         kernels.xor_into(self.words, hv.as_words());
-        Ok(())
-    }
-
-    /// XORs another row into this one in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn xor_assign_row(&mut self, row: HvRow<'_>) -> Result<()> {
-        self.check_dim(row.dim())?;
-        kernels::auto().xor_into(self.words, row.as_words());
         Ok(())
     }
 
@@ -677,21 +607,18 @@ mod tests {
 
             assert_eq!(m.row(0).count_ones(), a.count_ones());
             assert_eq!(m.row(0).hamming(m.row(1)).unwrap(), a.hamming(&b).unwrap());
-            assert_eq!(m.row(0).hamming_hv(&b).unwrap(), a.hamming(&b).unwrap());
+            assert_eq!(
+                m.row(0).hamming(b.as_row()).unwrap(),
+                a.hamming(&b).unwrap()
+            );
             let ones: Vec<usize> = m.row(1).iter_ones().collect();
             let expected: Vec<usize> = b.iter_ones().collect();
             assert_eq!(ones, expected);
 
-            // XOR-bind in place equals the allocating xor.
+            // XOR-bind in place equals the allocating xor, and unbinds.
             m.row_mut(0).xor_assign(&b).unwrap();
             assert_eq!(m.row(0).to_hypervector(), a.xor(&b).unwrap());
-            let row1 = m.row(1).to_hypervector();
-            m.row_mut(0)
-                .xor_assign_row(HvRow {
-                    words: row1.as_words(),
-                    dim,
-                })
-                .unwrap();
+            m.row_mut(0).xor_assign(&b).unwrap();
             assert_eq!(m.row(0).to_hypervector(), a);
         }
     }
@@ -703,7 +630,7 @@ mod tests {
         assert!(m.set_row(0, &wrong).is_err());
         assert!(m.row_mut(0).copy_from(&wrong).is_err());
         assert!(m.row_mut(0).xor_assign(&wrong).is_err());
-        assert!(m.row(0).hamming_hv(&wrong).is_err());
+        assert!(m.row(0).hamming(wrong.as_row()).is_err());
         assert!(m
             .set_row(9, &BinaryHypervector::zeros(128).unwrap())
             .is_err());
@@ -725,12 +652,7 @@ mod tests {
         let mut m = HvMatrix::zeros(2, 130).unwrap();
         m.set_row(0, &a).unwrap();
         let row0 = m.row(0).to_hypervector();
-        m.row_mut(1)
-            .copy_from_row(HvRow {
-                words: row0.as_words(),
-                dim: 130,
-            })
-            .unwrap();
+        m.row_mut(1).copy_from(&row0).unwrap();
         assert_eq!(m.row(1).to_hypervector(), a);
         m.row_mut(0).clear();
         assert_eq!(m.row(0).count_ones(), 0);

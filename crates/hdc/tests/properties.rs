@@ -80,7 +80,7 @@ proptest! {
         let probe = BinaryHypervector::random(dim, &mut rng);
         let mut acc = Accumulator::zeros(dim).unwrap();
         for m in &members {
-            acc.add(m).unwrap();
+            acc.add_row(m.as_row()).unwrap();
         }
         // Naive count-based dot product.
         let mut naive = 0u64;
@@ -90,7 +90,7 @@ proptest! {
                 naive += count;
             }
         }
-        prop_assert_eq!(acc.dot(&probe).unwrap(), naive);
+        prop_assert_eq!(acc.dot_row(probe.as_row()).unwrap(), naive);
     }
 
     #[test]
@@ -102,7 +102,7 @@ proptest! {
         let outsider = BinaryHypervector::random(dim, &mut rng);
         let mut acc = Accumulator::zeros(dim).unwrap();
         for m in &members {
-            acc.add(m).unwrap();
+            acc.add_row(m.as_row()).unwrap();
         }
         let bundle = acc.to_majority().unwrap();
         let mean_member: f64 = members
@@ -155,8 +155,8 @@ proptest! {
     }
 
     /// Bundling matrix rows into an accumulator matches bundling the
-    /// equivalent vectors: identical counts, majority vector and
-    /// bit-identical cosine similarities.
+    /// equivalent vectors borrowed as rows: identical counts, majority
+    /// vector and bit-identical cosine similarities.
     #[test]
     fn matrix_bundling_matches_vector_bundling(dim in arb_dim(), seed in arb_seed(), n in 1usize..6) {
         let mut rng = HdcRng::seed_from(seed);
@@ -168,7 +168,7 @@ proptest! {
         let mut by_vector = Accumulator::zeros(dim).unwrap();
         let mut by_row = Accumulator::zeros(dim).unwrap();
         for (i, member) in members.iter().enumerate() {
-            by_vector.add(member).unwrap();
+            by_vector.add_row(member.as_row()).unwrap();
             by_row.add_row(matrix.row(i)).unwrap();
         }
         prop_assert_eq!(&by_vector, &by_row);
@@ -176,11 +176,11 @@ proptest! {
 
         let probe_matrix = HvMatrix::from_vectors(std::slice::from_ref(&probe)).unwrap();
         prop_assert_eq!(
-            by_vector.dot(&probe).unwrap(),
+            by_vector.dot_row(probe.as_row()).unwrap(),
             by_row.dot_row(probe_matrix.row(0)).unwrap()
         );
         prop_assert_eq!(
-            by_vector.cosine_similarity(&probe).unwrap().to_bits(),
+            by_vector.cosine_similarity_row(probe.as_row()).unwrap().to_bits(),
             by_row.cosine_similarity_row(probe_matrix.row(0)).unwrap().to_bits()
         );
     }

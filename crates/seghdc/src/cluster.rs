@@ -576,11 +576,12 @@ impl HvKmeans {
         let dim = pixels[0].dim();
 
         // Initial centroids: bundles containing a single seed pixel each.
-        let mut centroids: Vec<Accumulator> = self
-            .initial_indices(intensities)
-            .into_iter()
-            .map(|i| Accumulator::from_binary(&pixels[i]))
-            .collect();
+        let mut centroids: Vec<Accumulator> = Vec::with_capacity(self.clusters);
+        for i in self.initial_indices(intensities) {
+            let mut centroid = Accumulator::zeros(dim)?;
+            centroid.add_row(pixels[i].as_row())?;
+            centroids.push(centroid);
+        }
 
         let mut labels = vec![0u32; pixels.len()];
         let mut snapshots = Vec::new();
@@ -604,9 +605,9 @@ impl HvKmeans {
                     let mut best_distance = f64::INFINITY;
                     for (k, centroid) in centroids.iter().enumerate() {
                         let distance = match metric {
-                            DistanceMetric::Cosine => {
-                                centroid.cosine_distance(pixel).unwrap_or(f64::INFINITY)
-                            }
+                            DistanceMetric::Cosine => centroid
+                                .cosine_distance_row(pixel.as_row())
+                                .unwrap_or(f64::INFINITY),
                             DistanceMetric::Hamming => majority[k]
                                 .as_ref()
                                 .and_then(|m| m.normalized_hamming(pixel).ok())
@@ -630,7 +631,7 @@ impl HvKmeans {
                 .map(|_| Accumulator::zeros(dim))
                 .collect::<std::result::Result<_, _>>()?;
             for (pixel, &label) in pixels.iter().zip(&labels) {
-                bundles[label as usize].add(pixel)?;
+                bundles[label as usize].add_row(pixel.as_row())?;
             }
             // Empty clusters keep their previous centroid so they can win
             // pixels back in a later iteration.

@@ -101,7 +101,7 @@ pub use error::SegHdcError;
 pub use observe::{CancelToken, RunObserver, RunProgress};
 pub use pixel::PixelEncoder;
 pub use position::PositionEncoder;
-pub use snapshot::{CentroidSetSnapshot, Snapshot, SnapshotError};
+pub use snapshot::{Snapshot, SnapshotError};
 pub use tiled::TileConfig;
 
 /// Result alias used throughout the crate.

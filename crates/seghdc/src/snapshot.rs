@@ -1,12 +1,10 @@
-//! Versioned, checksummed on-disk persistence for built codebooks and
-//! bit-sliced centroid sets.
+//! Versioned, checksummed on-disk persistence for built codebooks.
 //!
 //! Every codebook is a pure function of its [`CodebookKey`] (seed, config
 //! parameters, image shape), so a built encoder is a cacheable artifact
 //! that can outlive the process that derived it. This module serializes
-//! [`CodebookCache`](crate::CodebookCache) contents — and, for pipelines
-//! that want to resume clustering, bit-sliced centroid sets — to a single
-//! flat file, and restores them bit-identically: a process that
+//! [`CodebookCache`](crate::CodebookCache) contents to a single flat file,
+//! and restores them bit-identically: a process that
 //! [`load_snapshot`](crate::CodebookCache::load_snapshot)s at startup
 //! serves its first request from a warm cache instead of re-deriving the
 //! codebooks from seed.
@@ -24,9 +22,8 @@
 //! | magic | 4 | `b"SGSN"` |
 //! | version | 2 | format version (currently 1) |
 //! | codebooks | 4 | number of codebook sections |
-//! | centroid sets | 4 | number of centroid-set sections |
+//! | centroid sets | 4 | always 0; a non-zero count is refused |
 //! | codebook sections | … | [`CodebookKey`] + row/column + colour codebook words |
-//! | centroid-set sections | … | [`CodebookKey`] + per-centroid planes, norm, items |
 //! | checksum | 8 | FNV-1a-64 of everything above |
 //!
 //! Inside a codebook section the key's fields come first (seed, dimension,
@@ -35,10 +32,10 @@
 //! `⌈d/64⌉` packed words) and the colour codebook (flip unit, one
 //! 256-entry chunk codebook per channel; the full-dimension *placed* codes
 //! are rebuilt on load — a deterministic bit shift, so they are not
-//! stored). A centroid-set section stores, per centroid, the plane words
-//! of a [`BitSlicedCounts`] plus its item count and the cached Euclidean
-//! norm **as raw `f64` bits**, so restored cosine distances are
-//! bit-identical to the run that saved them.
+//! stored). The centroid-set count is a version-1 header field the
+//! codebook cache never filled: it stays in the header, always 0, so every
+//! file [`save_snapshot`](crate::CodebookCache::save_snapshot) has written
+//! keeps loading, and a file that declares centroid sets is refused.
 //!
 //! Corrupt input — truncation, flipped bytes, oversized declared lengths,
 //! unknown versions — yields a typed [`SnapshotError`], never a panic and
@@ -46,7 +43,7 @@
 
 use crate::cache::CodebookKey;
 use crate::{ColorEncoder, ColorEncoding, PixelEncoder, PositionEncoder, PositionEncoding};
-use hdc::{BinaryHypervector, BitSlicedCounts};
+use hdc::BinaryHypervector;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -68,15 +65,8 @@ const MAX_DIMENSION: u64 = 1 << 24;
 /// Largest accepted image axis (rows or columns of position codes).
 const MAX_AXIS: u64 = 1 << 20;
 
-/// Largest accepted section count (codebooks or centroid sets).
+/// Largest accepted codebook section count.
 const MAX_SECTIONS: u64 = 1 << 16;
-
-/// Largest accepted number of centroids in one set.
-const MAX_CENTROIDS: u64 = 1 << 16;
-
-/// Largest accepted plane count per centroid (counts are at most
-/// `2^64 - 1`, so 64 planes bound any real accumulator).
-const MAX_PLANES: u64 = 64;
 
 /// Typed failure of snapshot encoding, decoding, or file I/O.
 ///
@@ -184,18 +174,8 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// One persisted centroid set: the bit-sliced K-Means centroids of a run,
-/// tagged with the codebook identity they were clustered under.
-#[derive(Debug, Clone)]
-pub struct CentroidSetSnapshot {
-    /// The codebooks the centroids were built against.
-    pub key: CodebookKey,
-    /// The centroids, in cluster order.
-    pub centroids: Vec<BitSlicedCounts>,
-}
-
-/// An in-memory snapshot: codebooks (keyed [`PixelEncoder`]s) plus
-/// optional centroid sets, convertible to and from the `SGSN` byte format.
+/// An in-memory snapshot: codebooks (keyed [`PixelEncoder`]s), convertible
+/// to and from the `SGSN` byte format.
 ///
 /// Build one with [`Snapshot::new`] + [`push_codebook`](Self::push_codebook)
 /// (or let [`CodebookCache::export_snapshot`](crate::CodebookCache::export_snapshot)
@@ -204,7 +184,6 @@ pub struct CentroidSetSnapshot {
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     codebooks: Vec<(CodebookKey, Arc<PixelEncoder>)>,
-    centroid_sets: Vec<CentroidSetSnapshot>,
 }
 
 impl Snapshot {
@@ -253,19 +232,9 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Appends one centroid set.
-    pub fn push_centroid_set(&mut self, set: CentroidSetSnapshot) {
-        self.centroid_sets.push(set);
-    }
-
     /// The persisted codebooks, in section order.
     pub fn codebooks(&self) -> &[(CodebookKey, Arc<PixelEncoder>)] {
         &self.codebooks
-    }
-
-    /// The persisted centroid sets, in section order.
-    pub fn centroid_sets(&self) -> &[CentroidSetSnapshot] {
-        &self.centroid_sets
     }
 
     /// Serializes to the `SGSN` byte format, checksum trailer included.
@@ -274,24 +243,11 @@ impl Snapshot {
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         put_u16(&mut out, SNAPSHOT_VERSION);
         put_u32(&mut out, self.codebooks.len() as u32);
-        put_u32(&mut out, self.centroid_sets.len() as u32);
+        put_u32(&mut out, 0); // centroid sets
         for (key, encoder) in &self.codebooks {
             write_key(&mut out, key);
             write_position(&mut out, encoder.position());
             write_color(&mut out, encoder.color());
-        }
-        for set in &self.centroid_sets {
-            write_key(&mut out, &set.key);
-            put_u32(&mut out, set.centroids.len() as u32);
-            for centroid in &set.centroids {
-                put_u32(&mut out, centroid.dim() as u32);
-                put_u32(&mut out, centroid.plane_count() as u32);
-                put_u64(&mut out, centroid.items() as u64);
-                put_u64(&mut out, centroid.norm().to_bits());
-                for &word in centroid.plane_words() {
-                    put_u64(&mut out, word);
-                }
-            }
         }
         let sum = fnv1a64(&out);
         put_u64(&mut out, sum);
@@ -329,7 +285,7 @@ impl Snapshot {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let codebook_count = reader.take_len("codebook count", MAX_SECTIONS)?;
-        let centroid_set_count = reader.take_len("centroid set count", MAX_SECTIONS)?;
+        reader.take_len("centroid set count", 0)?;
 
         let mut snapshot = Snapshot::new();
         for _ in 0..codebook_count {
@@ -342,36 +298,6 @@ impl Snapshot {
                     message: err.to_string(),
                 })?;
             snapshot.codebooks.push((key, Arc::new(encoder)));
-        }
-        for _ in 0..centroid_set_count {
-            let key = read_key(&mut reader)?;
-            let count = reader.take_len("centroid count", MAX_CENTROIDS)?;
-            let mut centroids = Vec::new();
-            for _ in 0..count {
-                let dim = reader.take_len("centroid dimension", MAX_DIMENSION)?;
-                if dim == 0 {
-                    return Err(SnapshotError::InvalidField {
-                        field: "centroid dimension",
-                        message: "must be non-zero".to_string(),
-                    });
-                }
-                let plane_count = reader.take_len("centroid planes", MAX_PLANES)?;
-                let items = reader.take_u64("centroid items")?;
-                let norm = f64::from_bits(reader.take_u64("centroid norm")?);
-                let words_per_plane = dim.div_ceil(64);
-                let words =
-                    reader.take_words("centroid plane words", plane_count * words_per_plane)?;
-                let centroid =
-                    BitSlicedCounts::from_parts(dim as usize, words, norm, items as usize)
-                        .map_err(|err| SnapshotError::InvalidField {
-                            field: "centroid",
-                            message: err.to_string(),
-                        })?;
-                centroids.push(centroid);
-            }
-            snapshot
-                .centroid_sets
-                .push(CentroidSetSnapshot { key, centroids });
         }
         if reader.pos != body.len() {
             return Err(SnapshotError::TrailingBytes(body.len() - reader.pos));
@@ -721,7 +647,6 @@ impl SnapReader<'_> {
 mod tests {
     use super::*;
     use crate::SegHdcConfig;
-    use hdc::{Accumulator, HdcRng};
 
     fn config(seed: u64) -> SegHdcConfig {
         SegHdcConfig::builder()
@@ -808,44 +733,10 @@ mod tests {
     }
 
     #[test]
-    fn centroid_sets_round_trip_with_exact_norms() {
-        let (key, _) = built_codebook(3, 8, 8);
-        let mut rng = HdcRng::seed_from(17);
-        let centroids: Vec<BitSlicedCounts> = (0..3)
-            .map(|k| {
-                let mut acc = Accumulator::zeros(200).unwrap();
-                for _ in 0..(3 + k * 5) {
-                    acc.add(&BinaryHypervector::random(200, &mut rng)).unwrap();
-                }
-                acc.to_bit_sliced()
-            })
-            .collect();
-        let mut snapshot = Snapshot::new();
-        snapshot.push_centroid_set(CentroidSetSnapshot {
-            key,
-            centroids: centroids.clone(),
-        });
-        let restored = Snapshot::from_bytes(&snapshot.to_bytes()).unwrap();
-        assert_eq!(restored.centroid_sets().len(), 1);
-        let set = &restored.centroid_sets()[0];
-        assert_eq!(set.key, key);
-        assert_eq!(set.centroids.len(), centroids.len());
-        for (orig, back) in centroids.iter().zip(&set.centroids) {
-            assert_eq!(orig.dim(), back.dim());
-            assert_eq!(orig.items(), back.items());
-            assert_eq!(orig.plane_words(), back.plane_words());
-            // Norm bits, not approximate equality: restored cosine
-            // distances must be bit-identical.
-            assert_eq!(orig.norm().to_bits(), back.norm().to_bits());
-        }
-    }
-
-    #[test]
     fn empty_snapshot_round_trips() {
         let bytes = Snapshot::new().to_bytes();
         let restored = Snapshot::from_bytes(&bytes).unwrap();
         assert!(restored.codebooks().is_empty());
-        assert!(restored.centroid_sets().is_empty());
     }
 
     #[test]

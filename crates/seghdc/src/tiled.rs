@@ -18,14 +18,16 @@
 //!    rows are bit-identical to the whole-image rows) and clustered with the
 //!    same revised K-Means as the whole-image path.
 //! 3. Interior labels are written to the output map under a provisional
-//!    per-tile label id; per-tile cluster centroids are snapshotted as
-//!    [`BitSlicedCounts`], and pixels where a tile's halo overlaps an
-//!    already-labelled neighbour interior record co-occurrence **votes**.
-//! 4. A stitching pass matches the centroids of adjacent tiles by
-//!    bit-sliced cosine similarity — with the halo-overlap majority vote as
-//!    the tie-breaker when two candidate matches are nearly as similar —
-//!    and merges matched labels with a union-find, producing the final
-//!    globally consistent label map. When a halo is configured, the votes
+//!    per-tile label id; each tile keeps its clusterer's final bundles
+//!    ([`Accumulator`]s, moved, not copied) with their norms, and pixels
+//!    where a tile's halo overlaps an already-labelled neighbour interior
+//!    record co-occurrence **votes**.
+//! 4. A stitching pass matches the bundles of adjacent tiles by the cosine
+//!    of their exact plane-against-plane dot product
+//!    ([`Accumulator::dot_bundle_with`]) — with the halo-overlap majority
+//!    vote as the tie-breaker when two candidate matches are nearly as
+//!    similar — and merges matched labels with a union-find, producing the
+//!    final globally consistent label map. When a halo is configured, the votes
 //!    also gate each merge: a cluster with no co-occurrence evidence at a
 //!    boundary (say, an object wholly interior to one tile) keeps its own
 //!    stitched label instead of being absorbed into the least-dissimilar
@@ -34,7 +36,8 @@
 use crate::engine::{ExecutedMode, SegmentOutput};
 use crate::observe::ImageObserver;
 use crate::{ExecBackend, HvKmeans, PixelEncoder, Result, SegHdcConfig, SegHdcError};
-use hdc::{Accumulator, BitSlicedCounts, HvMatrix};
+use hdc::kernels::Kernels;
+use hdc::{Accumulator, HvMatrix};
 use imaging::{ImageView, LabelMap, TileGrid};
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
@@ -218,9 +221,9 @@ impl UnionFind {
     }
 }
 
-/// One tile's clustering summary kept for stitching: a bit-sliced centroid
-/// snapshot per (non-empty) local cluster.
-type TileCentroids = Vec<Option<BitSlicedCounts>>;
+/// One tile's clustering summary kept for stitching: each local cluster's
+/// bundle with its Euclidean norm, `None` for an empty cluster.
+type TileCentroids = Vec<Option<(Accumulator, f64)>>;
 
 /// Runs the streaming engine and returns the view's stitched output.
 /// `encoder` must have been built for the view's exact shape; `arena`
@@ -306,11 +309,16 @@ pub(crate) fn segment_streaming_with(
         };
 
         // The clusterer's final bundles are the centroids stitching
-        // compares.
+        // compares; each norm is computed once here, not once per pair.
         centroids.push(
             bundles
-                .iter()
-                .map(|b| (b.items() > 0).then(|| b.to_bit_sliced_with(host_kernels)))
+                .into_iter()
+                .map(|bundle| {
+                    (bundle.items() > 0).then(|| {
+                        let norm = bundle.norm_with(host_kernels);
+                        (bundle, norm)
+                    })
+                })
                 .collect(),
         );
         cluster_time += cluster_start.elapsed();
@@ -372,9 +380,7 @@ pub(crate) fn segment_streaming_with(
             let mut second: Option<(usize, f64)> = None;
             for (candidate, reference) in centroids[earlier].iter().enumerate() {
                 let Some(reference) = reference else { continue };
-                let similarity = reference
-                    .cosine_similarity_sliced_with(centroid, host_kernels)
-                    .unwrap_or(f64::NEG_INFINITY);
+                let similarity = bundle_cosine(reference, centroid, host_kernels);
                 match best {
                     Some((_, best_similarity)) if similarity <= best_similarity => {
                         if second.is_none_or(|(_, s)| similarity > s) {
@@ -458,6 +464,24 @@ pub(crate) fn segment_streaming_with(
         cluster_time,
         stitch_time,
     })
+}
+
+/// Cosine similarity between two bundles, each given with its norm: the
+/// exact integer dot over the product of the norms, 0 when either norm is
+/// zero, and `-∞` for bundles of different dimensions (which the tiles of
+/// one run never are).
+fn bundle_cosine(
+    (a, norm_a): &(Accumulator, f64),
+    (b, norm_b): &(Accumulator, f64),
+    kernels: &dyn Kernels,
+) -> f64 {
+    let Ok(dot) = a.dot_bundle_with(b, kernels) else {
+        return f64::NEG_INFINITY;
+    };
+    if *norm_a == 0.0 || *norm_b == 0.0 {
+        return 0.0;
+    }
+    dot as f64 / (norm_a * norm_b)
 }
 
 #[cfg(test)]

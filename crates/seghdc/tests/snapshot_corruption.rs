@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use seghdc::cache::CodebookKey;
-use seghdc::snapshot::{CentroidSetSnapshot, Snapshot, SnapshotError, SNAPSHOT_MAGIC};
+use seghdc::snapshot::{Snapshot, SnapshotError, SNAPSHOT_MAGIC};
 use seghdc::{PixelEncoder, SegHdcConfig};
 use std::sync::Arc;
 
@@ -18,24 +18,13 @@ fn config(seed: u64) -> SegHdcConfig {
         .unwrap()
 }
 
-/// One representative snapshot with both section kinds populated.
+/// One representative snapshot: a header and one codebook section.
 fn sample_bytes() -> Vec<u8> {
     let cfg = config(11);
     let key = CodebookKey::for_shape(&cfg, 7, 5, 1);
     let encoder = PixelEncoder::for_shape(&cfg, 7, 5, 1).unwrap();
     let mut snapshot = Snapshot::new();
     snapshot.push_codebook(key, Arc::new(encoder)).unwrap();
-
-    let mut acc = hdc::Accumulator::zeros(100).unwrap();
-    let mut rng = hdc::HdcRng::seed_from(5);
-    for _ in 0..6 {
-        acc.add(&hdc::BinaryHypervector::random(100, &mut rng))
-            .unwrap();
-    }
-    snapshot.push_centroid_set(CentroidSetSnapshot {
-        key,
-        centroids: vec![acc.to_bit_sliced()],
-    });
     snapshot.to_bytes()
 }
 
@@ -100,6 +89,23 @@ fn oversized_declared_counts_are_capped_before_allocation() {
         Snapshot::from_bytes(&patched),
         Err(SnapshotError::LengthCap { .. })
     ));
+}
+
+#[test]
+fn a_declared_centroid_set_is_refused_at_the_header() {
+    // The centroid-set count at offset 10 must be 0. Declare one and also
+    // corrupt the first codebook key's dimension (offset 22): the header
+    // check must fire first, before any section is decoded or allocated.
+    let mut patched = sample_bytes();
+    patched[10..14].copy_from_slice(&1u32.to_le_bytes());
+    patched[22..30].copy_from_slice(&u64::MAX.to_le_bytes());
+    reseal(&mut patched);
+    match Snapshot::from_bytes(&patched) {
+        Err(SnapshotError::LengthCap { field, len, cap }) => {
+            assert_eq!((field, len, cap), ("centroid set count", 1, 0));
+        }
+        other => panic!("expected LengthCap on the centroid-set count, got {other:?}"),
+    }
 }
 
 #[test]

@@ -19,12 +19,13 @@
 //!   worker whose cache path is warm, and workers dequeue groups of
 //!   requests with the same codebook key, so same-shape bursts pay one
 //!   codebook build.
-//! * **Fused batch execution** ([`ServerConfig::fuse_groups`]): a
+//! * **Fused batch execution** ([`ServerConfig::max_group`]): a
 //!   dequeued group sharing a configuration, mode, and shape runs as one
 //!   engine batch, with byte-identical payloads coalesced onto a single
 //!   image and label maps scattered back to each originating connection;
 //!   [`ServerConfig::fuse_window`] optionally holds a partial group open
-//!   for late fusible arrivals.
+//!   for late fusible arrivals, and `max_group: 1` serves every request on
+//!   its own.
 //! * **Warm starts** ([`ServerConfig::codebook_snapshot`],
 //!   [`ServerHandle::save_snapshot`]): the shared codebook cache persists
 //!   to the versioned, checksummed [`seghdc::snapshot`] format and

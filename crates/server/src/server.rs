@@ -34,8 +34,8 @@
 //!   coalesce onto a single batch image. Expired deadlines are pruned
 //!   *before* fusion (each pruned request still gets its
 //!   `DeadlineExceeded` frame), and a failed batch falls back to
-//!   per-request execution. Knobs: [`ServerConfig::fuse_groups`],
-//!   [`ServerConfig::fuse_window`], [`ServerConfig::max_group`].
+//!   per-request execution. Knobs: [`ServerConfig::max_group`] (`1`
+//!   runs every request on its own) and [`ServerConfig::fuse_window`].
 //! * **Warm starts.** [`ServerConfig::codebook_snapshot`] names a
 //!   [`seghdc::snapshot`]-format file to preload the codebook cache from
 //!   before the listener accepts, and [`ServerHandle::save_snapshot`]
@@ -102,12 +102,9 @@ pub struct ServerConfig {
     /// Deadline applied when a request asks for `deadline_ms == 0`.
     pub default_deadline: Duration,
     /// Most same-codebook requests a worker dequeues back-to-back; also
-    /// the largest fused engine batch.
+    /// the largest fused engine batch. `1` turns fusion off: every group
+    /// holds one request, which runs on its own with no fuse-window hold.
     pub max_group: usize,
-    /// Whether workers run fusible groups as one engine batch (with
-    /// identical-payload coalescing) instead of a serial per-request
-    /// loop. Disable to get the pre-fusion execution path.
-    pub fuse_groups: bool,
     /// How long a worker holding a partial group polls its own shard for
     /// late-arriving fusible jobs before executing the batch. Zero (the
     /// default) disables the wait entirely: a group is whatever one
@@ -137,7 +134,6 @@ impl Default for ServerConfig {
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             default_deadline: Duration::from_secs(10),
             max_group: 8,
-            fuse_groups: true,
             fuse_window: Duration::ZERO,
             max_engines: 16,
             codebook_cache_bytes: 64 << 20,
@@ -719,7 +715,7 @@ fn worker_loop(worker: usize, shared: &ServerShared) {
     let max_group = shared.config.max_group;
     let window = shared.config.fuse_window;
     while let Some(mut group) = shared.queue.pop_group_for(worker, max_group, fusible) {
-        if shared.config.fuse_groups && !window.is_zero() && group.len() < max_group {
+        if !window.is_zero() && group.len() < max_group {
             let until = fuse_hold_until(Instant::now(), window, &group);
             while group.len() < max_group && Instant::now() < until {
                 let added = shared
@@ -753,14 +749,14 @@ fn fuse_hold_until(now: Instant, window: Duration, group: &[Job]) -> Instant {
 
 /// Serves one dequeued group: prune expired deadlines first (each pruned
 /// job still gets its `DeadlineExceeded` frame), then run the survivors —
-/// as one fused engine batch when fusion is on and more than one job is
-/// left, per-request otherwise.
+/// as one fused engine batch when more than one job is left, per-request
+/// otherwise.
 fn serve_group(group: Vec<Job>, shared: &ServerShared) {
     let live = prune_expired(group, Instant::now());
     if live.is_empty() {
         return;
     }
-    if shared.config.fuse_groups && live.len() > 1 {
+    if live.len() > 1 {
         execute_fused(live, &shared.fleet, &shared.metrics);
     } else {
         for job in live {
@@ -1573,7 +1569,7 @@ mod tests {
         let serial = serve(
             "127.0.0.1:0",
             ServerConfig {
-                fuse_groups: false,
+                max_group: 1,
                 ..one_worker()
             },
         )
@@ -1632,8 +1628,8 @@ mod tests {
         for worker in burst {
             let (image, response) = worker.join().unwrap();
             assert_eq!(response.status(), WireStatus::Ok);
-            // Byte-identical to the serial (fusion-off) execution of the
-            // exact same request.
+            // Byte-identical to the serial (`max_group: 1`) execution of
+            // the exact same request.
             let serial_response = serial_client
                 .segment(&request(&test_config(50), &image, 60_000))
                 .unwrap();

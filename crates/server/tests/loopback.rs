@@ -183,14 +183,14 @@ fn zero_sized_images_are_refused_with_an_invalid_frame() {
 
 #[test]
 fn concurrent_same_codebook_clients_share_one_cache_miss() {
-    // Fusion off: this test pins down the *serial* path's per-request
-    // cache telemetry. The four requests carry identical pixels, so the
-    // fused path would coalesce them into one engine run and the cache
-    // would never be consulted four times.
+    // Groups of one request: this test pins down the *serial* path's
+    // per-request cache telemetry. The four requests carry identical
+    // pixels, so the fused path would coalesce them into one engine run and
+    // the cache would never be consulted four times.
     let handle = serve(
         "127.0.0.1:0",
         ServerConfig {
-            fuse_groups: false,
+            max_group: 1,
             ..ServerConfig::default()
         },
     )

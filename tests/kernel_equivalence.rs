@@ -18,7 +18,7 @@
 //! fallback behaviour being guaranteed.
 
 use hdc::kernels;
-use hdc::{Accumulator, BinaryHypervector, HdcRng, HvMatrix};
+use hdc::{Accumulator, BinaryHypervector, BitSlicedGroup, HdcRng, HvMatrix};
 use proptest::prelude::*;
 use seghdc::TileConfig as Tiles;
 use seghdc::{DistanceMetric, HvKmeans};
@@ -205,9 +205,9 @@ proptest! {
         }
     }
 
-    /// Accumulator arithmetic (vertical-counter adds, plane dots, exact
-    /// norms) is bit-identical across kernel selections, for dimensions
-    /// with non-lane-multiple word tails.
+    /// Accumulator arithmetic (vertical-counter adds, row and bundle plane
+    /// dots, exact norms, group distances) is bit-identical across kernel
+    /// selections, for dimensions with non-lane-multiple word tails.
     #[test]
     fn accumulator_arithmetic_agrees_across_kernels(
         dim in 1usize..1200,
@@ -233,21 +233,31 @@ proptest! {
         );
 
         let probe = matrix.row(0);
-        let scalar_sliced = scalar_acc.to_bit_sliced_with(kernels::scalar());
-        let auto_sliced = auto_acc.to_bit_sliced_with(kernels::auto());
         prop_assert_eq!(
-            scalar_sliced.dot_row_with(probe, kernels::scalar()).unwrap(),
-            auto_sliced.dot_row_with(probe, kernels::auto()).unwrap()
+            scalar_acc.dot_row_with(probe, kernels::scalar()).unwrap(),
+            auto_acc.dot_row_with(probe, kernels::auto()).unwrap()
         );
+        // The assignment step's path: the stacked group's dot and distance.
+        let mut dots = [0u64; 2];
+        for (dot, kernels) in dots.iter_mut().zip([kernels::scalar(), kernels::auto()]) {
+            let group = BitSlicedGroup::from_accumulators(std::slice::from_ref(&auto_acc), kernels)
+                .unwrap();
+            group.dot_row_range_with(0..1, probe, std::slice::from_mut(dot), kernels);
+            prop_assert_eq!(
+                group.cosine_distance_of(0, *dot, probe.count_ones()).to_bits(),
+                auto_acc.cosine_distance_row(probe).unwrap().to_bits()
+            );
+        }
+        prop_assert_eq!(dots[0], dots[1]);
+        // The stitch's path: bundle against bundle, here the bundle of
+        // every member against the bundle of the odd-numbered ones.
+        let mut odd = Accumulator::zeros(dim).unwrap();
+        for i in (1..members).step_by(2) {
+            odd.add_row(matrix.row(i)).unwrap();
+        }
         prop_assert_eq!(
-            scalar_sliced
-                .cosine_distance_row_with(probe, kernels::scalar())
-                .unwrap()
-                .to_bits(),
-            auto_sliced
-                .cosine_distance_row_with(probe, kernels::auto())
-                .unwrap()
-                .to_bits()
+            scalar_acc.dot_bundle_with(&odd, kernels::scalar()).unwrap(),
+            auto_acc.dot_bundle_with(&odd, kernels::auto()).unwrap()
         );
     }
 }
