@@ -319,8 +319,10 @@ fn batch_burst(quick: bool) {
 /// k-means iterations make each 16×16 tile a visible unit of work, so
 /// tile-row progress frames arrive well before the final response.
 const PROGRESS_DIMENSION: usize = 4096;
-/// Edge of the square image segmented by the progress mode (6 tile rows).
-const PROGRESS_EDGE: usize = 96;
+/// Edge of the square image segmented by the progress mode (16 tile
+/// rows): long enough that half a warm run clears the cancel arm's 25 ms
+/// deadline floor on a fast machine.
+const PROGRESS_EDGE: usize = 256;
 
 /// The long tiled job the progress/cancel mode measures.
 fn progress_request(deadline_ms: u32) -> WireSegmentRequest {
@@ -356,8 +358,15 @@ fn progress_mode(quick: bool) {
     .expect("bind progress server");
     let mut client = SegClient::connect(handle.local_addr()).expect("progress connection");
 
-    // Arm 1: the full run, streaming progress. The first frame's arrival
-    // time is the interactivity figure a UI cares about.
+    // Warm-up: the first run also builds the codebook, so timing it would
+    // put arm 2's half-runtime deadline past a warm re-run's end.
+    let warm_up = client
+        .segment(&progress_request(60_000))
+        .expect("warm-up exchange");
+    assert_eq!(warm_up.status(), WireStatus::Ok, "{:?}", warm_up.body);
+
+    // Arm 1: the full warm run, streaming progress. The first frame's
+    // arrival time is the interactivity figure a UI cares about.
     let request = progress_request(60_000);
     let started = Instant::now();
     let mut first_progress_ns = 0u64;

@@ -26,29 +26,6 @@ pub fn rgb_to_gray(image: &RgbImage) -> GrayImage {
         .expect("gray buffer has one value per rgb pixel")
 }
 
-/// Converts a grayscale image to RGB by channel replication.
-pub fn gray_to_rgb(image: &GrayImage) -> RgbImage {
-    image.to_rgb()
-}
-
-/// Linearly stretches the intensity range of a grayscale image so that the
-/// darkest pixel becomes 0 and the brightest becomes 255 (contrast
-/// normalisation). Constant images are returned unchanged.
-pub fn stretch_contrast(image: &GrayImage) -> GrayImage {
-    let (min, max) = image.min_max();
-    if min == max {
-        return image.clone();
-    }
-    let span = f64::from(max) - f64::from(min);
-    let data = image
-        .as_raw()
-        .iter()
-        .map(|&v| (((f64::from(v) - f64::from(min)) / span) * 255.0).round() as u8)
-        .collect();
-    GrayImage::from_raw(image.width(), image.height(), data)
-        .expect("output buffer has the same size as the input")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,22 +46,7 @@ mod tests {
         let gray = rgb_to_gray(&rgb);
         assert_eq!(gray.get(0, 0).unwrap(), 40);
         assert_eq!(gray.get(1, 0).unwrap(), 200);
-        let back = gray_to_rgb(&gray);
+        let back = gray.to_rgb();
         assert_eq!(back.get(1, 0).unwrap(), [200, 200, 200]);
-    }
-
-    #[test]
-    fn stretch_contrast_expands_to_full_range() {
-        let img = GrayImage::from_raw(3, 1, vec![100, 150, 200]).unwrap();
-        let stretched = stretch_contrast(&img);
-        assert_eq!(stretched.get(0, 0).unwrap(), 0);
-        assert_eq!(stretched.get(1, 0).unwrap(), 128);
-        assert_eq!(stretched.get(2, 0).unwrap(), 255);
-    }
-
-    #[test]
-    fn stretch_contrast_leaves_constant_images_alone() {
-        let img = GrayImage::filled(2, 2, 99).unwrap();
-        assert_eq!(stretch_contrast(&img), img);
     }
 }

@@ -43,11 +43,6 @@ pub fn fill_ellipse(image: &mut GrayImage, cx: f64, cy: f64, rx: f64, ry: f64, v
     }
 }
 
-/// Fills a disc (circle) of radius `r` centred at `(cx, cy)`.
-pub fn fill_disc(image: &mut GrayImage, cx: f64, cy: f64, r: f64, value: u8) {
-    fill_ellipse(image, cx, cy, r, r, value);
-}
-
 /// Fills an axis-aligned ellipse into a label map with the given label.
 pub fn fill_ellipse_label(map: &mut LabelMap, cx: f64, cy: f64, rx: f64, ry: f64, label: u32) {
     let (width, height) = (map.width(), map.height());
@@ -66,18 +61,6 @@ pub fn fill_ellipse_label(map: &mut LabelMap, cx: f64, cy: f64, rx: f64, ry: f64
                 map.set(x, y, label)
                     .expect("loop bounds are clipped to the map");
             }
-        }
-    }
-}
-
-/// Fills an axis-aligned rectangle (inclusive of `x0, y0`, exclusive of
-/// `x1, y1`), clipped to the image.
-pub fn fill_rect(image: &mut GrayImage, x0: usize, y0: usize, x1: usize, y1: usize, value: u8) {
-    let x1 = x1.min(image.width());
-    let y1 = y1.min(image.height());
-    for y in y0..y1 {
-        for x in x0..x1 {
-            image.set(x, y, value).expect("clipped to image bounds");
         }
     }
 }
@@ -117,7 +100,7 @@ mod tests {
     #[test]
     fn disc_is_symmetric() {
         let mut img = GrayImage::new(21, 21).unwrap();
-        fill_disc(&mut img, 10.0, 10.0, 5.0, 255);
+        fill_ellipse(&mut img, 10.0, 10.0, 5.0, 5.0, 255);
         for (dx, dy) in [(5i64, 0i64), (-5, 0), (0, 5), (0, -5)] {
             let x = (10 + dx) as usize;
             let y = (10 + dy) as usize;
@@ -128,8 +111,8 @@ mod tests {
     #[test]
     fn shapes_clip_at_borders_without_panicking() {
         let mut img = GrayImage::new(10, 10).unwrap();
-        fill_disc(&mut img, 0.0, 0.0, 6.0, 100);
-        fill_disc(&mut img, 9.0, 9.0, 6.0, 100);
+        fill_ellipse(&mut img, 0.0, 0.0, 6.0, 6.0, 100);
+        fill_ellipse(&mut img, 9.0, 9.0, 6.0, 6.0, 100);
         fill_ellipse(&mut img, -3.0, -3.0, 2.0, 2.0, 50);
         assert_eq!(img.get(0, 0).unwrap(), 100);
         assert_eq!(img.get(9, 9).unwrap(), 100);
@@ -149,19 +132,6 @@ mod tests {
         assert_eq!(map.get(8, 8).unwrap(), 7);
         assert_eq!(map.get(0, 0).unwrap(), 0);
         assert!(map.foreground_pixels() > 20);
-    }
-
-    #[test]
-    fn rect_fills_exact_area() {
-        let mut img = GrayImage::new(8, 8).unwrap();
-        fill_rect(&mut img, 1, 2, 4, 5, 9);
-        let filled = img.as_raw().iter().filter(|&&v| v == 9).count();
-        assert_eq!(filled, 3 * 3);
-        assert_eq!(img.get(1, 2).unwrap(), 9);
-        assert_eq!(img.get(4, 5).unwrap(), 0);
-        // Clipping beyond the image is silent.
-        fill_rect(&mut img, 6, 6, 20, 20, 3);
-        assert_eq!(img.get(7, 7).unwrap(), 3);
     }
 
     #[test]

@@ -104,30 +104,6 @@ pub fn add_gaussian_noise<R: Rng>(image: &mut GrayImage, sigma: f64, rng: &mut R
     Ok(())
 }
 
-/// Replaces a fraction `amount` of pixels with pure black or white
-/// (salt-and-pepper noise).
-///
-/// # Errors
-///
-/// Returns [`ImagingError::InvalidParameter`] if `amount` is outside `[0, 1]`.
-pub fn add_salt_pepper_noise<R: Rng>(
-    image: &mut GrayImage,
-    amount: f64,
-    rng: &mut R,
-) -> Result<()> {
-    if !(0.0..=1.0).contains(&amount) {
-        return Err(ImagingError::InvalidParameter {
-            message: format!("salt-and-pepper amount must be in [0, 1], got {amount}"),
-        });
-    }
-    for v in image.as_raw_mut() {
-        if rng.gen::<f64>() < amount {
-            *v = if rng.gen::<bool>() { 255 } else { 0 };
-        }
-    }
-    Ok(())
-}
-
 /// Smooth pseudo-random "value noise" texture in `[0, 1]`, evaluated at
 /// `(x, y)` with the given cell size and seed. Used for MoNuSeg-style tissue
 /// texture in the synthetic generators.
@@ -234,17 +210,6 @@ mod tests {
     fn noise_rejects_invalid_parameters() {
         let mut img = GrayImage::new(4, 4).unwrap();
         assert!(add_gaussian_noise(&mut img, -1.0, &mut rng()).is_err());
-        assert!(add_salt_pepper_noise(&mut img, 1.5, &mut rng()).is_err());
-        assert!(add_salt_pepper_noise(&mut img, -0.1, &mut rng()).is_err());
-    }
-
-    #[test]
-    fn salt_pepper_touches_roughly_the_requested_fraction() {
-        let mut img = GrayImage::filled(100, 100, 128).unwrap();
-        add_salt_pepper_noise(&mut img, 0.1, &mut rng()).unwrap();
-        let touched = img.as_raw().iter().filter(|&&v| v != 128).count() as f64;
-        let fraction = touched / 10_000.0;
-        assert!((fraction - 0.1).abs() < 0.03, "fraction {fraction}");
     }
 
     #[test]

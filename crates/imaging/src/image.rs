@@ -95,11 +95,6 @@ impl GrayImage {
         &mut self.data
     }
 
-    /// Consumes the image and returns the underlying buffer.
-    pub fn into_raw(self) -> Vec<u8> {
-        self.data
-    }
-
     fn check_bounds(&self, x: usize, y: usize) -> Result<()> {
         if x >= self.width || y >= self.height {
             return Err(ImagingError::OutOfBounds {

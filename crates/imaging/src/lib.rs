@@ -12,14 +12,12 @@
 //! * [`LabelMap`] — per-pixel integer label maps (segmentation masks).
 //! * [`pnm`] — PGM/PPM reading and writing so masks and inputs can be
 //!   inspected with standard tools.
-//! * [`draw`] — primitives (ellipses, discs, gradients) used by the
-//!   synthetic dataset generators.
-//! * [`filter`] — Gaussian blur and noise injection.
-//! * [`morphology`] — connected components, erosion and dilation.
-//! * [`metrics`] — IoU, Dice and pixel accuracy, including the
-//!   cluster-to-class matching needed to score *unsupervised* segmentations.
-//! * [`resize`] — nearest-neighbour and bilinear resampling.
-//! * [`colorspace`] — RGB ↔ grayscale conversions.
+//! * [`draw`] — primitives (ellipses, gradients) used by the synthetic
+//!   dataset generators.
+//! * [`filter`] — Gaussian blur, Gaussian noise and value-noise texture.
+//! * [`metrics`] — IoU, including the cluster-to-class matching needed to
+//!   score *unsupervised* segmentations.
+//! * [`colorspace`] — RGB → grayscale luma conversion.
 //!
 //! # Example
 //!
@@ -51,9 +49,7 @@ pub mod filter;
 mod image;
 mod label_map;
 pub mod metrics;
-pub mod morphology;
 pub mod pnm;
-pub mod resize;
 mod tile;
 mod view;
 

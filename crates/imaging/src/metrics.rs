@@ -50,53 +50,6 @@ pub fn binary_iou(prediction: &LabelMap, truth: &LabelMap) -> Result<f64> {
     Ok(intersection as f64 / union as f64)
 }
 
-/// Dice coefficient (F1 of pixels) of the foregrounds of two label maps.
-///
-/// If both masks are empty the Dice score is defined as 1.
-///
-/// # Errors
-///
-/// Returns [`ImagingError::ShapeMismatch`] if the maps differ in size.
-pub fn dice(prediction: &LabelMap, truth: &LabelMap) -> Result<f64> {
-    check_same_shape(prediction, truth)?;
-    let mut intersection = 0usize;
-    let mut pred_fg = 0usize;
-    let mut truth_fg = 0usize;
-    for (p, t) in prediction.as_raw().iter().zip(truth.as_raw()) {
-        let pf = *p != 0;
-        let tf = *t != 0;
-        if pf {
-            pred_fg += 1;
-        }
-        if tf {
-            truth_fg += 1;
-        }
-        if pf && tf {
-            intersection += 1;
-        }
-    }
-    if pred_fg + truth_fg == 0 {
-        return Ok(1.0);
-    }
-    Ok(2.0 * intersection as f64 / (pred_fg + truth_fg) as f64)
-}
-
-/// Fraction of pixels whose binary (foreground/background) assignment agrees.
-///
-/// # Errors
-///
-/// Returns [`ImagingError::ShapeMismatch`] if the maps differ in size.
-pub fn pixel_accuracy(prediction: &LabelMap, truth: &LabelMap) -> Result<f64> {
-    check_same_shape(prediction, truth)?;
-    let agree = prediction
-        .as_raw()
-        .iter()
-        .zip(truth.as_raw())
-        .filter(|(p, t)| (**p != 0) == (**t != 0))
-        .count();
-    Ok(agree as f64 / prediction.pixel_count() as f64)
-}
-
 /// IoU of an **unsupervised** prediction against a binary ground truth.
 ///
 /// Every predicted cluster id is assigned to either *foreground* or
@@ -180,71 +133,6 @@ pub fn matched_mean_iou(prediction: &LabelMap, truth: &LabelMap) -> Result<f64> 
     Ok(ious.iter().sum::<f64>() / ious.len() as f64)
 }
 
-/// Confusion counts of a binary segmentation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BinaryConfusion {
-    /// Foreground predicted as foreground.
-    pub true_positive: usize,
-    /// Background predicted as foreground.
-    pub false_positive: usize,
-    /// Background predicted as background.
-    pub true_negative: usize,
-    /// Foreground predicted as background.
-    pub false_negative: usize,
-}
-
-impl BinaryConfusion {
-    /// Precision (`tp / (tp + fp)`), or 1 if nothing was predicted positive.
-    pub fn precision(&self) -> f64 {
-        let denom = self.true_positive + self.false_positive;
-        if denom == 0 {
-            1.0
-        } else {
-            self.true_positive as f64 / denom as f64
-        }
-    }
-
-    /// Recall (`tp / (tp + fn)`), or 1 if there is no positive ground truth.
-    pub fn recall(&self) -> f64 {
-        let denom = self.true_positive + self.false_negative;
-        if denom == 0 {
-            1.0
-        } else {
-            self.true_positive as f64 / denom as f64
-        }
-    }
-
-    /// IoU computed from the confusion counts.
-    pub fn iou(&self) -> f64 {
-        let denom = self.true_positive + self.false_positive + self.false_negative;
-        if denom == 0 {
-            1.0
-        } else {
-            self.true_positive as f64 / denom as f64
-        }
-    }
-}
-
-/// Computes the binary confusion counts between a prediction and a ground
-/// truth (both interpreted as binary foreground masks).
-///
-/// # Errors
-///
-/// Returns [`ImagingError::ShapeMismatch`] if the maps differ in size.
-pub fn binary_confusion(prediction: &LabelMap, truth: &LabelMap) -> Result<BinaryConfusion> {
-    check_same_shape(prediction, truth)?;
-    let mut c = BinaryConfusion::default();
-    for (p, t) in prediction.as_raw().iter().zip(truth.as_raw()) {
-        match (*p != 0, *t != 0) {
-            (true, true) => c.true_positive += 1,
-            (true, false) => c.false_positive += 1,
-            (false, true) => c.false_negative += 1,
-            (false, false) => c.true_negative += 1,
-        }
-    }
-    Ok(c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,8 +145,6 @@ mod tests {
     fn perfect_prediction_scores_one() {
         let truth = map(4, &[0, 1, 1, 0, 0, 1, 1, 0]);
         assert_eq!(binary_iou(&truth, &truth).unwrap(), 1.0);
-        assert_eq!(dice(&truth, &truth).unwrap(), 1.0);
-        assert_eq!(pixel_accuracy(&truth, &truth).unwrap(), 1.0);
         assert_eq!(matched_binary_iou(&truth, &truth).unwrap(), 1.0);
     }
 
@@ -267,8 +153,6 @@ mod tests {
         let truth = map(4, &[1, 1, 0, 0]);
         let pred = map(4, &[0, 0, 1, 1]);
         assert_eq!(binary_iou(&pred, &truth).unwrap(), 0.0);
-        assert_eq!(dice(&pred, &truth).unwrap(), 0.0);
-        assert_eq!(pixel_accuracy(&pred, &truth).unwrap(), 0.0);
     }
 
     #[test]
@@ -277,15 +161,12 @@ mod tests {
         let pred = map(4, &[1, 0, 1, 0]);
         // intersection 1, union 3
         assert!((binary_iou(&pred, &truth).unwrap() - 1.0 / 3.0).abs() < 1e-12);
-        assert!((dice(&pred, &truth).unwrap() - 0.5).abs() < 1e-12);
-        assert!((pixel_accuracy(&pred, &truth).unwrap() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn empty_masks_agree_perfectly() {
         let empty = LabelMap::new(3, 3).unwrap();
         assert_eq!(binary_iou(&empty, &empty).unwrap(), 1.0);
-        assert_eq!(dice(&empty, &empty).unwrap(), 1.0);
     }
 
     #[test]
@@ -293,11 +174,8 @@ mod tests {
         let a = LabelMap::new(2, 2).unwrap();
         let b = LabelMap::new(3, 2).unwrap();
         assert!(binary_iou(&a, &b).is_err());
-        assert!(dice(&a, &b).is_err());
-        assert!(pixel_accuracy(&a, &b).is_err());
         assert!(matched_binary_iou(&a, &b).is_err());
         assert!(matched_mean_iou(&a, &b).is_err());
-        assert!(binary_confusion(&a, &b).is_err());
     }
 
     #[test]
@@ -340,37 +218,11 @@ mod tests {
     }
 
     #[test]
-    fn confusion_counts_and_derived_metrics() {
-        let truth = map(4, &[1, 1, 0, 0]);
-        let pred = map(4, &[1, 0, 1, 0]);
-        let c = binary_confusion(&pred, &truth).unwrap();
-        assert_eq!(
-            c,
-            BinaryConfusion {
-                true_positive: 1,
-                false_positive: 1,
-                true_negative: 1,
-                false_negative: 1
-            }
-        );
-        assert!((c.precision() - 0.5).abs() < 1e-12);
-        assert!((c.recall() - 0.5).abs() < 1e-12);
-        assert!((c.iou() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degenerate_confusions_default_to_one() {
-        let c = BinaryConfusion::default();
-        assert_eq!(c.precision(), 1.0);
-        assert_eq!(c.recall(), 1.0);
-        assert_eq!(c.iou(), 1.0);
-    }
-
-    #[test]
     fn iou_from_confusion_equals_binary_iou() {
         let truth = map(4, &[1, 1, 1, 0, 0, 0, 1, 1]);
         let pred = map(4, &[1, 0, 1, 1, 0, 0, 1, 0]);
-        let c = binary_confusion(&pred, &truth).unwrap();
-        assert!((c.iou() - binary_iou(&pred, &truth).unwrap()).abs() < 1e-12);
+        // 3 true positives, 1 false positive, 2 false negatives.
+        let confusion_iou = 3.0 / (3.0 + 1.0 + 2.0);
+        assert!((confusion_iou - binary_iou(&pred, &truth).unwrap()).abs() < 1e-12);
     }
 }

@@ -37,16 +37,6 @@ pub fn save_pgm<P: AsRef<Path>>(image: &GrayImage, path: P) -> Result<()> {
     write_pgm(image, std::io::BufWriter::new(file))
 }
 
-/// Writes an RGB image to `path` as binary PPM.
-///
-/// # Errors
-///
-/// Returns [`ImagingError::Io`] on filesystem errors.
-pub fn save_ppm<P: AsRef<Path>>(image: &RgbImage, path: P) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    write_ppm(image, std::io::BufWriter::new(file))
-}
-
 /// Header shared by P5/P6 parsing.
 struct PnmHeader {
     magic: String,
@@ -170,16 +160,6 @@ pub fn read_ppm<R: Read>(reader: R) -> Result<RgbImage> {
 /// [`ImagingError::ParsePnm`] for malformed files.
 pub fn load_pgm<P: AsRef<Path>>(path: P) -> Result<GrayImage> {
     read_pgm(std::fs::File::open(path)?)
-}
-
-/// Loads a binary PPM from `path`.
-///
-/// # Errors
-///
-/// Returns [`ImagingError::Io`] on filesystem errors and
-/// [`ImagingError::ParsePnm`] for malformed files.
-pub fn load_ppm<P: AsRef<Path>>(path: P) -> Result<RgbImage> {
-    read_ppm(std::fs::File::open(path)?)
 }
 
 #[cfg(test)]

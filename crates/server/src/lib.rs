@@ -8,8 +8,8 @@
 //!   allocation, an FNV-1a checksum, and little-endian typed payloads —
 //!   hand-rolled because the workspace vendors its dependencies.
 //! * **Bounded admission with explicit backpressure** ([`queue`],
-//!   [`shard`]): admission is sharded per worker with consistent hashing
-//!   on the [`CodebookKey`](seghdc::CodebookKey), spilling and stealing
+//!   [`shard`]): admission is sharded per worker, routed by a stable hash
+//!   of the [`CodebookKey`](seghdc::CodebookKey), spilling and stealing
 //!   between shards; only when every shard is full does a request get
 //!   [`WireStatus::Busy`] instead of queuing without bound.
 //! * **Per-request deadlines** ([`server`]): expired jobs are answered
@@ -19,13 +19,15 @@
 //!   worker whose cache path is warm, and workers dequeue groups of
 //!   requests with the same codebook key, so same-shape bursts pay one
 //!   codebook build.
-//! * **Fused batch execution** ([`ServerConfig::max_group`]): a
-//!   dequeued group sharing a configuration, mode, and shape runs as one
-//!   engine batch, with byte-identical payloads coalesced onto a single
-//!   image and label maps scattered back to each originating connection;
-//!   [`ServerConfig::fuse_window`] optionally holds a partial group open
-//!   for late fusible arrivals, and `max_group: 1` serves every request on
-//!   its own.
+//! * **One execution path** ([`ServerConfig::max_group`]): every
+//!   dequeued group, one request or several sharing a configuration, mode,
+//!   and shape, runs as one engine batch, with byte-identical payloads
+//!   coalesced onto a single image and label maps scattered back to each
+//!   originating connection. The run's cancel token fires at the group's
+//!   latest deadline, so fused batches honour deadlines like lone
+//!   requests. [`ServerConfig::fuse_window`] optionally holds a partial
+//!   group open (on a condvar) for late fusible arrivals, and
+//!   `max_group: 1` serves every request on its own.
 //! * **Warm starts** ([`ServerConfig::codebook_snapshot`],
 //!   [`ServerHandle::save_snapshot`]): the shared codebook cache persists
 //!   to the versioned, checksummed [`seghdc::snapshot`] format and
@@ -84,5 +86,5 @@ pub use protocol::{
 };
 pub use queue::{AdmissionQueue, PushError};
 pub use server::{serve, ServerConfig, ServerHandle};
-pub use shard::{key_hash, HashRing, ShardStats, ShardedQueue};
+pub use shard::{key_hash, ShardStats, ShardedQueue};
 pub use wire::{WireError, WireResult, DEFAULT_MAX_FRAME_BYTES};

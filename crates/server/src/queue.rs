@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -117,32 +117,41 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Grows an already-popped `group` in place with queued jobs for which
-    /// `same_group(&group[0], &candidate)` holds, up to `max_group` total,
-    /// without blocking. Returns how many jobs were added.
+    /// `same_group(&group[0], &candidate)` holds, then waits for pushes
+    /// (every push signals the queue's condvar) until the group holds
+    /// `max_group` jobs, `until` passes or the queue shuts down. Returns
+    /// how many jobs were added; an empty group never grows.
     ///
     /// This is the queue half of the fused-batching window: a worker
-    /// holding a partial group can poll for late-arriving fusible jobs
-    /// before committing the group to one engine batch.
-    pub fn try_extend_group<F>(&self, group: &mut Vec<T>, max_group: usize, same_group: F) -> usize
+    /// holding a partial group collects late-arriving fusible jobs before
+    /// committing the group to one engine batch.
+    pub fn extend_group_until<F>(
+        &self,
+        group: &mut Vec<T>,
+        max_group: usize,
+        until: Instant,
+        same_group: F,
+    ) -> usize
     where
         F: Fn(&T, &T) -> bool,
     {
         if group.is_empty() {
             return 0;
         }
+        let before = group.len();
         let mut state = self.lock();
-        let mut added = 0;
-        let mut index = 0;
-        while group.len() < max_group.max(1) && index < state.jobs.len() {
-            if same_group(&group[0], &state.jobs[index]) {
-                let job = state.jobs.remove(index).expect("index is in bounds");
-                group.push(job);
-                added += 1;
-            } else {
-                index += 1;
+        loop {
+            pull_group(&mut state, group, max_group, &same_group);
+            let now = Instant::now();
+            if group.len() >= max_group || state.shutdown || now >= until {
+                return group.len() - before;
             }
+            state = self
+                .available
+                .wait_timeout(state, until - now)
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .0;
         }
-        added
     }
 
     /// Parks the caller until a job arrives, the queue shuts down, or
@@ -183,14 +192,23 @@ impl<T> AdmissionQueue<T> {
 }
 
 /// The shared group-dequeue step: pop the oldest job, then pull up to
-/// `max_group - 1` same-group jobs past any interlopers, preserving FIFO
-/// order within the group.
+/// `max_group - 1` same-group jobs past any interlopers.
 fn drain_group<T, F>(state: &mut QueueState<T>, max_group: usize, same_group: &F) -> Option<Vec<T>>
 where
     F: Fn(&T, &T) -> bool,
 {
-    let first = state.jobs.pop_front()?;
-    let mut group = vec![first];
+    let mut group = vec![state.jobs.pop_front()?];
+    pull_group(state, &mut group, max_group, same_group);
+    Some(group)
+}
+
+/// Moves queued jobs for which `same_group(&group[0], &candidate)` holds
+/// into the non-empty `group`, up to `max_group` in all, preserving FIFO
+/// order within the group and leaving everything else queued.
+fn pull_group<T, F>(state: &mut QueueState<T>, group: &mut Vec<T>, max_group: usize, same_group: &F)
+where
+    F: Fn(&T, &T) -> bool,
+{
     let mut index = 0;
     while group.len() < max_group.max(1) && index < state.jobs.len() {
         if same_group(&group[0], &state.jobs[index]) {
@@ -200,7 +218,6 @@ where
             index += 1;
         }
     }
-    Some(group)
 }
 
 #[cfg(test)]
@@ -280,7 +297,7 @@ mod tests {
     }
 
     #[test]
-    fn try_extend_group_pulls_matching_jobs_without_blocking() {
+    fn extend_group_until_pulls_matching_jobs_until_its_deadline() {
         let queue = AdmissionQueue::new(8);
         for job in ["x1", "y1", "x2"] {
             queue.try_push(job).unwrap();
@@ -288,16 +305,59 @@ mod tests {
         let same = |a: &&str, b: &&str| a.as_bytes()[0] == b.as_bytes()[0];
         let mut group = queue.pop_group(1, same).unwrap();
         assert_eq!(group, vec!["x1"]);
-        // The window poll pulls the late fusible job past the interloper.
-        assert_eq!(queue.try_extend_group(&mut group, 4, same), 1);
+        // The window pulls the late fusible job past the interloper.
+        let now = Instant::now();
+        assert_eq!(queue.extend_group_until(&mut group, 4, now, same), 1);
         assert_eq!(group, vec!["x1", "x2"]);
-        // Nothing fusible left: no-op, and the interloper stays queued.
-        assert_eq!(queue.try_extend_group(&mut group, 4, same), 0);
+        // Nothing fusible arrives: it returns once `until` passes, and the
+        // interloper stays queued.
+        let until = Instant::now() + Duration::from_millis(10);
+        assert_eq!(queue.extend_group_until(&mut group, 4, until, same), 0);
+        assert!(Instant::now() >= until);
         assert_eq!(queue.pop_group(1, |_, _| false).unwrap(), vec!["y1"]);
         // An empty group never extends.
         let mut empty: Vec<&str> = Vec::new();
         queue.try_push("x9").unwrap();
-        assert_eq!(queue.try_extend_group(&mut empty, 4, same), 0);
+        assert_eq!(queue.extend_group_until(&mut empty, 4, now, same), 0);
+    }
+
+    #[test]
+    fn a_push_wakes_a_holder_before_its_deadline() {
+        let same = |a: &&str, b: &&str| a.as_bytes()[0] == b.as_bytes()[0];
+        let until = Instant::now() + Duration::from_secs(30);
+        let queue = Arc::new(AdmissionQueue::new(8));
+        let hold = |queue: &Arc<AdmissionQueue<&'static str>>, first| {
+            let shared = Arc::clone(queue);
+            let holder = std::thread::spawn(move || {
+                let mut group = vec![first];
+                let added = shared.extend_group_until(&mut group, 3, until, same);
+                (added, group)
+            });
+            // The holder's first pass takes the queued fusible job under
+            // the lock, which it releases only by starting to wait: once
+            // the queue reads empty, the holder is waiting.
+            while !queue.is_empty() {
+                std::thread::yield_now();
+            }
+            holder
+        };
+
+        queue.try_push("x2").unwrap();
+        let holder = hold(&queue, "x1");
+        // An interloper wakes the holder without joining; a fusible job
+        // fills the group.
+        queue.try_push("y1").unwrap();
+        queue.try_push("x3").unwrap();
+        assert_eq!(holder.join().unwrap(), (2, vec!["x1", "x2", "x3"]));
+        assert!(Instant::now() < until);
+        assert_eq!(queue.pop_group(1, |_, _| false).unwrap(), vec!["y1"]);
+
+        // Shutdown also ends the hold early.
+        queue.try_push("x5").unwrap();
+        let holder = hold(&queue, "x4");
+        queue.shutdown();
+        assert_eq!(holder.join().unwrap(), (1, vec!["x4", "x5"]));
+        assert!(Instant::now() < until);
     }
 
     #[test]

@@ -18,46 +18,48 @@
 //!   and arena pools recover from the poisoned locks (see the
 //!   `seghdc::cache` and `seghdc::engine` panic-safety tests), so the next
 //!   request on the same engine is served normally.
-//! * **Cache-aware scheduling, twice over.** Admission consistently
-//!   hashes each request's [`CodebookKey`] to a home shard, so same-shape
-//!   traffic keeps landing on the worker whose cache path is warm; on top
-//!   of that, workers dequeue *groups* of same-key requests, so a burst
-//!   pays one codebook build and then hits the shared cache. Cold or
-//!   overflowing shards spill at admission and are stolen from at
-//!   dispatch, so pinning never strands capacity.
-//! * **Fused batch execution.** A dequeued group whose requests share a
-//!   codebook key, engine configuration, execution mode, and image shape
-//!   runs as **one** [`SegmentRequest::batch`] — one codebook lookup, one
-//!   arena-pooled plan, the engine's parallel cluster path — and the
-//!   per-image label maps are scattered back to each originating
-//!   connection in order. Byte-identical pixel payloads inside a group
-//!   coalesce onto a single batch image. Expired deadlines are pruned
-//!   *before* fusion (each pruned request still gets its
-//!   `DeadlineExceeded` frame), and a failed batch falls back to
-//!   per-request execution. Knobs: [`ServerConfig::max_group`] (`1`
-//!   runs every request on its own) and [`ServerConfig::fuse_window`].
+//! * **Cache-aware scheduling, twice over.** Admission hashes each
+//!   request's [`CodebookKey`] to a home shard, so same-shape traffic keeps
+//!   landing on the worker whose cache path is warm; on top of that,
+//!   workers dequeue *groups* of same-key requests, so a burst pays one
+//!   codebook build and then hits the shared cache. Overflowing shards
+//!   spill at admission and are stolen from at dispatch, so pinning never
+//!   strands capacity.
+//! * **One execution path.** Every dequeued group — one request, or
+//!   several whose codebook key, engine configuration, execution mode and
+//!   image shape agree — runs as **one** [`SegmentRequest::batch`]
+//!   through `SegEngine::run_observed`: one codebook lookup, one
+//!   arena-pooled plan, the engine's parallel cluster path. The per-image
+//!   label maps are scattered back to each originating connection, and
+//!   byte-identical pixel payloads inside a group coalesce onto a single
+//!   batch image. Expired deadlines are pruned *before* the run (each
+//!   pruned request still gets its `DeadlineExceeded` frame), and a failed
+//!   fused batch re-runs each image alone. Knobs:
+//!   [`ServerConfig::max_group`] (`1` runs every request on its own) and
+//!   [`ServerConfig::fuse_window`] (a partial group waits on its shard's
+//!   condvar for late fusible arrivals).
 //! * **Warm starts.** [`ServerConfig::codebook_snapshot`] names a
 //!   [`seghdc::snapshot`]-format file to preload the codebook cache from
 //!   before the listener accepts, and [`ServerHandle::save_snapshot`]
 //!   writes one back; a warm-started server serves its first same-shape
 //!   request with zero cache misses.
 //! * **Streaming progress and mid-run cancellation.** A request that
-//!   opts in ([`WireSegmentRequest::with_progress`]) receives a
-//!   `FRAME_PROGRESS` frame per completed tile row of a tiled run before
-//!   its final response; requests that never opt in keep the strict
-//!   one-frame-per-request contract. Every job carries a
-//!   [`CancelToken`]: the worker arms it from the job's deadline before
-//!   running (an over-budget tiled run aborts at the next tile boundary
-//!   instead of finishing work nobody will read), and the connection
-//!   thread fires it when the safety net abandons the job. Aborted runs
-//!   answer `DeadlineExceeded` and count in the `cancelled_mid_run`
-//!   server stat.
+//!   opts in ([`WireSegmentRequest::with_progress`]) runs alone and
+//!   receives a `FRAME_PROGRESS` frame per completed tile row of a tiled
+//!   run before its final response; requests that never opt in keep the
+//!   strict one-frame-per-request contract. Every run carries a
+//!   [`CancelToken`] armed at the latest deadline in its group, so an
+//!   over-budget tiled run aborts at the next tile boundary once no member
+//!   can still use its answer. A lone job runs under its own token, which
+//!   its connection thread also fires when the safety net abandons the
+//!   job; a fused batch that fails re-runs each image under its member's
+//!   own token. Aborted runs answer `DeadlineExceeded` and count each
+//!   member in the `cancelled_mid_run` server stat.
 //! * **Observable from outside.** A `STATS` frame returns uptime,
 //!   per-connection and server-wide request/latency counters, cache
 //!   counters, and per-shard routing counters (see
 //!   [`crate::protocol::WireStatsResponse`]).
 
-use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -105,10 +107,11 @@ pub struct ServerConfig {
     /// the largest fused engine batch. `1` turns fusion off: every group
     /// holds one request, which runs on its own with no fuse-window hold.
     pub max_group: usize,
-    /// How long a worker holding a partial group polls its own shard for
-    /// late-arriving fusible jobs before executing the batch. Zero (the
-    /// default) disables the wait entirely: a group is whatever one
-    /// dequeue found, and no request ever idles on the window.
+    /// How long a worker holding a partial group waits on its own shard
+    /// for late-arriving fusible jobs before executing the batch (never
+    /// past the group's earliest deadline). Zero (the default) disables
+    /// the wait entirely: a group is whatever one dequeue found, and no
+    /// request ever idles on the window.
     pub fuse_window: Duration,
     /// Most distinct engine configurations kept resident; the least
     /// recently used engine is dropped beyond this (its codebooks stay in
@@ -182,39 +185,6 @@ impl Job {
     }
 }
 
-/// Hashable identity of an engine configuration (bit-compares `alpha`,
-/// like [`CodebookKey`] does).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct EngineKey {
-    seed: u64,
-    dimension: usize,
-    alpha_bits: u64,
-    beta: usize,
-    gamma: usize,
-    clusters: usize,
-    iterations: usize,
-    position_encoding: seghdc::PositionEncoding,
-    color_encoding: seghdc::ColorEncoding,
-    distance_metric: seghdc::DistanceMetric,
-}
-
-impl EngineKey {
-    fn of(config: &SegHdcConfig) -> Self {
-        Self {
-            seed: config.seed,
-            dimension: config.dimension,
-            alpha_bits: config.alpha.to_bits(),
-            beta: config.beta,
-            gamma: config.gamma,
-            clusters: config.clusters,
-            iterations: config.iterations,
-            position_encoding: config.position_encoding,
-            color_encoding: config.color_encoding,
-            distance_metric: config.distance_metric,
-        }
-    }
-}
-
 /// Engines keyed by configuration, all sharing one codebook cache.
 struct EngineFleet {
     engines: Mutex<Engines>,
@@ -222,10 +192,11 @@ struct EngineFleet {
     max_engines: usize,
 }
 
-/// The resident engines, each with the tick of its last use.
+/// The resident engines (at most `max_engines`), each with the tick of its
+/// last use.
 #[derive(Default)]
 struct Engines {
-    by_key: HashMap<EngineKey, (Arc<SegEngine>, u64)>,
+    resident: Vec<(Arc<SegEngine>, u64)>,
     tick: u64,
 }
 
@@ -238,17 +209,21 @@ impl EngineFleet {
         }
     }
 
-    /// The engine for `config`, building (and validating) it on first use.
-    /// A full fleet drops its least recently used engine.
+    /// The engine whose configuration equals `config` (the same `==`
+    /// [`fusible`] applies), building and validating it on first use. A
+    /// full fleet drops its least recently used engine.
     fn engine_for(&self, config: &SegHdcConfig) -> Result<Arc<SegEngine>, SegHdcError> {
-        let key = EngineKey::of(config);
         let mut engines = self
             .engines
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         engines.tick += 1;
         let tick = engines.tick;
-        if let Some((engine, last_used)) = engines.by_key.get_mut(&key) {
+        if let Some((engine, last_used)) = engines
+            .resident
+            .iter_mut()
+            .find(|(engine, _)| engine.config() == config)
+        {
             *last_used = tick;
             return Ok(Arc::clone(engine));
         }
@@ -257,17 +232,18 @@ impl EngineFleet {
                 .cache(Arc::clone(&self.cache))
                 .build()?,
         );
-        if engines.by_key.len() >= self.max_engines {
+        if engines.resident.len() >= self.max_engines {
             let victim = engines
-                .by_key
+                .resident
                 .iter()
+                .enumerate()
                 .min_by_key(|(_, (_, last_used))| *last_used)
-                .map(|(key, _)| key.clone());
+                .map(|(index, _)| index);
             if let Some(victim) = victim {
-                engines.by_key.remove(&victim);
+                engines.resident.swap_remove(victim);
             }
         }
-        engines.by_key.insert(key, (Arc::clone(&engine), tick));
+        engines.resident.push((Arc::clone(&engine), tick));
         Ok(engine)
     }
 
@@ -695,8 +671,7 @@ fn admit_and_wait(
 /// alone is not enough — it ignores `clusters`, `iterations`, and the
 /// distance metric, all of which change the label maps, so a batch mixing
 /// them would silently serve wrong results. A progress-opted job runs
-/// alone through [`execute`], the path that streams its progress frames
-/// and polls its deadline-armed cancel token between tiles.
+/// alone: only a lone job's run streams progress frames.
 fn fusible(a: &Job, b: &Job) -> bool {
     !a.request.progress
         && !b.request.progress
@@ -717,14 +692,9 @@ fn worker_loop(worker: usize, shared: &ServerShared) {
     while let Some(mut group) = shared.queue.pop_group_for(worker, max_group, fusible) {
         if !window.is_zero() && group.len() < max_group {
             let until = fuse_hold_until(Instant::now(), window, &group);
-            while group.len() < max_group && Instant::now() < until {
-                let added = shared
-                    .queue
-                    .try_extend_group_for(worker, &mut group, max_group, fusible);
-                if added == 0 {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
+            shared
+                .queue
+                .extend_group_for(worker, &mut group, max_group, until, fusible);
         }
         // serve_group re-prunes against *now*, so anything that expired
         // during the hold still gets its DeadlineExceeded frame promptly.
@@ -748,20 +718,11 @@ fn fuse_hold_until(now: Instant, window: Duration, group: &[Job]) -> Instant {
 }
 
 /// Serves one dequeued group: prune expired deadlines first (each pruned
-/// job still gets its `DeadlineExceeded` frame), then run the survivors —
-/// as one fused engine batch when more than one job is left, per-request
-/// otherwise.
+/// job still gets its `DeadlineExceeded` frame), then run the survivors.
 fn serve_group(group: Vec<Job>, shared: &ServerShared) {
     let live = prune_expired(group, Instant::now());
-    if live.is_empty() {
-        return;
-    }
-    if live.len() > 1 {
-        execute_fused(live, &shared.fleet, &shared.metrics);
-    } else {
-        for job in live {
-            execute(job, &shared.fleet, &shared.metrics);
-        }
+    if !live.is_empty() {
+        execute(live, &shared.fleet, &shared.metrics);
     }
 }
 
@@ -801,29 +762,37 @@ fn resolve_mode(mode: RequestMode) -> Result<ExecutionMode, String> {
     }
 }
 
-/// One request of a fused batch: which batch image answers it, and how to
-/// reach its connection.
-struct Waiter {
+/// One job of a group once its pixels have moved into a batch image.
+struct Member {
+    /// Which batch image answers this job.
     image: usize,
+    deadline: Instant,
     queue_wait_us: u64,
+    /// The request id stamped on progress frames, when the request opted
+    /// in.
+    progress: Option<u64>,
+    /// The job's own token (see [`Job::cancel`]).
+    cancel: CancelToken,
     events: mpsc::Sender<JobEvent>,
+    #[cfg(test)]
+    hold: Option<Arc<tests::Hold>>,
 }
 
-impl Waiter {
+impl Member {
     /// Sends the final response (see [`Job::answer`]).
     fn answer(&self, response: WireSegmentResponse) {
         let _ = self.events.send(JobEvent::Done(response));
     }
 }
 
-/// Runs a fused group as **one** engine batch: one codebook lookup, one
-/// arena-pooled plan, the engine's parallel cluster path. Requests whose
+/// Runs one dequeued group, one job or several fusible ones, as one engine
+/// batch through [`run_batch`]. Consumes the jobs, so each pixel buffer
+/// moves (not clones) into its image. Requests of a fused group whose
 /// pixel payloads are byte-identical coalesce onto a single batch image
 /// and fan out from its label map — the engine is deterministic, so the
-/// labels match a dedicated run exactly. A batch error or panic falls
-/// back to per-image execution so one poisoned request cannot take its
-/// groupmates down with it.
-fn execute_fused(group: Vec<Job>, fleet: &EngineFleet, metrics: &ServerMetrics) {
+/// labels match a dedicated run exactly. A request that fails to assemble
+/// answers `Invalid` alone.
+fn execute(group: Vec<Job>, fleet: &EngineFleet, metrics: &ServerMetrics) {
     let first = &group[0];
     let engine = match fleet.engine_for(&first.request.config) {
         Ok(engine) => engine,
@@ -834,38 +803,33 @@ fn execute_fused(group: Vec<Job>, fleet: &EngineFleet, metrics: &ServerMetrics) 
         Err(message) => return fail_group(group, &message),
     };
 
+    let lone = group.len() == 1;
     let mut images: Vec<DynamicImage> = Vec::with_capacity(group.len());
-    let mut digests: Vec<u64> = Vec::with_capacity(group.len());
-    let mut waiters: Vec<Waiter> = Vec::with_capacity(group.len());
-    let mut coalesced = 0u64;
+    let mut digests: Vec<u64> = Vec::new();
+    let mut members: Vec<Member> = Vec::with_capacity(group.len());
     for job in group {
-        let Job {
-            request,
-            enqueued,
-            events,
-            ..
-        } = job;
-        let queue_wait_us = enqueued.elapsed().as_micros() as u64;
+        let queue_wait_us = job.enqueued.elapsed().as_micros() as u64;
+        let progress = job.request.progress.then_some(job.id);
         // Digest prefilter, then a full byte compare: a colliding digest
-        // only costs a missed coalesce, never a wrong answer.
-        let digest = checksum(&[&request.pixels]);
-        let duplicate = digests
-            .iter()
-            .position(|&d| d == digest)
-            .filter(|&i| image_pixels(&images[i]) == request.pixels.as_slice());
+        // only costs a missed coalesce, never a wrong answer. A lone job
+        // has nothing to coalesce with, so it computes no digest.
+        let digest = (!lone).then(|| checksum(&[&job.request.pixels]));
+        let duplicate = digest.and_then(|digest| {
+            digests
+                .iter()
+                .position(|&d| d == digest)
+                .filter(|&i| image_pixels(&images[i]) == job.request.pixels.as_slice())
+        });
         let image = match duplicate {
-            Some(index) => {
-                coalesced += 1;
-                index
-            }
-            None => match request.into_dynamic_image() {
+            Some(index) => index,
+            None => match job.request.into_dynamic_image() {
                 Ok(image) => {
                     images.push(image);
-                    digests.push(digest);
+                    digests.extend(digest);
                     images.len() - 1
                 }
                 Err(err) => {
-                    let _ = events.send(JobEvent::Done(WireSegmentResponse::error(
+                    let _ = job.events.send(JobEvent::Done(WireSegmentResponse::error(
                         WireStatus::Invalid,
                         err.to_string(),
                         queue_wait_us,
@@ -874,52 +838,135 @@ fn execute_fused(group: Vec<Job>, fleet: &EngineFleet, metrics: &ServerMetrics) 
                 }
             },
         };
-        waiters.push(Waiter {
+        members.push(Member {
             image,
+            deadline: job.deadline,
             queue_wait_us,
-            events,
+            progress,
+            cancel: job.cancel,
+            events: job.events,
+            #[cfg(test)]
+            hold: job.hold,
         });
     }
-    if waiters.is_empty() {
-        return;
+    if !members.is_empty() {
+        run_batch(&engine, mode, &images, members, metrics);
     }
+}
 
+/// The one engine run every group takes: `images` as one
+/// [`SegmentRequest::batch`], every member answered from its image's label
+/// map, panics caught.
+///
+/// The run's token fires at the latest member deadline, so a batch stops
+/// only once no member can still use its answer. A lone member runs under
+/// its own token, which its connection also fires when it gives up, and
+/// streams its progress frames if it opted in; a fused batch gets a fresh
+/// token. A cancelled run answers every member `DeadlineExceeded` and
+/// counts each in `cancelled_mid_run`. A fused batch that errors or
+/// panics re-runs each image alone through this function, under that
+/// member's own token, so only the poisoned request answers with an error.
+fn run_batch(
+    engine: &SegEngine,
+    mode: ExecutionMode,
+    images: &[DynamicImage],
+    members: Vec<Member>,
+    metrics: &ServerMetrics,
+) {
+    #[cfg(test)]
+    let hold = members[0].hold.clone();
+    #[cfg(test)]
+    if let Some(hold) = &hold {
+        hold.pass(tests::HoldSite::JobStart);
+    }
+    let fused = members.len() > 1;
+    let (cancel, progress) = match members.as_slice() {
+        [lone] => (
+            lone.cancel.clone(),
+            lone.progress.map(|id| (id, lone.events.clone())),
+        ),
+        _ => (CancelToken::new(), None),
+    };
+    if let Some(latest) = members.iter().map(|member| member.deadline).max() {
+        cancel.cancel_at(latest);
+    }
     let started = Instant::now();
+    let mut observer = RunObserver::new().cancel_token(cancel);
+    if progress.is_some() || cfg!(test) {
+        observer = observer.on_progress(move |update| {
+            #[cfg(test)]
+            if let Some(hold) = &hold {
+                hold.pass(tests::HoldSite::TileRow);
+            }
+            if let Some((id, events)) = &progress {
+                let _ = events.send(JobEvent::Progress(WireProgress {
+                    request_id: *id,
+                    rows_done: update.rows_done as u32,
+                    rows_total: update.rows_total as u32,
+                    elapsed_us: started.elapsed().as_micros() as u64,
+                }));
+            }
+        });
+    }
     // The engine's shared state (codebook cache, arena pool) recovers from
     // poisoned locks by design, so resuming after a caught panic is sound.
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        engine.run(&SegmentRequest::batch(&images).mode(mode))
+        engine.run_observed(&SegmentRequest::batch(images).mode(mode), &observer)
     }));
     let service_us = started.elapsed().as_micros() as u64;
     match outcome {
         Ok(Ok(report)) => {
-            metrics.record_fused(waiters.len() as u64, coalesced);
+            if fused {
+                // Members beyond the images were answered from another
+                // member's image.
+                let coalesced = members.len() - images.len();
+                metrics.record_fused(members.len() as u64, coalesced as u64);
+            }
             let telemetry = engine.telemetry();
-            for waiter in waiters {
+            for member in members {
                 // The batch ran as one unit, so each request is billed the
                 // full batch wall time.
-                waiter.answer(labels_response(
-                    &report.outputs[waiter.image],
+                member.answer(labels_response(
+                    &report.outputs[member.image],
                     &telemetry,
-                    waiter.queue_wait_us,
+                    member.queue_wait_us,
                     service_us,
                 ));
             }
         }
-        // The batch failed as a unit; retry each image alone so only the
-        // poisoned request answers with an error.
+        Ok(Err(err)) if !fused || matches!(err, SegHdcError::Cancelled) => {
+            for member in members {
+                if matches!(err, SegHdcError::Cancelled) {
+                    metrics.record_cancelled_mid_run();
+                }
+                member.answer(engine_error_response(
+                    &err,
+                    member.queue_wait_us,
+                    service_us,
+                ));
+            }
+        }
+        Err(panic) if !fused => {
+            let message = panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "worker panicked".to_string());
+            let mut response = WireSegmentResponse::error(
+                WireStatus::Internal,
+                format!("execution panicked: {message}"),
+                members[0].queue_wait_us,
+            );
+            response.service_us = service_us;
+            members[0].answer(response);
+        }
+        // The fused batch failed as a unit.
         Ok(Err(_)) | Err(_) => {
             metrics.record_fusion_fallback();
-            for waiter in waiters {
-                let response = run_image(
-                    &engine,
-                    &images[waiter.image],
-                    mode,
-                    waiter.queue_wait_us,
-                    &RunObserver::new(),
-                    metrics,
-                );
-                waiter.answer(response);
+            for mut member in members {
+                let image = std::slice::from_ref(&images[member.image]);
+                member.image = 0;
+                run_batch(engine, mode, image, vec![member], metrics);
             }
         }
     }
@@ -943,122 +990,6 @@ fn image_pixels(image: &DynamicImage) -> &[u8] {
     match image {
         DynamicImage::Gray(img) => img.as_raw(),
         DynamicImage::Rgb(img) => img.as_raw(),
-    }
-}
-
-/// Runs one job on its engine and answers it, catching panics. Consumes
-/// the job so the pixel buffer moves (not clones) into the image. The
-/// job's cancel token is armed from its deadline before the run, so an
-/// over-budget tiled execution aborts at the next tile boundary; when the
-/// request opted in, each completed tile row streams back as a progress
-/// event.
-fn execute(job: Job, fleet: &EngineFleet, metrics: &ServerMetrics) {
-    #[cfg(test)]
-    let hold = job.hold.clone();
-    #[cfg(test)]
-    if let Some(hold) = &hold {
-        hold.pass(tests::HoldSite::JobStart);
-    }
-    let Job {
-        request,
-        deadline,
-        enqueued,
-        id,
-        events,
-        cancel,
-        ..
-    } = job;
-    let queue_wait_us = enqueued.elapsed().as_micros() as u64;
-    let fail = |message: String| {
-        let _ = events.send(JobEvent::Done(WireSegmentResponse::error(
-            WireStatus::Invalid,
-            message,
-            queue_wait_us,
-        )));
-    };
-    let engine = match fleet.engine_for(&request.config) {
-        Ok(engine) => engine,
-        Err(err) => return fail(err.to_string()),
-    };
-    let mode = match resolve_mode(request.mode) {
-        Ok(mode) => mode,
-        Err(message) => return fail(message),
-    };
-    let wants_progress = request.progress;
-    let image = match request.into_dynamic_image() {
-        Ok(image) => image,
-        Err(err) => return fail(err.to_string()),
-    };
-    cancel.cancel_at(deadline);
-    let started = Instant::now();
-    let progress_events = wants_progress.then(|| events.clone());
-    let mut observer = RunObserver::new().cancel_token(cancel);
-    if wants_progress || cfg!(test) {
-        observer = observer.on_progress(move |update| {
-            #[cfg(test)]
-            if let Some(hold) = &hold {
-                hold.pass(tests::HoldSite::TileRow);
-            }
-            if let Some(events) = &progress_events {
-                let _ = events.send(JobEvent::Progress(WireProgress {
-                    request_id: id,
-                    rows_done: update.rows_done as u32,
-                    rows_total: update.rows_total as u32,
-                    elapsed_us: started.elapsed().as_micros() as u64,
-                }));
-            }
-        });
-    }
-    let response = run_image(&engine, &image, mode, queue_wait_us, &observer, metrics);
-    let _ = events.send(JobEvent::Done(response));
-}
-
-/// Runs one already-assembled image on an already-resolved engine and
-/// mode under `observer`, catching panics. A run aborted by the
-/// observer's cancel token counts in `cancelled_mid_run` and answers
-/// `DeadlineExceeded`.
-fn run_image(
-    engine: &SegEngine,
-    image: &DynamicImage,
-    mode: ExecutionMode,
-    queue_wait_us: u64,
-    observer: &RunObserver<'_>,
-    metrics: &ServerMetrics,
-) -> WireSegmentResponse {
-    let started = Instant::now();
-    // The engine's shared state (codebook cache, arena pool) recovers from
-    // poisoned locks by design, so resuming after a caught panic is sound.
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        engine.run_observed(&SegmentRequest::image(image).mode(mode), observer)
-    }));
-    let service_us = started.elapsed().as_micros() as u64;
-    match outcome {
-        Ok(Ok(report)) => labels_response(
-            report.single(),
-            &engine.telemetry(),
-            queue_wait_us,
-            service_us,
-        ),
-        Ok(Err(err)) => {
-            if matches!(err, SegHdcError::Cancelled) {
-                metrics.record_cancelled_mid_run();
-            }
-            engine_error_response(&err, queue_wait_us, service_us)
-        }
-        Err(panic) => {
-            let message = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked".to_string());
-            let mut response = WireSegmentResponse::error(
-                WireStatus::Internal,
-                format!("execution panicked: {message}"),
-                queue_wait_us,
-            );
-            response.service_us = service_us;
-            response
-        }
     }
 }
 
@@ -1302,7 +1233,7 @@ mod tests {
         let (job_a, rx_a) = job_for(&config, &image_a, far);
         let (job_b, rx_b) = job_for(&config, &image_b, far);
         let (job_dup, rx_dup) = job_for(&config, &image_a, far);
-        execute_fused(vec![job_a, job_b, job_dup], &fleet, &metrics);
+        execute(vec![job_a, job_b, job_dup], &fleet, &metrics);
 
         let direct = |image: &DynamicImage| {
             let engine = fleet.engine_for(&config).unwrap();
@@ -1342,7 +1273,7 @@ mod tests {
         let (mut bad, bad_rx) = job_for(&config, &test_image(8, 1), far);
         // Unassemblable: the shape no longer matches the pixel buffer.
         bad.request.width = 0;
-        execute_fused(vec![good, bad], &fleet, &metrics);
+        execute(vec![good, bad], &fleet, &metrics);
         assert_eq!(final_response(&bad_rx).status(), WireStatus::Invalid);
         assert_eq!(final_response(&good_rx).status(), WireStatus::Ok);
     }
@@ -1451,10 +1382,37 @@ mod tests {
         // The connection side gave up on this job before a worker got to
         // it (deadline safety net fired).
         job.cancel.cancel();
-        execute(job, &fleet, &metrics);
+        execute(vec![job], &fleet, &metrics);
         let response = final_response(&rx);
         assert_eq!(response.status(), WireStatus::DeadlineExceeded);
         assert_eq!(metrics.snapshot().cancelled_mid_run, 1);
+    }
+
+    #[test]
+    fn an_over_deadline_fused_group_is_cancelled_and_every_member_counted() {
+        let config = test_config(15);
+        let fleet = EngineFleet::new(16 << 20, 4);
+        let metrics = ServerMetrics::new();
+        let past = Instant::now();
+        let (job_a, rx_a) = job_for(&config, &test_image(8, 0), past);
+        let (job_b, rx_b) = job_for(&config, &test_image(8, 1), past);
+        execute(vec![job_a, job_b], &fleet, &metrics);
+        for rx in [rx_a, rx_b] {
+            assert_eq!(final_response(&rx).status(), WireStatus::DeadlineExceeded);
+        }
+        let snap = metrics.snapshot();
+        assert_eq!(snap.cancelled_mid_run, 2);
+        assert_eq!(snap.fusion_fallbacks, 0);
+
+        // The batch stops only once no member can use its answer: one
+        // live member keeps it running, and both members are answered.
+        let far = Instant::now() + Duration::from_secs(60);
+        let (expired, expired_rx) = job_for(&config, &test_image(8, 0), past);
+        let (live, live_rx) = job_for(&config, &test_image(8, 1), far);
+        execute(vec![expired, live], &fleet, &metrics);
+        for rx in [expired_rx, live_rx] {
+            assert_eq!(final_response(&rx).status(), WireStatus::Ok);
+        }
     }
 
     // Loopback tests that need the single worker occupied while other

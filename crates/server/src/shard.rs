@@ -1,4 +1,4 @@
-//! Sharded admission: per-worker queues, consistent hashing, work stealing.
+//! Sharded admission: per-worker queues, hash routing, work stealing.
 //!
 //! The single global [`AdmissionQueue`] gave every worker an equal shot at
 //! every job, so a burst of same-[`CodebookKey`]
@@ -7,10 +7,12 @@
 //! same-shape traffic to one worker instead:
 //!
 //! * **Routing.** Every job carries a deterministic FNV-1a hash of its
-//!   codebook key ([`key_hash`]); a [`HashRing`] of virtual nodes maps the
-//!   hash to a *home shard*. Same key → same shard, every time, on every
-//!   platform (no `RandomState`, no per-process seeds), so the worker that
-//!   built a codebook is the worker that keeps serving it.
+//!   codebook key ([`key_hash`]), and the hash picks a *home shard*
+//!   ([`ShardedQueue::home_shard`]). The shard count is fixed for the life
+//!   of the process, so a direct map is as stable as a consistent-hash
+//!   ring: same key → same shard, every time, on every platform (no
+//!   `RandomState`, no per-process seeds), so the worker that built a
+//!   codebook is the worker that keeps serving it.
 //! * **Spill.** A full home shard does not mean the server is full: the
 //!   job spills to the least-loaded other shard, and only when *every*
 //!   shard is at capacity does admission answer `Busy`. With one shard the
@@ -18,6 +20,9 @@
 //! * **Stealing.** A worker whose own shard is empty steals a group from
 //!   the deepest other shard, so a skewed key distribution cannot idle
 //!   half the pool while one shard backs up.
+//! * **Fuse window.** A worker holding a partial group waits on its own
+//!   shard's condvar, which every push signals, for late fusible jobs
+//!   ([`ShardedQueue::extend_group_for`]).
 //!
 //! Each shard keeps four monotone counters — `routed`, `spilled`,
 //! `stolen`, `served` — surfaced through the `STATS` frame so routing
@@ -25,86 +30,32 @@
 //! same-key burst routes to exactly one shard).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use seghdc::CodebookKey;
 
 use crate::queue::{AdmissionQueue, PushError};
-
-/// FNV-1a 64 offset basis (shared with the frame and snapshot checksums).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64 prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
+use crate::wire::checksum;
 
 /// A deterministic, platform-stable hash of a codebook key.
 ///
 /// `std`'s `Hash` + `RandomState` is seeded per process, which would move
 /// every key to a different shard on every restart — exactly what a
-/// warm-started cache cannot afford. FNV-1a over the key's canonical
-/// little-endian field encoding gives the same shard assignment on every
-/// run and every platform.
+/// warm-started cache cannot afford. FNV-1a ([`checksum`], the frame
+/// checksum) over the key's canonical little-endian field encoding gives
+/// the same shard assignment on every run and every platform.
 pub fn key_hash(key: &CodebookKey) -> u64 {
-    let mut hash = FNV_OFFSET;
-    hash = fnv_bytes(hash, &key.seed.to_le_bytes());
-    hash = fnv_bytes(hash, &(key.dimension as u64).to_le_bytes());
-    hash = fnv_bytes(hash, &(key.width as u64).to_le_bytes());
-    hash = fnv_bytes(hash, &(key.height as u64).to_le_bytes());
-    hash = fnv_bytes(hash, &(key.channels as u64).to_le_bytes());
-    hash = fnv_bytes(hash, &key.alpha_bits.to_le_bytes());
-    hash = fnv_bytes(hash, &(key.beta as u64).to_le_bytes());
-    hash = fnv_bytes(hash, &(key.gamma as u64).to_le_bytes());
-    hash = fnv_bytes(
-        hash,
+    checksum(&[
+        &key.seed.to_le_bytes(),
+        &(key.dimension as u64).to_le_bytes(),
+        &(key.width as u64).to_le_bytes(),
+        &(key.height as u64).to_le_bytes(),
+        &(key.channels as u64).to_le_bytes(),
+        &key.alpha_bits.to_le_bytes(),
+        &(key.beta as u64).to_le_bytes(),
+        &(key.gamma as u64).to_le_bytes(),
         &[key.position_encoding as u8, key.color_encoding as u8],
-    );
-    hash
-}
-
-/// Virtual nodes placed on the ring per shard. Enough to spread keys
-/// evenly across small shard counts; cheap to binary-search.
-const VIRTUAL_NODES: usize = 32;
-
-/// A consistent-hash ring over `shards` shards.
-///
-/// Each shard owns `VIRTUAL_NODES` (32) deterministic points on a `u64`
-/// ring; a key hashes to the first point at or after it (wrapping). The
-/// assignment depends only on the shard count, so a fleet scheduler can
-/// predict where a key lands from the server config alone.
-#[derive(Debug)]
-pub struct HashRing {
-    points: Vec<(u64, usize)>,
-}
-
-impl HashRing {
-    /// A ring over `shards` shards (at least one).
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        let mut points = Vec::with_capacity(shards * VIRTUAL_NODES);
-        for shard in 0..shards {
-            for vnode in 0..VIRTUAL_NODES {
-                let mut hash = FNV_OFFSET;
-                hash = fnv_bytes(hash, &(shard as u64).to_le_bytes());
-                hash = fnv_bytes(hash, &(vnode as u64).to_le_bytes());
-                points.push((hash, shard));
-            }
-        }
-        points.sort_unstable();
-        Self { points }
-    }
-
-    /// The shard owning `hash`.
-    pub fn shard_for(&self, hash: u64) -> usize {
-        let index = self.points.partition_point(|&(point, _)| point < hash);
-        self.points[index % self.points.len()].1
-    }
+    ])
 }
 
 /// A point-in-time snapshot of one shard's counters.
@@ -130,10 +81,9 @@ struct Shard<T> {
     served: AtomicU64,
 }
 
-/// Per-worker admission queues behind one consistent-hash front door.
+/// Per-worker admission queues behind one hash-routed front door.
 pub struct ShardedQueue<T> {
     shards: Vec<Shard<T>>,
-    ring: HashRing,
 }
 
 impl<T> ShardedQueue<T> {
@@ -150,7 +100,6 @@ impl<T> ShardedQueue<T> {
                     served: AtomicU64::new(0),
                 })
                 .collect(),
-            ring: HashRing::new(shards),
         }
     }
 
@@ -159,9 +108,14 @@ impl<T> ShardedQueue<T> {
         self.shards.len()
     }
 
-    /// The home shard for a key hash (exposed for tests and telemetry).
+    /// The home shard for a key hash (exposed for tests and telemetry):
+    /// the hash scaled onto the shard range by its high bits,
+    /// `hash · shards / 2⁶⁴`. Not `hash % shards`: FNV-1a's low `k` bits
+    /// depend only on the low `k` bits of each input byte, so with 2 or 4
+    /// shards every shape whose dimensions share their low bits would
+    /// home on one shard.
     pub fn home_shard(&self, hash: u64) -> usize {
-        self.ring.shard_for(hash)
+        ((u128::from(hash) * self.shards.len() as u128) >> 64) as usize
     }
 
     /// Admits a job to its home shard, spilling to the least-loaded other
@@ -173,7 +127,7 @@ impl<T> ShardedQueue<T> {
     /// [`PushError::ShutDown`] after [`shutdown`](Self::shutdown). Both
     /// hand the job back.
     pub fn try_push(&self, job: T, hash: u64) -> Result<usize, PushError<T>> {
-        let home = self.ring.shard_for(hash);
+        let home = self.home_shard(hash);
         let mut job = match self.shards[home].queue.try_push(job) {
             Ok(()) => {
                 self.shards[home].routed.fetch_add(1, Ordering::Relaxed);
@@ -243,16 +197,20 @@ impl<T> ShardedQueue<T> {
     }
 
     /// Grows an already-popped `group` with fusible jobs from the worker's
-    /// **own** shard, without blocking. Returns how many jobs were added.
+    /// **own** shard, waiting on it until the group holds `max_group` jobs,
+    /// `until` passes or the queue shuts down (see
+    /// [`AdmissionQueue::extend_group_until`]). Returns how many jobs were
+    /// added.
     ///
-    /// Only the home shard is polled: consistent hashing routes same-key
-    /// traffic there, so that is where a late fusible job will land; raiding
-    /// other shards from inside a batching window would race their owners.
-    pub fn try_extend_group_for<F>(
+    /// Only the home shard is searched: routing sends same-key traffic
+    /// there, so that is where a late fusible job will land; raiding other
+    /// shards from inside a batching window would race their owners.
+    pub fn extend_group_for<F>(
         &self,
         worker: usize,
         group: &mut Vec<T>,
         max_group: usize,
+        until: Instant,
         same_group: F,
     ) -> usize
     where
@@ -261,7 +219,7 @@ impl<T> ShardedQueue<T> {
         let own = worker % self.shards.len();
         let added = self.shards[own]
             .queue
-            .try_extend_group(group, max_group, same_group);
+            .extend_group_until(group, max_group, until, same_group);
         if added > 0 {
             self.shards[own]
                 .served
@@ -320,15 +278,24 @@ mod tests {
     }
 
     #[test]
-    fn the_ring_spreads_keys_across_shards() {
-        let ring = HashRing::new(4);
+    fn home_shards_spread_keys_across_shards() {
+        let queue = ShardedQueue::<u32>::new(4, 1);
         let mut hit = [0usize; 4];
         for seed in 0..64 {
-            hit[ring.shard_for(key_hash(&sample_key(seed, 32)))] += 1;
+            hit[queue.home_shard(key_hash(&sample_key(seed, 32)))] += 1;
         }
         // Every shard owns some keys; no shard owns almost all of them.
         assert!(hit.iter().all(|&count| count > 0), "ownership: {hit:?}");
         assert!(hit.iter().all(|&count| count < 48), "ownership: {hit:?}");
+
+        // Shapes of one configuration spread too, although their edges
+        // share their low bits.
+        let queue = ShardedQueue::<u32>::new(2, 1);
+        let mut hit = [0usize; 2];
+        for edge in [16, 24, 32, 48, 64, 96, 128, 256] {
+            hit[queue.home_shard(key_hash(&sample_key(1, edge)))] += 1;
+        }
+        assert!(hit.iter().all(|&count| count > 0), "ownership: {hit:?}");
     }
 
     #[test]
@@ -381,8 +348,9 @@ mod tests {
         assert_eq!(group, vec![10]);
         // A late same-key arrival on the home shard joins the group...
         queue.try_push(11, hash).unwrap();
+        let now = Instant::now();
         assert_eq!(
-            queue.try_extend_group_for(home, &mut group, 4, |_, _| true),
+            queue.extend_group_for(home, &mut group, 4, now, |_, _| true),
             1
         );
         assert_eq!(group, vec![10, 11]);
@@ -390,7 +358,7 @@ mod tests {
         queue.try_push(12, hash).unwrap();
         let other = 1 - home;
         assert_eq!(
-            queue.try_extend_group_for(other, &mut group, 8, |_, _| true),
+            queue.extend_group_for(other, &mut group, 8, now, |_, _| true),
             0
         );
         assert_eq!(group, vec![10, 11]);
