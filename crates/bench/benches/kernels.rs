@@ -2,7 +2,8 @@
 //!
 //! Measures the raw `hdc::kernels` operations the pipeline's hot loops
 //! dispatch through (popcount-fused Hamming, bit-sliced plane dots,
-//! vertical-counter carry adds, XOR binds), the K-Means assignment step
+//! vertical-counter carry adds, XOR binds) at the row widths the engine
+//! runs and at one memory-bound width, the K-Means assignment step
 //! in both shapes — the pre-fusion per-centroid path (one virtual
 //! `and_popcount` per plane per centroid, K row popcounts per pixel;
 //! the PR 4 loop) against the fused `BitSlicedGroup` path
@@ -25,7 +26,10 @@ use seghdc::{DistanceMetric, HvKmeans};
 use seghdc_bench::bench_json::{self, BenchRecord};
 use std::hint::black_box;
 
-const DIMENSION: usize = 16_384;
+/// Dimensions of the single-row ops: the 8- and 32-word rows the engine
+/// binds and bundles (d = 512 serves frames, d = 2,048 edge images and
+/// scans), and a 256-word row where `xor_into` is memory-bound.
+const DIMENSIONS: [usize; 3] = [512, 2_048, 16_384];
 const ROWS: usize = 2_000;
 const SAMPLES: usize = 10;
 
@@ -80,71 +84,79 @@ impl Reporter {
 }
 
 fn bench_hamming(report: &mut Reporter) {
-    let matrix = random_matrix(ROWS, DIMENSION, 1);
-    let probe = matrix.row(0).to_hypervector();
-    for k in kernels::available() {
-        let ns = bench_json::median_ns_per_op(SAMPLES, ROWS as u64, || {
-            let mut total = 0u64;
-            for row in 0..ROWS {
-                total += k.hamming(matrix.row(row).as_words(), probe.as_words());
-            }
-            black_box(total)
-        });
-        report.record("hamming", k.name(), DIMENSION, 1, ns);
+    for dim in DIMENSIONS {
+        let matrix = random_matrix(ROWS, dim, 1);
+        let probe = matrix.row(0).to_hypervector();
+        for k in kernels::available() {
+            let ns = bench_json::median_ns_per_op(SAMPLES, ROWS as u64, || {
+                let mut total = 0u64;
+                for row in 0..ROWS {
+                    total += k.hamming(matrix.row(row).as_words(), probe.as_words());
+                }
+                black_box(total)
+            });
+            report.record("hamming", k.name(), dim, 1, ns);
+        }
     }
 }
 
 fn bench_plane_dot(report: &mut Reporter) {
-    let matrix = random_matrix(ROWS, DIMENSION, 2);
-    let mut accumulator = Accumulator::zeros(DIMENSION).expect("dimension is non-zero");
-    for row in 0..9 {
-        accumulator.add_row(matrix.row(row)).expect("dims match");
-    }
-    for k in kernels::available() {
-        let ns = bench_json::median_ns_per_op(SAMPLES, ROWS as u64, || {
-            let mut total = 0u64;
-            for row in 0..ROWS {
-                total += accumulator
-                    .dot_row_with(matrix.row(row), k)
-                    .expect("dims match");
-            }
-            black_box(total)
-        });
-        report.record("plane_dot", k.name(), DIMENSION, 1, ns);
+    for dim in DIMENSIONS {
+        let matrix = random_matrix(ROWS, dim, 2);
+        let mut accumulator = Accumulator::zeros(dim).expect("dimension is non-zero");
+        for row in 0..9 {
+            accumulator.add_row(matrix.row(row)).expect("dims match");
+        }
+        for k in kernels::available() {
+            let ns = bench_json::median_ns_per_op(SAMPLES, ROWS as u64, || {
+                let mut total = 0u64;
+                for row in 0..ROWS {
+                    total += accumulator
+                        .dot_row_with(matrix.row(row), k)
+                        .expect("dims match");
+                }
+                black_box(total)
+            });
+            report.record("plane_dot", k.name(), dim, 1, ns);
+        }
     }
 }
 
 fn bench_bundle_add(report: &mut Reporter) {
-    let matrix = random_matrix(ROWS, DIMENSION, 3);
-    for k in kernels::available() {
-        let ns = bench_json::median_ns_per_op(SAMPLES, ROWS as u64, || {
-            let mut accumulator = Accumulator::zeros(DIMENSION).expect("non-zero");
-            for row in 0..ROWS {
-                accumulator
-                    .add_row_with(matrix.row(row), k)
-                    .expect("dims match");
-            }
-            black_box(accumulator.items())
-        });
-        report.record("bundle_add", k.name(), DIMENSION, 1, ns);
+    for dim in DIMENSIONS {
+        let matrix = random_matrix(ROWS, dim, 3);
+        for k in kernels::available() {
+            let ns = bench_json::median_ns_per_op(SAMPLES, ROWS as u64, || {
+                let mut accumulator = Accumulator::zeros(dim).expect("non-zero");
+                for row in 0..ROWS {
+                    accumulator
+                        .add_row_with(matrix.row(row), k)
+                        .expect("dims match");
+                }
+                black_box(accumulator.items())
+            });
+            report.record("bundle_add", k.name(), dim, 1, ns);
+        }
     }
 }
 
 fn bench_xor_into(report: &mut Reporter) {
-    let matrix = random_matrix(ROWS, DIMENSION, 4);
-    let key = matrix.row(0).to_hypervector();
-    for k in kernels::available() {
-        let mut scratch = random_matrix(ROWS, DIMENSION, 5);
-        let ns = bench_json::median_ns_per_op(SAMPLES, ROWS as u64, || {
-            for row in 0..ROWS {
-                scratch
-                    .row_mut(row)
-                    .xor_assign_with(&key, k)
-                    .expect("dims match");
-            }
-            black_box(scratch.row(0).count_ones())
-        });
-        report.record("xor_into", k.name(), DIMENSION, 1, ns);
+    for dim in DIMENSIONS {
+        let matrix = random_matrix(ROWS, dim, 4);
+        let key = matrix.row(0).to_hypervector();
+        for k in kernels::available() {
+            let mut scratch = random_matrix(ROWS, dim, 5);
+            let ns = bench_json::median_ns_per_op(SAMPLES, ROWS as u64, || {
+                for row in 0..ROWS {
+                    scratch
+                        .row_mut(row)
+                        .xor_assign_with(&key, k)
+                        .expect("dims match");
+                }
+                black_box(scratch.row(0).count_ones())
+            });
+            report.record("xor_into", k.name(), dim, 1, ns);
+        }
     }
 }
 

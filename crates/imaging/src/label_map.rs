@@ -108,6 +108,11 @@ impl LabelMap {
         &mut self.labels
     }
 
+    /// The underlying row-major label buffer, moved out of the map.
+    pub fn into_raw(self) -> Vec<u32> {
+        self.labels
+    }
+
     fn check_bounds(&self, x: usize, y: usize) -> Result<()> {
         if x >= self.width || y >= self.height {
             return Err(ImagingError::OutOfBounds {
@@ -245,6 +250,9 @@ mod tests {
         assert!(matches!(LabelMap::new(0, 4), Err(ImagingError::EmptyImage)));
         assert!(LabelMap::from_raw(2, 2, vec![0; 3]).is_err());
         assert!(LabelMap::from_raw(2, 2, vec![0; 4]).is_ok());
+        let labels = vec![4, 0, 1, 2];
+        let map = LabelMap::from_raw(2, 2, labels.clone()).unwrap();
+        assert_eq!(map.into_raw(), labels);
     }
 
     #[test]

@@ -138,6 +138,28 @@ impl<'a> ImageView<'a> {
         self.image.channels_at(self.origin_x + x, self.origin_y + y)
     }
 
+    /// The interleaved channel bytes of view-local row `y`: `width()`
+    /// pixels of [`channels()`](Self::channels) bytes each, borrowed from
+    /// the parent image (one byte a pixel for gray, `r, g, b` for RGB).
+    ///
+    /// This is the accessor for a pass over every pixel of a region: one
+    /// bounds check and one image-type match per row, where
+    /// [`channels_at`](Self::channels_at) pays both per pixel.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImagingError::OutOfBounds`] if `y` is not a row of the
+    /// view.
+    pub fn row_bytes(&self, y: usize) -> Result<&'a [u8]> {
+        self.check_bounds(0, y)?;
+        let (raw, channels) = match self.image {
+            DynamicImage::Gray(img) => (img.as_raw(), 1),
+            DynamicImage::Rgb(img) => (img.as_raw(), 3),
+        };
+        let start = ((self.origin_y + y) * self.image.width() + self.origin_x) * channels;
+        Ok(&raw[start..start + self.width * channels])
+    }
+
     /// Scalar intensity at view-local `(x, y)` (see
     /// [`DynamicImage::intensity_at`]).
     ///
@@ -170,27 +192,19 @@ impl<'a> ImageView<'a> {
                 height: self.height,
             });
         }
-        match self.image {
+        let channels = self.channels();
+        let mut data = Vec::with_capacity(rect.area() * channels);
+        for y in rect.y..rect.bottom() {
+            data.extend_from_slice(&self.row_bytes(y)?[rect.x * channels..rect.right() * channels]);
+        }
+        Ok(match self.image {
             DynamicImage::Gray(_) => {
-                let mut out = GrayImage::new(rect.width, rect.height)?;
-                for y in 0..rect.height {
-                    for x in 0..rect.width {
-                        out.set(x, y, self.intensity_at(rect.x + x, rect.y + y)?)?;
-                    }
-                }
-                Ok(DynamicImage::Gray(out))
+                DynamicImage::Gray(GrayImage::from_raw(rect.width, rect.height, data)?)
             }
             DynamicImage::Rgb(_) => {
-                let mut out = RgbImage::new(rect.width, rect.height)?;
-                for y in 0..rect.height {
-                    for x in 0..rect.width {
-                        let px = self.channels_at(rect.x + x, rect.y + y)?;
-                        out.set(x, y, px)?;
-                    }
-                }
-                Ok(DynamicImage::Rgb(out))
+                DynamicImage::Rgb(RgbImage::from_raw(rect.width, rect.height, data)?)
             }
-        }
+        })
     }
 
     /// Copies the whole view into an owned image.
@@ -277,6 +291,84 @@ mod tests {
                 height: 1
             })
             .is_err());
+    }
+
+    #[test]
+    fn gray_rows_are_the_view_columns_of_the_image_row() {
+        let image = gradient();
+        let view = ImageView::full(&image);
+        assert_eq!(view.row_bytes(0).unwrap(), &[0, 1, 2, 3, 4, 5]);
+        // The last row.
+        assert_eq!(view.row_bytes(3).unwrap(), &[18, 19, 20, 21, 22, 23]);
+        let crop = ImageView::crop(&image, 2, 1, 3, 3).unwrap();
+        assert_eq!(crop.row_bytes(0).unwrap(), &[8, 9, 10]);
+        assert_eq!(crop.row_bytes(2).unwrap(), &[20, 21, 22]);
+    }
+
+    #[test]
+    fn rgb_rows_interleave_the_channels() {
+        let mut rgb = RgbImage::new(4, 2).unwrap();
+        for y in 0..2 {
+            for x in 0..4 {
+                let v = (y * 4 + x) as u8;
+                rgb.set(x, y, [v, v + 100, v + 200]).unwrap();
+            }
+        }
+        let image = DynamicImage::Rgb(rgb);
+        let view = ImageView::full(&image);
+        assert_eq!(view.row_bytes(1).unwrap().len(), 4 * 3);
+        assert_eq!(view.row_bytes(1).unwrap()[..6], [4, 104, 204, 5, 105, 205]);
+        let crop = ImageView::crop(&image, 1, 1, 2, 1).unwrap();
+        assert_eq!(crop.row_bytes(0).unwrap(), &[5, 105, 205, 6, 106, 206]);
+    }
+
+    #[test]
+    fn cropped_rows_start_at_the_view_origin() {
+        // A crop at origin (3, 5): every row matches `channels_at` pixel
+        // for pixel, in gray and RGB, down to the last row.
+        let (width, height) = (9, 11);
+        let value = |x: usize, y: usize| (y * 17 + x * 5) as u8;
+        let mut gray = GrayImage::new(width, height).unwrap();
+        let mut rgb = RgbImage::new(width, height).unwrap();
+        for y in 0..height {
+            for x in 0..width {
+                gray.set(x, y, value(x, y)).unwrap();
+                rgb.set(x, y, [value(x, y), !value(x, y), value(y, x)])
+                    .unwrap();
+            }
+        }
+        for image in [DynamicImage::Gray(gray), DynamicImage::Rgb(rgb)] {
+            let channels = image.channels();
+            let view = ImageView::crop(&image, 3, 5, 4, 6).unwrap();
+            for y in 0..view.height() {
+                let row = view.row_bytes(y).unwrap();
+                assert_eq!(row.len(), 4 * channels);
+                for x in 0..view.width() {
+                    let expected = view.channels_at(x, y).unwrap();
+                    assert_eq!(
+                        row[x * channels..(x + 1) * channels],
+                        expected[..channels],
+                        "pixel ({x}, {y}) of a {channels}-channel crop"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_past_the_end_is_out_of_bounds() {
+        let image = gradient();
+        assert!(matches!(
+            ImageView::full(&image).row_bytes(4),
+            Err(ImagingError::OutOfBounds { y: 4, .. })
+        ));
+        // The parent image has the row; the crop does not.
+        let crop = ImageView::crop(&image, 0, 1, 6, 2).unwrap();
+        assert!(crop.row_bytes(1).is_ok());
+        assert!(matches!(
+            crop.row_bytes(2),
+            Err(ImagingError::OutOfBounds { y: 2, .. })
+        ));
     }
 
     #[test]

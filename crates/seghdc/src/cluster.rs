@@ -231,35 +231,36 @@ impl HvKmeans {
     ///
     /// A quantile is a position in the pixels ordered by (intensity,
     /// index). A 256-bin intensity histogram gives the intensity at each
-    /// position and its rank among that intensity's pixels, and one scan in
-    /// index order finds the pixel of that rank, so no order is sorted.
+    /// position and its rank among that intensity's pixels. The seed is
+    /// then the pixel of that rank, found by scanning for the intensity
+    /// from whichever end of the pixels is nearer in rank, so no order is
+    /// sorted and the extreme seeds stop at their first match.
     fn initial_indices(&self, intensities: &[u8]) -> Vec<usize> {
         let mut histogram = [0usize; 256];
         for &intensity in intensities {
             histogram[intensity as usize] += 1;
         }
-        let targets: Vec<(u8, usize)> = self
+        let picks = self
             .seed_positions(intensities.len())
-            .map(|mut position| {
+            .map(|mut rank| {
                 let mut intensity = 0;
-                while position >= histogram[intensity] {
-                    position -= histogram[intensity];
+                while rank >= histogram[intensity] {
+                    rank -= histogram[intensity];
                     intensity += 1;
                 }
-                (intensity as u8, position)
+                let count = histogram[intensity];
+                let mut pixels = intensities
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &value)| usize::from(value) == intensity);
+                let pick = if rank < count - rank {
+                    pixels.nth(rank)
+                } else {
+                    pixels.nth_back(count - 1 - rank)
+                };
+                pick.expect("the histogram counts the picked pixel").0
             })
             .collect();
-        let mut picks = vec![0; targets.len()];
-        let mut seen = [0usize; 256];
-        for (index, &intensity) in intensities.iter().enumerate() {
-            let rank = seen[intensity as usize];
-            seen[intensity as usize] += 1;
-            for (pick, &target) in picks.iter_mut().zip(&targets) {
-                if target == (intensity, rank) {
-                    *pick = index;
-                }
-            }
-        }
         self.distinct_seeds(picks, intensities.len())
     }
 

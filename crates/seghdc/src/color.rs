@@ -317,10 +317,10 @@ impl ColorEncoder {
         &self.placed_codes[channel][usize::from(value)]
     }
 
-    /// The id of `value`'s code on `channel`: two values share it exactly
-    /// when their codes are bit-identical.
-    pub(crate) fn code_id(&self, channel: usize, value: u8) -> u8 {
-        self.code_ids[channel][usize::from(value)]
+    /// The id of each value's code on `channel`, indexed by value: two
+    /// values share an id exactly when their codes are bit-identical.
+    pub(crate) fn code_ids(&self, channel: usize) -> &[u8; 256] {
+        &self.code_ids[channel]
     }
 
     /// How many distinct codes `channel` has (its largest id plus one).

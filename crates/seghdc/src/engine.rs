@@ -699,11 +699,7 @@ impl SegEngine {
             };
             self.backend
                 .encode_region(encoder, view, &full, &mut arena.matrix)?;
-            for y in 0..view.height() {
-                for x in 0..view.width() {
-                    arena.intensities.push(view.intensity_at(x, y)?);
-                }
-            }
+            arena.read_intensities(view, &full)?;
             let encode_time = encode_start.elapsed();
 
             let cluster_start = Instant::now();
@@ -1245,7 +1241,7 @@ mod tests {
 
     #[test]
     fn views_are_segmented_whole_or_tiled() {
-        let image = square_image(32);
+        let (image, _) = jittered_square(32);
         let engine = SegEngine::new(fast_config()).unwrap();
         let view = ImageView::crop(&image, 4, 4, 24, 20).unwrap();
         let whole = engine
@@ -1260,6 +1256,24 @@ mod tests {
             .unwrap();
         assert_eq!(tiled.single().label_map.width(), 24);
         assert!(matches!(tiled.single().mode, ExecutedMode::Tiled { .. }));
+
+        // A view at a non-zero origin reads the same pixels as the same
+        // rectangle extracted into its own image, so both label alike.
+        let extracted = view.to_image().unwrap();
+        let own_whole = engine
+            .run(&SegmentRequest::image(&extracted).whole_image())
+            .unwrap();
+        assert_eq!(
+            whole.single().label_map.as_raw(),
+            own_whole.single().label_map.as_raw()
+        );
+        let own_tiled = engine
+            .run(&SegmentRequest::image(&extracted).tiled(tiles))
+            .unwrap();
+        assert_eq!(
+            tiled.single().label_map.as_raw(),
+            own_tiled.single().label_map.as_raw()
+        );
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! encoded row per distinct key. Two keys whose rows happen to coincide
 //! are encoded twice, which changes no label: identical rows always get
 //! identical labels.
+//!
+//! [`key_region`] walks a region a row at a time: it borrows each row's
+//! channel bytes from the view ([`ImageView::row_bytes`]) and looks the
+//! row's position rank up once, so a pixel costs its column rank, a
+//! code-id table read per channel and one key-table probe.
 
 use crate::{ColorEncoder, PositionEncoder};
 use hdc::BinaryHypervector;
@@ -59,66 +64,66 @@ pub(crate) fn key_region(
         position.cols(),
     );
     let channels = color.channels();
+    // Region row `ly`, its pixel bytes and its slice of `index`.
+    let rows = index
+        .chunks_exact_mut(region.width)
+        .enumerate()
+        .map(|(ly, stored)| {
+            let bytes = view
+                .row_bytes(region.y + ly)
+                .expect("region row is within the validated view");
+            let bytes = &bytes[region.x * channels..region.right() * channels];
+            (ly, bytes, stored)
+        });
+    let mut firsts: Vec<u32> = Vec::new();
     // Position ranks count distinct position vectors within the region,
     // so every rank below fits the region's `u32`-indexed pixel count.
-    let position_rank =
-        |lx: usize, ly: usize| row_ranks[ly] as usize * col_count + col_ranks[lx] as usize;
-    let pixel = |lx: usize, ly: usize| {
-        view.channels_at(region.x + lx, region.y + ly)
-            .expect("pixel coordinate is within the validated view")
-    };
-
     let gray_levels = color.code_levels(0);
     let dense_slots = (row_count * col_count).checked_mul(gray_levels);
     match dense_slots {
         Some(slots) if channels == 1 && slots <= region.area() => {
+            let code_ids = color.code_ids(0);
+            let col_keys: Vec<usize> = col_ranks
+                .iter()
+                .map(|&rank| rank as usize * gray_levels)
+                .collect();
             let mut table = vec![FREE; slots];
-            assign(region, index, |lx, ly, next| {
-                let key = position_rank(lx, ly) * gray_levels
-                    + usize::from(color.code_id(0, pixel(lx, ly)[0]));
-                let slot = &mut table[key];
-                if *slot == FREE {
-                    *slot = next;
+            for (ly, bytes, stored) in rows {
+                let row_key = row_ranks[ly] as usize * col_count * gray_levels;
+                // Equal lengths, so the loop below indexes without checks.
+                let (bytes, stored) = (&bytes[..col_keys.len()], &mut stored[..col_keys.len()]);
+                for lx in 0..col_keys.len() {
+                    let value = usize::from(bytes[lx]);
+                    let slot = &mut table[row_key + col_keys[lx] + usize::from(code_ids[value])];
+                    if *slot == FREE {
+                        *slot = firsts.len() as u32;
+                        firsts.push((ly * region.width + lx) as u32);
+                    }
+                    stored[lx] = *slot;
                 }
-                *slot
-            })
+            }
         }
         _ => {
+            let code_ids: Vec<&[u8; 256]> = (0..channels).map(|c| color.code_ids(c)).collect();
             // The default hasher: pixel bytes come from clients, and its
             // per-map keys stop them from choosing pixels whose keys
             // collide.
             let mut table: HashMap<u64, u32> = HashMap::new();
-            assign(region, index, |lx, ly, next| {
-                let px = pixel(lx, ly);
-                let colour = (0..channels).fold(0u64, |key, channel| {
-                    key << 8 | u64::from(color.code_id(channel, px[channel]))
-                });
-                *table
-                    .entry((position_rank(lx, ly) as u64) << 24 | colour)
-                    .or_insert(next)
-            })
-        }
-    }
-}
-
-/// The pixel loop shared by both tables: `stored_row(lx, ly, next)`
-/// looks the pixel's key up, inserts it as stored row `next` (the next
-/// unused one) if it is new, and returns the key's stored row.
-fn assign(
-    region: &TileRect,
-    index: &mut [u32],
-    mut stored_row: impl FnMut(usize, usize, u32) -> u32,
-) -> Vec<u32> {
-    let mut firsts: Vec<u32> = Vec::new();
-    for ly in 0..region.height {
-        for lx in 0..region.width {
-            let pixel = ly * region.width + lx;
-            let next = firsts.len() as u32;
-            let stored = stored_row(lx, ly, next);
-            if stored == next {
-                firsts.push(pixel as u32);
+            for (ly, bytes, stored) in rows {
+                let row_key = u64::from(row_ranks[ly]) * col_count as u64;
+                let pixels = bytes.chunks_exact(channels).zip(&col_ranks);
+                for (lx, (px, &col_rank)) in pixels.enumerate() {
+                    let colour = code_ids.iter().zip(px).fold(0u64, |key, (ids, &value)| {
+                        key << 8 | u64::from(ids[usize::from(value)])
+                    });
+                    stored[lx] = *table
+                        .entry((row_key + u64::from(col_rank)) << 24 | colour)
+                        .or_insert_with(|| {
+                            firsts.push((ly * region.width + lx) as u32);
+                            firsts.len() as u32 - 1
+                        });
+                }
             }
-            index[pixel] = stored;
         }
     }
     firsts

@@ -185,8 +185,9 @@ impl PixelEncoder {
     /// `HashMap` with the default hasher, whose keys are drawn per map.
     /// Beyond `matrix` (whose stored rows grow to the distinct key count),
     /// the call allocates only the key table (no bigger than the index, or
-    /// one entry per distinct key), a rank per region row and column, and
-    /// the first pixel of each key.
+    /// one entry per distinct key), a rank per region row and column (and
+    /// for the dense table each column's offset into it), and the first
+    /// pixel of each key. Pixels are read a view row at a time.
     ///
     /// # Errors
     ///

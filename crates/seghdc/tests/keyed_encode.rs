@@ -3,7 +3,8 @@
 //! stored row per distinct key and shares it between the pixels with that
 //! key) against `PixelEncoder::encode_pixel`, one pixel at a time. Every
 //! position and colour encoding, gray and RGB, dimensions off the 64-bit
-//! word grid, and dimensions so small that colour codes repeat.
+//! word grid, dimensions so small that colour codes repeat, and views
+//! cropped out of a larger parent image.
 
 use std::collections::HashSet;
 
@@ -146,6 +147,19 @@ proptest! {
             .encode_region_into(&ImageView::full(&image), &region, &mut matrix)
             .unwrap();
         check_region(&encoder, &image, &region, &matrix)?;
+
+        // The same region of a crop of a larger parent, at a random
+        // origin, against the crop extracted into its own image: the
+        // keying pass reads the crop's rows at the parent's offsets.
+        let (origin_x, origin_y) = (rng.next_below(9) as usize, rng.next_below(9) as usize);
+        let parent_width = origin_x + width + rng.next_below(5) as usize;
+        let parent_height = origin_y + height + rng.next_below(5) as usize;
+        let parent = palette_image(&mut rng, parent_width, parent_height, rgb, palette);
+        let crop = ImageView::crop(&parent, origin_x, origin_y, width, height).unwrap();
+        let extracted = crop.to_image().unwrap();
+        let mut matrix = HvMatrix::zeros(region.area(), dim).unwrap();
+        encoder.encode_region_into(&crop, &region, &mut matrix).unwrap();
+        check_region(&encoder, &extracted, &region, &matrix)?;
     }
 }
 

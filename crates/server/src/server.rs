@@ -923,11 +923,28 @@ fn run_batch(
                 metrics.record_fused(members.len() as u64, coalesced as u64);
             }
             let telemetry = engine.telemetry();
+            // Each image's output moves into the response of the last
+            // member that reads it; the coalesced duplicates before that
+            // member get copies.
+            let mut readers = vec![0usize; images.len()];
+            for member in &members {
+                readers[member.image] += 1;
+            }
+            let mut outputs: Vec<Option<SegmentOutput>> =
+                report.outputs.into_iter().map(Some).collect();
             for member in members {
+                readers[member.image] -= 1;
+                let slot = &mut outputs[member.image];
+                let output = if readers[member.image] == 0 {
+                    slot.take()
+                } else {
+                    slot.clone()
+                }
+                .expect("only an image's last reader takes its output");
                 // The batch ran as one unit, so each request is billed the
                 // full batch wall time.
                 member.answer(labels_response(
-                    &report.outputs[member.image],
+                    output,
                     &telemetry,
                     member.queue_wait_us,
                     service_us,
@@ -1015,9 +1032,10 @@ fn engine_error_response(
     response
 }
 
-/// Builds the `Ok` response for one segmented output.
+/// Builds the `Ok` response for one segmented output, moving its label
+/// map into the response.
 fn labels_response(
-    output: &SegmentOutput,
+    output: SegmentOutput,
     telemetry: &EngineTelemetry,
     queue_wait_us: u64,
     service_us: u64,
@@ -1030,7 +1048,7 @@ fn labels_response(
             executed_tiled,
             width: output.label_map.width() as u32,
             height: output.label_map.height() as u32,
-            labels: output.label_map.as_raw().to_vec(),
+            labels: output.label_map.into_raw(),
             telemetry: WireTelemetry {
                 cache_hits: telemetry.cache_hits,
                 cache_misses: telemetry.cache_misses,
@@ -1611,6 +1629,38 @@ mod tests {
         assert_eq!(stats.server.fusion_fallbacks, 0);
         fused.shutdown();
         serial.shutdown();
+    }
+
+    #[test]
+    fn a_tiled_request_for_more_clusters_than_any_tile_has_pixels_is_answered() {
+        let handle = serve("127.0.0.1:0", one_worker()).unwrap();
+        let mut client = SegClient::connect(handle.local_addr()).unwrap();
+
+        // Every 16×16 tile collapses to one cluster; the stitch's memory
+        // stays per tile pair, so the largest cluster count the wire
+        // carries costs tables of tiles × clusters entries.
+        let mut config = test_config(71);
+        config.clusters = usize::from(u16::MAX);
+        let image = test_image(32, 0);
+        let tiled = RequestMode::Tiled {
+            tile_width: 16,
+            tile_height: 16,
+            halo: 2,
+        };
+        let response = client
+            .segment(&WireSegmentRequest::from_image(&config, &image, tiled, 0))
+            .unwrap();
+        assert_eq!(response.status(), WireStatus::Ok);
+        let engine = SegEngine::new(config).unwrap();
+        let tiles = TileConfig::square(16, 2).unwrap();
+        let direct = engine
+            .run(&SegmentRequest::image(&image).tiled(tiles))
+            .unwrap();
+        assert_eq!(
+            response.label_map().unwrap().as_raw(),
+            direct.single().label_map.as_raw()
+        );
+        handle.shutdown();
     }
 
     #[test]

@@ -285,12 +285,12 @@ fn streaming_batch_agrees_with_per_image_runs() {
     }
 }
 
-/// Slow full-scale check (run with `cargo test --release -- --ignored`):
-/// a 1024×1024 synthetic microscopy scan streams through bounded tiles,
-/// stitches into at most `clusters` groups, closely agrees with the
-/// whole-image segmentation and respects the arena memory bound.
+/// Full-scale check on the geometry the repository benchmark streams
+/// (256² tiles, an 8 px halo): a 1024×1024 synthetic microscopy scan
+/// streams through bounded tiles, stitches into a few groups, closely
+/// agrees with the whole-image segmentation and respects the arena memory
+/// bound.
 #[test]
-#[ignore = "slow: segments a 1024x1024 scan twice; run with --release -- --ignored"]
 fn large_scan_1024_stitches_consistently() {
     let profile = DatasetProfile::microscopy_scan_like();
     let generator = NucleiImageGenerator::new(profile, 2023).unwrap();
