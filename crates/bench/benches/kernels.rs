@@ -1,30 +1,31 @@
-//! Per-ISA benchmarks of the unified word-kernel layer.
+//! Per-ISA benchmarks of the unified word-kernel layer and of the engine
+//! on top of it.
 //!
 //! Measures the raw `hdc::kernels` operations the pipeline's hot loops
 //! dispatch through (popcount-fused Hamming, bit-sliced plane dots,
 //! vertical-counter carry adds, XOR binds) at the row widths the engine
 //! runs and at one memory-bound width, the K-Means assignment step
 //! in both shapes — the pre-fusion per-centroid path (one virtual
-//! `and_popcount` per plane per centroid, K row popcounts per pixel;
-//! the PR 4 loop) against the fused `BitSlicedGroup` path
-//! (`plane_dot_multi`, one row load and one popcount per pixel) — and
-//! the composed
-//! `cluster_matrix_with` iteration, for **every** kernel ISA the host
-//! supports (`hdc::kernels::available()`), not just scalar-versus-auto.
+//! `and_popcount` per plane per centroid, K row popcounts per pixel)
+//! against the fused `BitSlicedGroup` path (`plane_dot_multi`, one row
+//! load and one popcount per pixel) — the composed `cluster_matrix_with`
+//! iteration, and a full warm-cache engine request (`engine_run`), for
+//! **every** kernel ISA the host supports (`hdc::kernels::available()`),
+//! not just scalar-versus-auto.
 //!
-//! Timing is a median over `SAMPLES` wall-clock runs after one warm-up
-//! (the vendored criterion stub exposes no sample data, so the bench
-//! times itself). Besides the human-readable report, every measurement
-//! is merged into `crates/bench/BENCH_kernels.json` (override the path
-//! with `SEGHDC_BENCH_JSON`) as `(op, isa, dim, k, ns_per_op)` records —
-//! the machine-readable perf trajectory referenced by
-//! `crates/bench/README.md` ("Kernel layer" section).
+//! Timing is a median over `SAMPLES` wall-clock runs after one warm-up.
+//! Besides the human-readable report, every measurement is merged into
+//! `crates/bench/BENCH_kernels.json` (override the path with
+//! `SEGHDC_BENCH_JSON`) as `(op, isa, dim, k, ns_per_op)` records — the
+//! machine-readable perf trajectory referenced by `crates/bench/README.md`.
+//! Run it with `cargo bench -p seghdc_bench --bench kernels`.
 
 use hdc::kernels::{self, Kernels};
 use hdc::{Accumulator, BinaryHypervector, BitSlicedGroup, HdcRng, HvMatrix};
-use seghdc::{DistanceMetric, HvKmeans};
+use seghdc::{DistanceMetric, HvKmeans, SegEngine, SegHdcConfig, SegmentRequest, SimdCpuBackend};
 use seghdc_bench::bench_json::{self, BenchRecord};
 use std::hint::black_box;
+use synthdata::{DatasetProfile, NucleiImageGenerator};
 
 /// Dimensions of the single-row ops: the 8- and 32-word rows the engine
 /// binds and bundles (d = 512 serves frames, d = 2,048 edge images and
@@ -143,24 +144,21 @@ fn bench_bundle_add(report: &mut Reporter) {
 fn bench_xor_into(report: &mut Reporter) {
     for dim in DIMENSIONS {
         let matrix = random_matrix(ROWS, dim, 4);
-        let key = matrix.row(0).to_hypervector();
+        let key = matrix.row(0).as_words();
         for k in kernels::available() {
-            let mut scratch = random_matrix(ROWS, dim, 5);
+            let mut rows = random_matrix(ROWS, dim, 5).as_words().to_vec();
             let ns = bench_json::median_ns_per_op(SAMPLES, ROWS as u64, || {
-                for row in 0..ROWS {
-                    scratch
-                        .row_mut(row)
-                        .xor_assign_with(&key, k)
-                        .expect("dims match");
+                for row in rows.chunks_exact_mut(key.len()) {
+                    k.xor_into(row, key);
                 }
-                black_box(scratch.row(0).count_ones())
+                black_box(rows[0])
             });
             report.record("xor_into", k.name(), dim, 1, ns);
         }
     }
 }
 
-/// A centroid snapshot in the exact shape the PR 4 assignment loop
+/// A centroid snapshot in the exact shape the pre-fusion assignment loop
 /// consumed: separately-owned bit planes plus the cached norm.
 struct Pr4Centroid {
     planes: Vec<Vec<u64>>,
@@ -184,7 +182,7 @@ impl Pr4Centroid {
     }
 }
 
-/// The pre-fusion assignment loop, reproduced at PR 4 fidelity: the dot
+/// The pre-fusion assignment loop, reproduced faithfully: the dot
 /// against each centroid is one virtual `and_popcount` call **per plane**
 /// (each with its own horizontal reduction), and every centroid
 /// re-popcounts the pixel row for the cosine denominator.
@@ -303,6 +301,39 @@ fn bench_cluster_iteration(report: &mut Reporter) {
     }
 }
 
+/// A warm-cache engine request per available kernel ISA: a DSB2018-like
+/// 128x128 image (generator seed 3, sample 0) at d = 2,048, β = 8 and 3
+/// iterations, after one untimed request that builds the codebooks, so
+/// the timing covers encode and cluster.
+fn bench_engine_run(report: &mut Reporter) {
+    const SIZE: usize = 128;
+    let profile = DatasetProfile::dsb2018_like().scaled(SIZE, SIZE);
+    let image = NucleiImageGenerator::new(profile, 3)
+        .expect("profile is valid")
+        .generate(0)
+        .expect("generation succeeds")
+        .image;
+    let config = SegHdcConfig::builder()
+        .dimension(IMAGE_DIMENSION)
+        .beta(8)
+        .iterations(3)
+        .build()
+        .expect("parameters are valid");
+    let clusters = config.clusters;
+    let request = SegmentRequest::image(&image).whole_image();
+    for k in kernels::available() {
+        let engine = SegEngine::builder(config.clone())
+            .backend(Box::new(SimdCpuBackend::with_kernels(k)))
+            .build()
+            .expect("config is valid");
+        engine.run(&request).expect("segmentation succeeds");
+        let ns = bench_json::median_ns_per_op(SAMPLES, 1, || {
+            black_box(engine.run(&request).expect("segmentation succeeds"))
+        });
+        report.record("engine_run", k.name(), IMAGE_DIMENSION, clusters, ns);
+    }
+}
+
 fn main() {
     let mut report = Reporter {
         records: Vec::new(),
@@ -314,6 +345,7 @@ fn main() {
     bench_xor_into(&mut report);
     bench_assignment(&mut report);
     bench_cluster_iteration(&mut report);
+    bench_engine_run(&mut report);
     let path = bench_json::default_path();
     bench_json::merge_into_file(&path, &report.records).expect("bench JSON is writable");
     println!(

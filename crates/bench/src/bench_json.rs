@@ -1,8 +1,10 @@
-//! Machine-readable benchmark records (`BENCH_kernels.json`).
+//! Machine-readable benchmark records (`BENCH_kernels.json`,
+//! `BENCH_server.json`).
 //!
-//! The `kernels` and `batch_engine` benches append their measurements to
-//! one JSON file so the perf trajectory of the kernel layer is tracked in
-//! the repository rather than in scrollback. The format is deliberately
+//! The `kernels` bench and the `server_load` binary merge their
+//! measurements into JSON files so the perf trajectory of the kernel
+//! layer, the engine and the service is tracked in the repository rather
+//! than in scrollback. The format is deliberately
 //! rigid — a JSON array with exactly one record object per line:
 //!
 //! ```json
@@ -16,8 +18,8 @@
 //! environment is offline): the writer emits exactly this shape and the
 //! parser accepts only it. Records are keyed by `(op, isa, dim, k)`;
 //! [`merge_into_file`] replaces same-key records and appends new ones, so
-//! the two bench binaries can update the same file without clobbering each
-//! other — and re-runs refresh numbers in place.
+//! a run that measures only some records (one `server_load` mode, say)
+//! keeps the rest, and re-runs refresh numbers in place.
 
 use std::fmt::Write as _;
 use std::path::Path;

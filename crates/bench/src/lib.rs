@@ -17,7 +17,7 @@ pub mod bench_json;
 use cnn_baseline::{KimConfig, KimSegmenter};
 use imaging::{metrics, LabelMap};
 use seghdc::{ColorEncoding, PositionEncoding, SegEngine, SegHdcConfig, SegmentRequest};
-use synthdata::{DatasetProfile, SyntheticDataset};
+use synthdata::DatasetProfile;
 
 /// Scale at which an experiment harness runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,63 +211,10 @@ pub fn evaluate_method_batch(
         .collect()
 }
 
-/// Runs one method on one image and returns the matched binary IoU against
-/// the ground truth. Thin wrapper over
-/// [`evaluate_method_batch`] for single-image call sites.
-///
-/// # Errors
-///
-/// Returns a boxed error if segmentation or scoring fails.
-pub fn evaluate_method(
-    method: Method,
-    image: &imaging::DynamicImage,
-    truth: &LabelMap,
-    seghdc_config: &SegHdcConfig,
-    baseline_config: &KimConfig,
-) -> Result<f64, Box<dyn std::error::Error>> {
-    let scores = evaluate_method_batch(
-        method,
-        std::slice::from_ref(image),
-        std::slice::from_ref(truth),
-        seghdc_config,
-        baseline_config,
-    )?;
-    Ok(scores[0])
-}
-
-/// Mean IoU of one method over the first `samples` images of a dataset,
-/// evaluated as one batch (codebooks shared across the same-shaped images).
-///
-/// # Errors
-///
-/// Returns a boxed error if dataset generation or evaluation fails.
-pub fn mean_iou_over_dataset(
-    method: Method,
-    dataset: &SyntheticDataset,
-    samples: usize,
-    seghdc_config: &SegHdcConfig,
-    baseline_config: &KimConfig,
-) -> Result<f64, Box<dyn std::error::Error>> {
-    let count = samples.min(dataset.len());
-    let mut images = Vec::with_capacity(count);
-    let mut truths = Vec::with_capacity(count);
-    for index in 0..count {
-        let sample = dataset.sample(index)?;
-        images.push(sample.image);
-        truths.push(sample.ground_truth);
-    }
-    let scores = evaluate_method_batch(method, &images, &truths, seghdc_config, baseline_config)?;
-    Ok(scores.iter().sum::<f64>() / count as f64)
-}
-
-/// Formats a duration in seconds with one decimal, as in the paper's tables.
-pub fn format_seconds(duration: std::time::Duration) -> String {
-    format!("{:.1}s", duration.as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synthdata::SyntheticDataset;
 
     #[test]
     fn quick_profiles_are_smaller_than_full_profiles() {
@@ -337,15 +284,15 @@ mod tests {
         .unwrap();
         assert_eq!(batch.len(), 2);
         for (index, score) in batch.iter().enumerate() {
-            let single = evaluate_method(
+            let single = evaluate_method_batch(
                 Method::SegHdc,
-                &images[index],
-                &truths[index],
+                &images[index..=index],
+                &truths[index..=index],
                 &config,
                 &KimConfig::tiny(),
             )
             .unwrap();
-            assert_eq!(*score, single, "image {index}");
+            assert_eq!(single, [*score], "image {index}");
         }
         // Length mismatches are rejected.
         assert!(evaluate_method_batch(
@@ -372,38 +319,21 @@ mod tests {
         let mut config = seghdc_config_for(&profile, Scale::Quick);
         config.dimension = 1000;
         config.iterations = 3;
-        let iou = evaluate_method(
+        let scores = evaluate_method_batch(
             Method::SegHdc,
-            &sample.image,
-            &sample.ground_truth,
+            std::slice::from_ref(&sample.image),
+            std::slice::from_ref(&sample.ground_truth),
             &config,
             &KimConfig::tiny(),
         )
         .unwrap();
+        let [iou] = scores[..] else {
+            panic!("one image gives one score, not {}", scores.len());
+        };
         assert!((0.0..=1.0).contains(&iou));
         assert!(
             iou > 0.5,
             "SegHDC should segment the easy profile well: {iou}"
-        );
-    }
-
-    #[test]
-    fn mean_iou_over_dataset_averages_multiple_samples() {
-        let profile = DatasetProfile::bbbc005_like().scaled(40, 40);
-        let dataset = SyntheticDataset::new(profile.clone(), 5, 2).unwrap();
-        let mut config = seghdc_config_for(&profile, Scale::Quick);
-        config.dimension = 800;
-        config.iterations = 2;
-        let mean = mean_iou_over_dataset(Method::SegHdc, &dataset, 2, &config, &KimConfig::tiny())
-            .unwrap();
-        assert!((0.0..=1.0).contains(&mean));
-    }
-
-    #[test]
-    fn format_seconds_produces_one_decimal() {
-        assert_eq!(
-            format_seconds(std::time::Duration::from_millis(1234)),
-            "1.2s"
         );
     }
 }

@@ -5,34 +5,32 @@ use rayon::prelude::*;
 /// A batch of packed binary hypervectors in one contiguous buffer.
 ///
 /// `HvMatrix` is the structure-of-arrays companion to
-/// [`BinaryHypervector`]: `rows` hypervectors of dimension `dim` stored
-/// row-major in a single `Vec<u64>`, with a fixed row stride of
-/// `dim.div_ceil(64)` words. This is the storage the SegHDC hot path runs
-/// on — one matrix holds every pixel hypervector of an image, so encoding
-/// and clustering touch a single allocation instead of one `Vec<u64>` per
-/// pixel.
+/// [`BinaryHypervector`]: `rows` hypervectors of dimension `dim` whose
+/// distinct rows are stored in a single `Vec<u64>`, with a fixed row stride
+/// of `dim.div_ceil(64)` words. This is the storage the SegHDC hot path
+/// runs on — one matrix holds every pixel hypervector of an image, so
+/// encoding and clustering touch a single allocation instead of one
+/// `Vec<u64>` per pixel.
 ///
-/// Rows are accessed through lightweight views: [`HvRow`] (shared) and
-/// [`HvRowMut`] (exclusive). Both operate at word level (XOR, popcount,
-/// Hamming) and never allocate. A row round-trips with the single-vector
-/// API bit-for-bit: [`HvRow::to_hypervector`] and
-/// [`HvMatrix::set_row`] are exact inverses.
+/// Rows are read through [`HvRow`], a lightweight view that operates at
+/// word level (popcount, Hamming) and never allocates; stored rows are
+/// written through [`HvRowMut`] ([`fill_stored_rows`](Self::fill_stored_rows)).
+/// A row round-trips with the single-vector API bit-for-bit:
+/// [`HvMatrix::from_vectors`] and [`HvRow::to_hypervector`] are exact
+/// inverses.
 ///
 /// # Shared rows
 ///
-/// A matrix is either **dense** (one stored row per row) or **shared**:
-/// it stores each distinct row once, plus one `u32` index entry per row
-/// naming the stored row it reads. Pixels of one SegHDC position block
-/// and one colour encode to the same hypervector, so an image's matrix
-/// can hold a few hundred stored rows for tens of thousands of rows
+/// A matrix stores each distinct row once, plus one `u32` index entry per
+/// row naming the stored row it reads. Pixels of one SegHDC position block
+/// and one colour encode to the same hypervector, so an image's matrix can
+/// hold a few hundred stored rows for tens of thousands of rows
 /// ([`reset_shared`](Self::reset_shared), [`share_rows`](Self::share_rows),
-/// [`from_shared`](Self::from_shared)). Either way [`rows`](Self::rows),
-/// [`row`](Self::row), [`to_vectors`](Self::to_vectors) and `==` see one
-/// row per index, and a write through [`row_mut`](Self::row_mut) or
-/// [`set_row`](Self::set_row) changes only the row written: a shared
-/// matrix first expands to the dense layout. Stored rows are numbered in
-/// order of first use, so stored row `s + 1` is first read by a later row
-/// than stored row `s`.
+/// [`from_shared`](Self::from_shared)); [`zeros`](Self::zeros) and
+/// [`from_vectors`](Self::from_vectors) store every row, and row `i` reads
+/// stored row `i`. Either way [`rows`](Self::rows), [`row`](Self::row),
+/// [`to_vectors`](Self::to_vectors) and `==` see one row per index entry,
+/// and a write to a stored row reaches every row that reads it.
 ///
 /// # Example
 ///
@@ -44,10 +42,13 @@ use rayon::prelude::*;
 /// let a = BinaryHypervector::random(300, &mut rng);
 /// let b = BinaryHypervector::random(300, &mut rng);
 ///
-/// let mut matrix = HvMatrix::zeros(2, 300)?;
-/// matrix.set_row(0, &a)?;
-/// matrix.row_mut(1).copy_from(&b)?;
-/// matrix.row_mut(1).xor_assign(&a)?; // bind in place, no allocation
+/// let mut matrix = HvMatrix::from_vectors(&[a.clone(), b.clone()])?;
+/// // Bind `a` into row 1 in place, with no allocation.
+/// matrix.fill_stored_rows(|stored, row| {
+///     if stored == 1 {
+///         row.xor_assign(&a).expect("every row has a's dimension");
+///     }
+/// });
 ///
 /// assert_eq!(matrix.row(0).to_hypervector(), a);
 /// assert_eq!(matrix.row(1).to_hypervector(), a.xor(&b)?);
@@ -67,31 +68,30 @@ pub struct HvMatrix {
     stride: usize,
     /// The stored rows, `stride` words each.
     words: Vec<u64>,
-    /// When `shared`, the stored row of each row, numbered in order of
-    /// first use; otherwise empty (row `i` is stored row `i`). Kept
-    /// allocated across resets.
+    /// The stored row each row reads. Kept allocated across resets.
     index: Vec<u32>,
-    shared: bool,
 }
 
 impl HvMatrix {
-    /// Creates an all-zero matrix of `rows` hypervectors of dimension `dim`.
+    /// Creates an all-zero matrix of `rows` hypervectors of dimension
+    /// `dim`, one stored row per row.
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::ZeroDimension`] if `dim == 0`.
+    /// Returns [`HdcError::ZeroDimension`] if `dim == 0` and
+    /// [`HdcError::InvalidParameter`] if `rows` does not fit a `u32` index.
     pub fn zeros(rows: usize, dim: usize) -> Result<Self> {
         if dim == 0 {
             return Err(HdcError::ZeroDimension);
         }
+        check_index_len(rows)?;
         let stride = dim.div_ceil(64);
         Ok(Self {
             rows,
             dim,
             stride,
             words: vec![0; rows.saturating_mul(stride)],
-            index: Vec::new(),
-            shared: false,
+            index: (0..rows as u32).collect(),
         })
     }
 
@@ -129,24 +129,18 @@ impl HvMatrix {
     ///
     /// `assign` receives the index (one entry per row, holding whatever a
     /// previous call left there), must write every entry, and returns the
-    /// number of stored rows; they must be numbered in order of first use
-    /// (the first row reads stored row 0, and every entry is at most one
-    /// more than the largest before it), which also means every stored row
-    /// is read. Write the stored rows afterwards with
+    /// number of stored rows; every entry must name one of them. Write the
+    /// stored rows afterwards with
     /// [`fill_stored_rows`](Self::fill_stored_rows).
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::InvalidParameter`] if the index breaks that
-    /// numbering or does not fit a `u32`; the matrix is then left as
+    /// Returns [`HdcError::InvalidParameter`] if an entry names no stored
+    /// row; the matrix is then left as
     /// [`reset_shared`](Self::reset_shared) leaves it.
     pub fn share_rows(&mut self, assign: impl FnOnce(&mut [u32]) -> usize) -> Result<()> {
-        check_index_len(self.rows)?;
-        if !self.shared {
-            self.zero_index();
-        }
         let stored = assign(&mut self.index);
-        if let Err(err) = check_first_use_order(&self.index, stored) {
+        if let Err(err) = check_index(&self.index, stored) {
             self.index.fill(0);
             self.resize_stored(usize::from(self.rows > 0));
             return Err(err);
@@ -161,18 +155,16 @@ impl HvMatrix {
     ///
     /// Returns [`HdcError::EmptyInput`] if `stored` is empty,
     /// [`HdcError::DimensionMismatch`] if the stored vectors disagree in
-    /// dimension, and [`HdcError::InvalidParameter`] if `index` does not
-    /// number the stored rows in order of first use (see
-    /// [`share_rows`](Self::share_rows)).
+    /// dimension, and [`HdcError::InvalidParameter`] if an `index` entry
+    /// names no stored vector or `index` does not fit a `u32`.
     pub fn from_shared(stored: &[BinaryHypervector], index: Vec<u32>) -> Result<Self> {
-        let dense = Self::from_vectors(stored)?;
+        let packed = Self::from_vectors(stored)?;
         check_index_len(index.len())?;
-        check_first_use_order(&index, stored.len())?;
+        check_index(&index, stored.len())?;
         Ok(Self {
             rows: index.len(),
             index,
-            shared: true,
-            ..dense
+            ..packed
         })
     }
 
@@ -185,18 +177,26 @@ impl HvMatrix {
             + self.index.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Packs a slice of hypervectors into a dense matrix (row `i` =
-    /// `vectors[i]`).
+    /// Packs a slice of hypervectors into a matrix of one stored row per
+    /// row (row `i` = `vectors[i]`).
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::EmptyInput`] if `vectors` is empty and
-    /// [`HdcError::DimensionMismatch`] if the vectors disagree in dimension.
+    /// Returns [`HdcError::EmptyInput`] if `vectors` is empty,
+    /// [`HdcError::DimensionMismatch`] if the vectors disagree in dimension
+    /// and [`HdcError::InvalidParameter`] if there are more than a `u32`
+    /// index holds.
     pub fn from_vectors(vectors: &[BinaryHypervector]) -> Result<Self> {
         let first = vectors.first().ok_or(HdcError::EmptyInput)?;
         let mut matrix = Self::zeros(vectors.len(), first.dim())?;
-        for (i, hv) in vectors.iter().enumerate() {
-            matrix.set_row(i, hv)?;
+        for (words, hv) in matrix.words.chunks_exact_mut(matrix.stride).zip(vectors) {
+            if hv.dim() != matrix.dim {
+                return Err(HdcError::DimensionMismatch {
+                    left: matrix.dim,
+                    right: hv.dim(),
+                });
+            }
+            words.copy_from_slice(hv.as_words());
         }
         Ok(matrix)
     }
@@ -213,16 +213,14 @@ impl HvMatrix {
         self.rows
     }
 
-    /// Number of stored rows: [`rows`](Self::rows) for a dense matrix, the
-    /// distinct rows for a shared one.
+    /// Number of stored rows.
     pub fn stored_rows(&self) -> usize {
         self.words.len() / self.stride
     }
 
-    /// For a shared matrix, the stored row each row reads; `None` for a
-    /// dense one, whose row `i` is stored row `i`.
-    pub fn stored_index(&self) -> Option<&[u32]> {
-        self.shared.then_some(self.index.as_slice())
+    /// The stored row each row reads.
+    pub fn stored_index(&self) -> &[u32] {
+        &self.index
     }
 
     /// Hypervector dimension (bits per row).
@@ -235,8 +233,7 @@ impl HvMatrix {
         self.stride
     }
 
-    /// The packed stored rows, concatenated, `stride_words` words each —
-    /// every row in order for a dense matrix.
+    /// The packed stored rows, concatenated, `stride_words` words each.
     pub fn as_words(&self) -> &[u64] {
         &self.words
     }
@@ -248,11 +245,7 @@ impl HvMatrix {
     /// Panics if `index >= rows()` (row access is the innermost hot-path
     /// operation, so it uses slice-style indexing rather than `Result`).
     pub fn row(&self, index: usize) -> HvRow<'_> {
-        if self.shared {
-            self.stored_row(self.index[index] as usize)
-        } else {
-            self.stored_row(index)
-        }
+        self.stored_row(self.index[index] as usize)
     }
 
     /// A shared view of stored row `stored` (see
@@ -269,42 +262,11 @@ impl HvMatrix {
         }
     }
 
-    /// An exclusive view of row `index`. A shared matrix first expands to
-    /// one stored row per row, so the write reaches no other row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= rows()`.
-    pub fn row_mut(&mut self, index: usize) -> HvRowMut<'_> {
-        self.make_dense();
-        let start = index * self.stride;
-        HvRowMut {
-            words: &mut self.words[start..start + self.stride],
-            dim: self.dim,
-        }
-    }
-
-    /// Copies `hv` into row `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if `hv.dim() != dim()` and
-    /// [`HdcError::IndexOutOfBounds`] if the row does not exist.
-    pub fn set_row(&mut self, index: usize, hv: &BinaryHypervector) -> Result<()> {
-        if index >= self.rows {
-            return Err(HdcError::IndexOutOfBounds {
-                index,
-                dim: self.rows,
-            });
-        }
-        self.row_mut(index).copy_from(hv)
-    }
-
     /// Fills every **stored** row in parallel: `fill` is called once per
     /// stored row, across worker threads, with an exclusive view of it
-    /// (initially whatever it holds). On a shared matrix a write reaches
-    /// every row that reads that stored row — this is how a keyed encoder
-    /// writes each distinct row once.
+    /// (initially whatever it holds). A write reaches every row that reads
+    /// that stored row — this is how a keyed encoder writes each distinct
+    /// row once.
     pub fn fill_stored_rows<F>(&mut self, fill: F)
     where
         F: Fn(usize, &mut HvRowMut<'_>) + Sync,
@@ -320,13 +282,12 @@ impl HvMatrix {
             });
     }
 
-    /// Makes the matrix shared with every row reading stored row 0,
-    /// allocating exactly `rows` index entries when the index has to grow.
+    /// Points every row at stored row 0, allocating exactly `rows` index
+    /// entries when the index has to grow.
     fn zero_index(&mut self) {
         self.index.clear();
         self.index.reserve_exact(self.rows);
         self.index.resize(self.rows, 0);
-        self.shared = true;
     }
 
     /// Resizes the stored rows to `stored` all-zero rows, allocating
@@ -337,38 +298,11 @@ impl HvMatrix {
         self.words.reserve_exact(words);
         self.words.resize(words, 0);
     }
-
-    /// Expands a shared matrix to one stored row per row, in place, so
-    /// the buffers keep their capacity.
-    fn make_dense(&mut self) {
-        if !self.shared {
-            return;
-        }
-        let words = self.rows.saturating_mul(self.stride);
-        self.words
-            .reserve_exact(words.saturating_sub(self.words.len()));
-        self.words.resize(words, 0);
-        // First-use order puts every row's stored row at or before the
-        // row itself, and no row before `row` reads stored row `row`, so
-        // filling from the last row down overwrites only stored rows no
-        // row still to be filled reads.
-        for (row, &stored) in self.index.iter().enumerate().rev() {
-            let stored = stored as usize;
-            if stored != row {
-                self.words.copy_within(
-                    stored * self.stride..(stored + 1) * self.stride,
-                    row * self.stride,
-                );
-            }
-        }
-        self.index.clear();
-        self.shared = false;
-    }
 }
 
 impl PartialEq for HvMatrix {
-    /// Row-by-row equality: a shared and a dense matrix holding the same
-    /// rows are equal.
+    /// Row-by-row equality: matrices holding the same rows are equal,
+    /// however their rows are shared.
     fn eq(&self, other: &Self) -> bool {
         self.rows == other.rows
             && self.dim == other.dim
@@ -378,7 +312,7 @@ impl PartialEq for HvMatrix {
 
 impl Eq for HvMatrix {}
 
-/// Shared rows are indexed by `u32`.
+/// Rows are indexed by `u32`.
 fn check_index_len(rows: usize) -> Result<()> {
     if u32::try_from(rows).is_err() {
         return Err(HdcError::InvalidParameter {
@@ -388,27 +322,14 @@ fn check_index_len(rows: usize) -> Result<()> {
     Ok(())
 }
 
-/// Checks that `index` numbers `stored` stored rows in order of first use.
-fn check_first_use_order(index: &[u32], stored: usize) -> Result<()> {
-    let mut next = 0usize;
-    for (row, &entry) in index.iter().enumerate() {
-        let entry = entry as usize;
-        if entry == next {
-            next += 1;
-        } else if entry > next {
-            return Err(HdcError::InvalidParameter {
-                message: format!(
-                    "row {row} reads stored row {entry} before stored row {next} is used"
-                ),
-            });
-        }
+/// Checks that every entry of `index` names one of `stored` stored rows.
+fn check_index(index: &[u32], stored: usize) -> Result<()> {
+    match index.iter().max() {
+        Some(&entry) if entry as usize >= stored => Err(HdcError::InvalidParameter {
+            message: format!("the index reads stored row {entry} of {stored}"),
+        }),
+        _ => Ok(()),
     }
-    if next != stored {
-        return Err(HdcError::InvalidParameter {
-            message: format!("the index uses {next} stored rows, not {stored}"),
-        });
-    }
-    Ok(())
 }
 
 /// A shared, never-allocating view of one [`HvMatrix`] row, or of a whole
@@ -536,9 +457,23 @@ impl HvRowMut<'_> {
 mod tests {
     use super::*;
     use crate::HdcRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn rng() -> HdcRng {
         HdcRng::seed_from(0xBEEF)
+    }
+
+    /// Applies `write` to stored row `stored` only.
+    fn write_stored_row(
+        matrix: &mut HvMatrix,
+        stored: usize,
+        write: impl Fn(&mut HvRowMut<'_>) + Sync,
+    ) {
+        matrix.fill_stored_rows(|s, row| {
+            if s == stored {
+                write(row);
+            }
+        });
     }
 
     #[test]
@@ -601,9 +536,7 @@ mod tests {
         for dim in [70usize, 256, 1000] {
             let a = BinaryHypervector::random(dim, &mut r);
             let b = BinaryHypervector::random(dim, &mut r);
-            let mut m = HvMatrix::zeros(2, dim).unwrap();
-            m.set_row(0, &a).unwrap();
-            m.set_row(1, &b).unwrap();
+            let mut m = HvMatrix::from_vectors(&[a.clone(), b.clone()]).unwrap();
 
             assert_eq!(m.row(0).count_ones(), a.count_ones());
             assert_eq!(m.row(0).hamming(m.row(1)).unwrap(), a.hamming(&b).unwrap());
@@ -616,9 +549,9 @@ mod tests {
             assert_eq!(ones, expected);
 
             // XOR-bind in place equals the allocating xor, and unbinds.
-            m.row_mut(0).xor_assign(&b).unwrap();
+            write_stored_row(&mut m, 0, |row| row.xor_assign(&b).unwrap());
             assert_eq!(m.row(0).to_hypervector(), a.xor(&b).unwrap());
-            m.row_mut(0).xor_assign(&b).unwrap();
+            write_stored_row(&mut m, 0, |row| row.xor_assign(&b).unwrap());
             assert_eq!(m.row(0).to_hypervector(), a);
         }
     }
@@ -627,13 +560,19 @@ mod tests {
     fn dimension_mismatches_are_rejected() {
         let mut m = HvMatrix::zeros(2, 128).unwrap();
         let wrong = BinaryHypervector::zeros(64).unwrap();
-        assert!(m.set_row(0, &wrong).is_err());
-        assert!(m.row_mut(0).copy_from(&wrong).is_err());
-        assert!(m.row_mut(0).xor_assign(&wrong).is_err());
+        let (visited, rejected) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        m.fill_stored_rows(|_, row| {
+            visited.fetch_add(1, Ordering::Relaxed);
+            for result in [row.copy_from(&wrong), row.xor_assign(&wrong)] {
+                if result.is_err() {
+                    rejected.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        });
+        assert_eq!(visited.into_inner(), 2, "one call per stored row");
+        assert_eq!(rejected.into_inner(), 4);
+        assert!(m.as_words().iter().all(|&w| w == 0));
         assert!(m.row(0).hamming(wrong.as_row()).is_err());
-        assert!(m
-            .set_row(9, &BinaryHypervector::zeros(128).unwrap())
-            .is_err());
         let other = HvMatrix::zeros(1, 64).unwrap();
         assert!(m.row(0).hamming(other.row(0)).is_err());
     }
@@ -650,18 +589,18 @@ mod tests {
         let mut r = rng();
         let a = BinaryHypervector::random(130, &mut r);
         let mut m = HvMatrix::zeros(2, 130).unwrap();
-        m.set_row(0, &a).unwrap();
+        write_stored_row(&mut m, 0, |row| row.copy_from(&a).unwrap());
         let row0 = m.row(0).to_hypervector();
-        m.row_mut(1).copy_from(&row0).unwrap();
+        write_stored_row(&mut m, 1, |row| row.copy_from(&row0).unwrap());
         assert_eq!(m.row(1).to_hypervector(), a);
-        m.row_mut(0).clear();
+        write_stored_row(&mut m, 0, |row| row.clear());
         assert_eq!(m.row(0).count_ones(), 0);
         // Clearing row 0 must not touch row 1.
         assert_eq!(m.row(1).to_hypervector(), a);
     }
 
     #[test]
-    fn fill_stored_rows_writes_every_row_of_a_dense_matrix_in_parallel() {
+    fn fill_stored_rows_writes_every_stored_row_in_parallel() {
         let mut r = rng();
         let codebook: Vec<BinaryHypervector> = (0..7)
             .map(|_| BinaryHypervector::random(200, &mut r))
@@ -686,84 +625,59 @@ mod tests {
         let index = vec![0, 1, 0, 2, 1, 0];
         let shared = HvMatrix::from_shared(&stored, index.clone()).unwrap();
         assert_eq!((shared.rows(), shared.stored_rows()), (6, 3));
-        assert_eq!(shared.stored_index(), Some(index.as_slice()));
+        assert_eq!(shared.stored_index(), index.as_slice());
         let expanded: Vec<BinaryHypervector> =
             index.iter().map(|&s| stored[s as usize].clone()).collect();
         assert_eq!(shared.to_vectors(), expanded);
-        let dense = HvMatrix::from_vectors(&expanded).unwrap();
-        assert_eq!(dense.stored_index(), None);
-        assert_eq!(dense.stored_rows(), 6);
-        assert_eq!(shared, dense);
-        let mut other = dense.clone();
-        other.row_mut(5).clear();
+        let unshared = HvMatrix::from_vectors(&expanded).unwrap();
+        assert_eq!(unshared.stored_index(), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(unshared.stored_rows(), 6);
+        assert_eq!(shared, unshared);
+        let mut other = unshared.clone();
+        write_stored_row(&mut other, 5, |row| row.clear());
         assert_ne!(shared, other);
     }
 
     #[test]
-    fn writing_one_row_of_a_shared_matrix_leaves_every_other_row_unchanged() {
-        let mut r = rng();
-        let stored: Vec<BinaryHypervector> = (0..3)
-            .map(|_| BinaryHypervector::random(100, &mut r))
-            .collect();
-        let index = vec![0, 1, 0, 2, 1, 0];
-        let before = HvMatrix::from_shared(&stored, index.clone())
-            .unwrap()
-            .to_vectors();
-        let key = BinaryHypervector::random(100, &mut r);
-        for written in 0..index.len() {
-            let expected = |i: usize| {
-                if i == written {
-                    before[i].xor(&key).unwrap()
-                } else {
-                    before[i].clone()
-                }
-            };
-            let mut by_view = HvMatrix::from_shared(&stored, index.clone()).unwrap();
-            by_view.row_mut(written).xor_assign(&key).unwrap();
-            let mut by_set = HvMatrix::from_shared(&stored, index.clone()).unwrap();
-            by_set.set_row(written, &expected(written)).unwrap();
-            for matrix in [by_view, by_set] {
-                for (i, _) in before.iter().enumerate() {
-                    assert_eq!(
-                        matrix.row(i).to_hypervector(),
-                        expected(i),
-                        "row {i} after writing row {written}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn stored_rows_must_be_numbered_in_order_of_first_use() {
+    fn an_index_entry_past_the_stored_rows_is_refused() {
         let mut r = rng();
         let stored: Vec<BinaryHypervector> = (0..2)
             .map(|_| BinaryHypervector::random(70, &mut r))
             .collect();
-        // Stored row 1 read before stored row 0, and a stored row nobody
-        // reads.
-        assert!(HvMatrix::from_shared(&stored, vec![1, 0]).is_err());
-        assert!(HvMatrix::from_shared(&stored, vec![0, 0]).is_err());
         assert!(HvMatrix::from_shared(&stored, vec![0, 2, 1]).is_err());
+        // Any order of use is accepted, and a stored row nobody reads too.
+        let reordered = HvMatrix::from_shared(&stored, vec![1, 0]).unwrap();
+        assert_eq!(
+            reordered.to_vectors(),
+            vec![stored[1].clone(), stored[0].clone()]
+        );
+        assert_eq!(
+            HvMatrix::from_shared(&stored, vec![0, 0])
+                .unwrap()
+                .stored_rows(),
+            2
+        );
 
         let mut m = HvMatrix::zeros(0, 70).unwrap();
         m.reset_shared(4, 70).unwrap();
         m.share_rows(|index| {
-            index.copy_from_slice(&[0, 1, 0, 2]);
+            index.copy_from_slice(&[2, 1, 2, 0]);
             3
         })
         .unwrap();
         assert_eq!((m.rows(), m.stored_rows()), (4, 3));
         m.fill_stored_rows(|s, row| row.copy_from(&stored[s % 2]).unwrap());
         assert_eq!(m.row(3).to_hypervector(), stored[0]);
-        // A count that disagrees with the index leaves the prepared state.
+        assert_eq!(m.row(1).to_hypervector(), stored[1]);
+        // A count the index reads past leaves the prepared state.
         assert!(m
             .share_rows(|index| {
                 index.copy_from_slice(&[0, 1, 0, 2]);
-                4
+                2
             })
             .is_err());
         assert_eq!((m.rows(), m.stored_rows()), (4, 1));
+        assert_eq!(m.stored_index(), [0, 0, 0, 0]);
         assert!(m.as_words().iter().all(|&w| w == 0));
     }
 
@@ -793,9 +707,8 @@ mod tests {
         let mut r = rng();
         let a = BinaryHypervector::random(70, &mut r);
         let b = BinaryHypervector::random(70, &mut r);
-        let mut m = HvMatrix::zeros(1, 70).unwrap();
-        m.set_row(0, &a).unwrap();
-        m.row_mut(0).xor_assign(&b).unwrap();
+        let mut m = HvMatrix::from_vectors(std::slice::from_ref(&a)).unwrap();
+        write_stored_row(&mut m, 0, |row| row.xor_assign(&b).unwrap());
         // count_ones over the raw words must equal the logical popcount.
         assert_eq!(m.row(0).count_ones(), a.xor(&b).unwrap().count_ones());
         assert!(m.row(0).iter_ones().all(|i| i < 70));

@@ -144,8 +144,7 @@ proptest! {
         let b = BinaryHypervector::random(dim, &mut rng);
         let key = BinaryHypervector::random(dim, &mut rng);
         let mut matrix = HvMatrix::from_vectors(&[a.clone(), b.clone()]).unwrap();
-        matrix.row_mut(0).xor_assign(&key).unwrap();
-        matrix.row_mut(1).xor_assign(&key).unwrap();
+        matrix.fill_stored_rows(|_, row| row.xor_assign(&key).unwrap());
         prop_assert_eq!(matrix.row(0).to_hypervector(), a.xor(&key).unwrap());
         prop_assert_eq!(
             matrix.row(0).hamming(matrix.row(1)).unwrap(),

@@ -96,13 +96,11 @@ fn assign_block_hamming(
 
 /// One label per row of `pixels` from one per stored row.
 fn expand(pixels: &HvMatrix, labels: &[u32]) -> Vec<u32> {
-    match pixels.stored_index() {
-        Some(index) => index
-            .iter()
-            .map(|&stored| labels[stored as usize])
-            .collect(),
-        None => labels.to_vec(),
-    }
+    pixels
+        .stored_index()
+        .iter()
+        .map(|&stored| labels[stored as usize])
+        .collect()
 }
 
 /// The previous label of a row before the first assignment pass, so that
@@ -332,12 +330,11 @@ impl HvKmeans {
     /// hot path used by the pipeline.
     ///
     /// The loop runs over the matrix's **stored** rows, each weighted by
-    /// the number of rows that read it: a shared matrix (what
+    /// the number of rows that read it: the matrix
     /// [`crate::PixelEncoder::encode_region_into`] produces, one stored row
-    /// per distinct pixel key) is clustered once per key, a dense one once
-    /// per row. Identical rows always get identical labels and the bundles
-    /// are exact integer sums, so this is the same clustering as one pass
-    /// per pixel. The assignment step reads stored rows in place (in
+    /// per distinct pixel key, is clustered once per key. Identical rows
+    /// always get identical labels and the bundles are exact integer sums,
+    /// so this is the same clustering as one pass per pixel. The assignment step reads stored rows in place (in
     /// parallel across rows). The update step
     /// keeps one bundle per cluster and moves only the rows whose label
     /// changed, with all their copies
@@ -411,16 +408,10 @@ impl HvKmeans {
         // `labels` receives each pass's assignment and `previous` holds the
         // pass before it (swapped in at the top of every pass).
         let stored = pixels.stored_rows();
-        let copies = match pixels.stored_index() {
-            Some(index) => {
-                let mut copies = vec![0usize; stored];
-                for &row in index {
-                    copies[row as usize] += 1;
-                }
-                copies
-            }
-            None => vec![1; stored],
-        };
+        let mut copies = vec![0usize; stored];
+        for &row in pixels.stored_index() {
+            copies[row as usize] += 1;
+        }
         let mut labels = vec![UNASSIGNED; stored];
         let mut previous = vec![0u32; stored];
         let mut snapshots = Vec::new();

@@ -523,10 +523,13 @@ impl SegEngine {
     ///
     /// # Errors
     ///
-    /// Currently infallible for well-formed requests; the `Result` reserves
-    /// room for geometry validation.
+    /// Returns the tile grid's error for an image its tiles do not fit,
+    /// and [`SegHdcError::InvalidConfig`] for a tiled image whose tile
+    /// count × clusters does not fit a `u32`: a tiled run labels each
+    /// stitched group `tile × clusters + local cluster`.
     pub fn plan(&self, request: &SegmentRequest<'_>) -> Result<SegmentPlan> {
         let row_bytes = self.config.dimension.div_ceil(64) * 8;
+        let clusters = self.config.clusters as u64;
         let decisions = (0..request.len())
             .map(|index| {
                 let (width, height, channels) = request.shape(index);
@@ -542,15 +545,25 @@ impl SegEngine {
                         }
                     }
                 };
-                PlanDecision {
+                if let PlannedMode::Tiled(tiles) = mode {
+                    let tile_count = tiles.grid_for(width, height)?.tile_count() as u64;
+                    if tile_count.saturating_mul(clusters) > u64::from(u32::MAX) {
+                        return Err(SegHdcError::InvalidConfig {
+                            message: format!(
+                                "{tile_count} tiles × {clusters} clusters do not fit u32 labels"
+                            ),
+                        });
+                    }
+                }
+                Ok(PlanDecision {
                     width,
                     height,
                     channels,
                     whole_matrix_bytes,
                     mode,
-                }
+                })
             })
-            .collect();
+            .collect::<Result<_>>()?;
         Ok(SegmentPlan { decisions })
     }
 
@@ -898,6 +911,34 @@ mod tests {
             .plan(&SegmentRequest::image(&image).tiled(tiles))
             .unwrap();
         assert_eq!(forced.decisions[0].mode, PlannedMode::Tiled(tiles));
+    }
+
+    #[test]
+    fn tiled_runs_whose_labels_do_not_fit_a_u32_are_refused() {
+        let config = SegHdcConfig {
+            clusters: 65_535,
+            ..fast_config()
+        };
+        let engine = SegEngine::new(config).unwrap();
+        let tiles = TileConfig::square(1, 0).unwrap();
+        // 257 × 256 one-pixel tiles × 65,535 clusters: labels past 2³².
+        let image = DynamicImage::Gray(GrayImage::filled(257, 256, 20).unwrap());
+        let request = SegmentRequest::image(&image).tiled(tiles);
+        let planned = engine.plan(&request).map(drop);
+        let ran = engine.run(&request).map(drop);
+        for result in [planned, ran] {
+            assert!(
+                matches!(result, Err(SegHdcError::InvalidConfig { .. })),
+                "got {result:?}"
+            );
+        }
+        // 256 × 256 one-pixel tiles: the largest label is 2³² − 65,537,
+        // and ids stay below 2³² too.
+        let image = DynamicImage::Gray(GrayImage::filled(256, 256, 20).unwrap());
+        let plan = engine
+            .plan(&SegmentRequest::image(&image).tiled(tiles))
+            .unwrap();
+        assert_eq!(plan.decisions[0].mode, PlannedMode::Tiled(tiles));
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //!    rows are bit-identical to the whole-image rows) and clustered with the
 //!    same revised K-Means as the whole-image path.
 //! 3. Interior labels are written to the output map a row slice at a
-//!    time, under a provisional per-tile label id; each tile keeps its
-//!    clusterer's final bundles ([`Accumulator`]s, moved, not copied) with
-//!    their norms. An id's interior size is its bundle's item count (one
-//!    per pixel of the padded region) less its pixels in the halo ring.
+//!    time, under a provisional id per cluster the tile formed (so the ids
+//!    grow with the clusters the tiles formed, never with tiles × the
+//!    requested clusters); each tile keeps its clusterer's final bundles
+//!    ([`Accumulator`]s, moved, not copied) with their norms. An id's
+//!    interior size is its bundle's item count (one per pixel of the
+//!    padded region) less its pixels in the halo ring.
 //! 4. Each tile is then stitched onto its earlier neighbours (west,
 //!    north-west, north and north-east, the only tiles labelled before it
 //!    that a halo narrower than a tile can reach). Every pixel where the
@@ -38,8 +40,9 @@
 //!    into the least-dissimilar neighbour group.
 //! 5. After the last tile, each provisional id resolves to its group's
 //!    representative once, the group sizes add up their members' counts,
-//!    and relabelling the provisional map in place makes it the final,
-//!    globally consistent label map.
+//!    and relabelling the provisional map in place, each group under its
+//!    representative's `tile × clusters + local cluster` label, makes it
+//!    the final, globally consistent label map.
 
 use crate::engine::{ExecutedMode, SegmentOutput};
 use crate::observe::ImageObserver;
@@ -239,6 +242,7 @@ struct UnionFind {
 }
 
 impl UnionFind {
+    /// `len` singleton ids; `len` must fit a `u32`.
     fn new(len: usize) -> Self {
         Self {
             parent: (0..len as u32).collect(),
@@ -287,9 +291,11 @@ type TileCentroids = Vec<Option<(Accumulator, f64)>>;
 /// per completed tile row (progress) and are polled between tiles
 /// (cancellation).
 ///
-/// Output labels are provisional tile-cluster ids compacted per stitched
-/// group; for a single-tile run they equal the raw cluster indices, so the
-/// output is byte-identical to a whole-image run.
+/// Each stitched group is labelled `tile × clusters + local cluster` after
+/// its first member; for a single-tile run the labels equal the raw
+/// cluster indices, so the output is byte-identical to a whole-image run.
+/// Those labels must fit a `u32`, which [`crate::SegEngine::plan`]
+/// checks.
 pub(crate) fn segment_streaming_with(
     config: &SegHdcConfig,
     encoder: &PixelEncoder,
@@ -309,12 +315,24 @@ pub(crate) fn segment_streaming_with(
     let host_kernels = backend.host_kernels();
 
     let tiles_x = grid.tiles_x();
-    let total_ids = grid.tile_count() * clusters;
-    // Provisional per-pixel label: `tile_index * clusters + local_cluster`.
+    // One id per cluster a tile forms: all of them, or one for a tile too
+    // small to form them all. So the ids number at most the padded pixels,
+    // and at most tiles × clusters, which `SegEngine::plan` keeps within
+    // a `u32`.
+    let ids = grid
+        .iter()
+        .map(|tile| {
+            if tile.padded.area() < clusters {
+                1
+            } else {
+                clusters
+            }
+        })
+        .sum();
+    // Provisional per-pixel label: the id of the tile cluster that labels
+    // the pixel. Tile `t`'s clusters take the ids from `size_starts[t]`.
     let mut provisional = vec![u32::MAX; view.pixel_count()];
-    // Interior pixels per local cluster, tile after tile: tile `t`'s
-    // clusters start at `size_starts[t]`. Only the clusters a tile formed
-    // get a counter, so a tile too small to form them all keeps one.
+    // Interior pixels per id.
     let mut sizes: Vec<usize> = Vec::new();
     let mut size_starts: Vec<usize> = Vec::with_capacity(grid.tile_count());
     let mut centroids: Vec<TileCentroids> = Vec::with_capacity(grid.tile_count());
@@ -323,7 +341,7 @@ pub(crate) fn segment_streaming_with(
     // the earlier tile's local label and the later tile's. One overlap at a
     // time, so the votes never outgrow a padded tile.
     let mut votes: Vec<(u32, u32)> = Vec::new();
-    let mut union_find = UnionFind::new(total_ids);
+    let mut union_find = UnionFind::new(ids);
 
     // Stitch: merge each cluster of a later tile with its most similar
     // centroid of an earlier neighbour; near-ties are decided by the
@@ -342,6 +360,7 @@ pub(crate) fn segment_streaming_with(
     let halo = grid.halo();
     let mut present: Vec<bool> = Vec::new();
     let mut stitch_pair = |centroids: &[TileCentroids],
+                           size_starts: &[usize],
                            earlier: usize,
                            later: usize,
                            votes: &[(u32, u32)],
@@ -388,8 +407,8 @@ pub(crate) fn segment_streaming_with(
                 }
             }
             union_find.union(
-                (earlier * clusters + chosen) as u32,
-                (later * clusters + local) as u32,
+                (size_starts[earlier] + chosen) as u32,
+                (size_starts[later] + local) as u32,
             );
         }
     };
@@ -461,7 +480,7 @@ pub(crate) fn segment_streaming_with(
         };
 
         // Write the interior labels.
-        let base = tile_index * clusters;
+        let base = sizes.len();
         for (pixels, local) in tile_rows(tile.interior) {
             for (id, &label) in provisional[pixels].iter_mut().zip(&labels[local]) {
                 *id = base as u32 + label;
@@ -471,13 +490,13 @@ pub(crate) fn segment_streaming_with(
         // cluster's bundle holds one item per pixel of the padded region,
         // so its interior size is that count less its pixels in the halo
         // ring around the interior, a small part of the tile.
-        size_starts.push(sizes.len());
+        size_starts.push(base);
         sizes.extend(
             centroids[tile_index]
                 .iter()
                 .map(|centroid| centroid.as_ref().map_or(0, |(bundle, _)| bundle.items())),
         );
-        let tile_sizes = &mut sizes[size_starts[tile_index]..];
+        let tile_sizes = &mut sizes[base..];
         let interior = tile.interior;
         for (y, row) in (padded.y..).zip(labels.chunks_exact(padded.width)) {
             let ring = if (interior.y..interior.bottom()).contains(&y) {
@@ -507,7 +526,7 @@ pub(crate) fn segment_streaming_with(
             let earlier = grid_y * tiles_x + grid_x;
             votes.clear();
             if let Some(overlap) = intersection(&padded, &grid.tile(grid_x, grid_y)?.interior) {
-                let earlier_base = (earlier * clusters) as u32;
+                let earlier_base = size_starts[earlier] as u32;
                 for (pixels, local) in tile_rows(overlap) {
                     votes.extend(
                         provisional[pixels]
@@ -518,7 +537,14 @@ pub(crate) fn segment_streaming_with(
                 }
             }
             let diagonal = dx != 0 && dy != 0;
-            stitch_pair(&centroids, earlier, tile_index, &votes, diagonal);
+            stitch_pair(
+                &centroids,
+                &size_starts,
+                earlier,
+                tile_index,
+                &votes,
+                diagonal,
+            );
         }
         stitch_time += stitch_start.elapsed();
 
@@ -529,27 +555,32 @@ pub(crate) fn segment_streaming_with(
         }
     }
 
-    // Every provisional label's group representative: the smallest
-    // provisional label in the group, so a single-tile run keeps raw
-    // cluster indices. Each cluster's interior count moves onto its
-    // representative's counter (a representative is a formed cluster), so
-    // the group sizes come out in ascending label order and the report
-    // shape matches whole-image outputs, and relabelling the provisional
-    // map in place makes it the label map.
+    // Every id's group representative: the smallest id in the group, so a
+    // single-tile run keeps raw cluster indices. Each cluster's interior
+    // count moves onto its representative's, so the group sizes come out
+    // in ascending label order and the report shape matches whole-image
+    // outputs. Ids and `tile × clusters + local` labels both order the
+    // clusters by (tile, local), so each group's label is its
+    // representative's, and relabelling the provisional map in place
+    // makes it the label map.
+    debug_assert_eq!(sizes.len(), ids, "every tile formed the clusters counted");
     let stitch_start = Instant::now();
-    let representatives = union_find.into_representatives();
-    let counter = |id: usize| size_starts[id / clusters] + id % clusters;
+    let mut group_labels = union_find.into_representatives();
     for (tile_index, &start) in size_starts.iter().enumerate() {
         for local in 0..centroids[tile_index].len() {
-            let id = tile_index * clusters + local;
-            let representative = representatives[id] as usize;
-            if representative != id {
-                let moved = std::mem::take(&mut sizes[start + local]);
-                sizes[counter(representative)] += moved;
+            let id = start + local;
+            let representative = group_labels[id] as usize;
+            if representative == id {
+                group_labels[id] = (tile_index * clusters + local) as u32;
+            } else {
+                // A smaller id, already relabelled.
+                let moved = std::mem::take(&mut sizes[id]);
+                sizes[representative] += moved;
+                group_labels[id] = group_labels[representative];
             }
         }
     }
-    relabel(&mut provisional, &representatives);
+    relabel(&mut provisional, &group_labels);
     let cluster_sizes: Vec<usize> = sizes.into_iter().filter(|&size| size > 0).collect();
     let stitched_labels = cluster_sizes.len();
     let label_map = LabelMap::from_raw(width, view.height(), provisional)?;
@@ -571,7 +602,7 @@ pub(crate) fn segment_streaming_with(
     })
 }
 
-/// Replaces every provisional label with its group's representative.
+/// Replaces every provisional id with its group's label.
 ///
 /// Kept out of line: inlined into [`segment_streaming_with`], the loop
 /// reloaded its bound from the stack at every pixel and took about 1.6×
@@ -651,21 +682,6 @@ mod tests {
         );
         assert_eq!(arena.matrix.rows(), 2);
         assert!(arena.intensities.is_empty());
-    }
-
-    #[test]
-    fn writing_a_row_of_the_arena_after_a_larger_tile_keeps_the_recorded_peak() {
-        // A backend that writes the prepared arena row by row expands it
-        // to one stored row per row, into the buffers a larger tile grew.
-        let mut arena = TileArena::new();
-        arena.prepare(10, 128).unwrap();
-        arena.matrix.row_mut(0).clear();
-        let after_large = arena.peak_matrix_bytes();
-        assert_eq!(after_large, 10 * 4 + 10 * 2 * 8);
-        arena.prepare(2, 64).unwrap();
-        arena.matrix.row_mut(1).clear();
-        assert_eq!(arena.matrix.stored_rows(), 2);
-        assert_eq!(arena.peak_matrix_bytes(), after_large);
     }
 
     #[test]

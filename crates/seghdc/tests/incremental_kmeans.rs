@@ -5,9 +5,9 @@
 //! `HvKmeans::cluster`, which runs every configured pass and re-bundles
 //! every pixel in each: the oracle. Rows repeat, as pixels of one position
 //! block and one colour do, with multiplicities that set several bits;
-//! each input is clustered both as a dense matrix (one stored row per
-//! pixel) and as a shared one (one stored row per distinct pixel, as the
-//! keyed pixel encoder builds it).
+//! each input is clustered both as a matrix of one stored row per pixel
+//! and as one of one stored row per distinct pixel, as the keyed pixel
+//! encoder builds it.
 
 use hdc::kernels::{self, Kernels};
 use hdc::{BinaryHypervector, HdcRng, HvMatrix};
@@ -70,7 +70,7 @@ fn shared_matrix(pixels: &[BinaryHypervector]) -> HvMatrix {
     HvMatrix::from_shared(&stored, index).unwrap()
 }
 
-/// Runs both paths, the matrix path on the dense and on the shared
+/// Runs both paths, the matrix path on the unshared and on the shared
 /// matrix, and checks each matrix outcome against the oracle's: identical
 /// labels, snapshots, sizes and bundles, and a pass count that is at most
 /// the oracle's and smaller only once the oracle's labels had settled.

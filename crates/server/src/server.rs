@@ -1636,30 +1636,34 @@ mod tests {
         let handle = serve("127.0.0.1:0", one_worker()).unwrap();
         let mut client = SegClient::connect(handle.local_addr()).unwrap();
 
-        // Every 16×16 tile collapses to one cluster; the stitch's memory
-        // stays per tile pair, so the largest cluster count the wire
-        // carries costs tables of tiles × clusters entries.
+        // Every tile collapses to one cluster, a 1×1 tile without a halo
+        // to its one pixel. The run's tables grow with the clusters the
+        // tiles formed, not with tiles × the largest cluster count the
+        // wire carries.
         let mut config = test_config(71);
         config.clusters = usize::from(u16::MAX);
         let image = test_image(32, 0);
-        let tiled = RequestMode::Tiled {
-            tile_width: 16,
-            tile_height: 16,
-            halo: 2,
-        };
-        let response = client
-            .segment(&WireSegmentRequest::from_image(&config, &image, tiled, 0))
-            .unwrap();
-        assert_eq!(response.status(), WireStatus::Ok);
-        let engine = SegEngine::new(config).unwrap();
-        let tiles = TileConfig::square(16, 2).unwrap();
-        let direct = engine
-            .run(&SegmentRequest::image(&image).tiled(tiles))
-            .unwrap();
-        assert_eq!(
-            response.label_map().unwrap().as_raw(),
-            direct.single().label_map.as_raw()
-        );
+        let engine = SegEngine::new(config.clone()).unwrap();
+        for (edge, halo) in [(16, 2), (1, 0)] {
+            let tiled = RequestMode::Tiled {
+                tile_width: edge,
+                tile_height: edge,
+                halo,
+            };
+            let response = client
+                .segment(&WireSegmentRequest::from_image(&config, &image, tiled, 0))
+                .unwrap();
+            assert_eq!(response.status(), WireStatus::Ok, "{edge}x{edge} tiles");
+            let tiles = TileConfig::square(edge as usize, halo as usize).unwrap();
+            let direct = engine
+                .run(&SegmentRequest::image(&image).tiled(tiles))
+                .unwrap();
+            assert_eq!(
+                response.label_map().unwrap().as_raw(),
+                direct.single().label_map.as_raw(),
+                "{edge}x{edge} tiles"
+            );
+        }
         handle.shutdown();
     }
 
