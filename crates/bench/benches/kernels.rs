@@ -22,7 +22,7 @@
 
 use hdc::kernels::{self, Kernels};
 use hdc::{Accumulator, BinaryHypervector, BitSlicedGroup, HdcRng, HvMatrix};
-use seghdc::{DistanceMetric, HvKmeans, SegEngine, SegHdcConfig, SegmentRequest, SimdCpuBackend};
+use seghdc::{HvKmeans, SegEngine, SegHdcConfig, SegmentRequest, SimdCpuBackend};
 use seghdc_bench::bench_json::{self, BenchRecord};
 use std::hint::black_box;
 use synthdata::{DatasetProfile, NucleiImageGenerator};
@@ -287,7 +287,7 @@ fn bench_cluster_iteration(report: &mut Reporter) {
     let matrix = random_matrix(IMAGE_ROWS, IMAGE_DIMENSION, 6);
     let intensities: Vec<u8> = (0..matrix.rows()).map(|i| (i % 251) as u8).collect();
     for clusters in [2usize, CLUSTERS] {
-        let kmeans = HvKmeans::new(clusters, 3, DistanceMetric::Cosine, false).expect("valid");
+        let kmeans = HvKmeans::new(clusters, 3, false).expect("valid");
         for k in kernels::available() {
             let ns = bench_json::median_ns_per_op(SAMPLES, 1, || {
                 black_box(

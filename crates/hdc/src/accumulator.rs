@@ -1,5 +1,5 @@
 use crate::kernels::{self, Kernels};
-use crate::{BinaryHypervector, HdcError, HvRow, Result};
+use crate::{HdcError, HvRow, Result};
 
 /// An integer "bundled" hypervector: the element-wise sum of binary
 /// hypervectors, stored as a **vertical counter**.
@@ -203,8 +203,8 @@ impl Accumulator {
     }
 
     /// Adds one row element-wise — an [`crate::HvMatrix`] row, or a vector
-    /// borrowed with [`BinaryHypervector::as_row`] — without allocating:
-    /// the bundling step of the clusterer.
+    /// borrowed with [`crate::BinaryHypervector::as_row`] — without
+    /// allocating: the bundling step of the clusterer.
     ///
     /// # Errors
     ///
@@ -455,26 +455,6 @@ impl Accumulator {
     pub fn cosine_distance_row(&self, row: HvRow<'_>) -> Result<f64> {
         Ok(1.0 - self.cosine_similarity_row(row)?)
     }
-
-    /// Thresholds the accumulator back into a binary hypervector with the
-    /// classical HDC majority rule: a bit is one if it was set in more than
-    /// half of the accumulated vectors (ties broken towards zero).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::EmptyInput`] if nothing has been accumulated.
-    pub fn to_majority(&self) -> Result<BinaryHypervector> {
-        if self.items == 0 {
-            return Err(HdcError::EmptyInput);
-        }
-        let threshold = self.items as u64;
-        let bits: Vec<bool> = self
-            .counts()
-            .iter()
-            .map(|&c| 2 * u64::from(c) > threshold)
-            .collect();
-        BinaryHypervector::from_bits(&bits)
-    }
 }
 
 /// A group of bit-sliced counters stacked contiguously, ready for the
@@ -484,10 +464,10 @@ impl Accumulator {
 /// planes of *all* K-Means centroids back-to-back in one buffer (with each
 /// centroid's cached norm), which is exactly the layout
 /// [`Kernels::plane_dot_multi`] consumes: one pixel row is swept against
-/// every centroid's planes while the row words stay loaded. The buffers are
-/// reused across [`rebuild`](Self::rebuild) calls, so the per-iteration cost
-/// of the K-Means assignment step is plane copies into existing capacity —
-/// no allocation, no per-centroid snapshot objects.
+/// every centroid's planes in one call. The buffers are reused across
+/// [`rebuild`](Self::rebuild) calls, so the per-iteration cost of the
+/// K-Means assignment step is plane copies into existing capacity — no
+/// allocation, no per-centroid snapshot objects.
 ///
 /// [`cache_ranges`](Self::cache_ranges) splits the members into contiguous
 /// runs whose stacked planes fit a byte budget; sweeping a block of rows
@@ -773,7 +753,7 @@ fn cosine_of_prenorm(dot: u64, bundle_norm: f64, row_norm: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::HdcRng;
+    use crate::{BinaryHypervector, HdcRng};
 
     /// The bundle of `members`, added one row at a time.
     fn bundle_of(members: &[BinaryHypervector]) -> Accumulator {
@@ -1049,20 +1029,6 @@ mod tests {
         let zero = crate::HvMatrix::zeros(1, 300).unwrap();
         assert!(acc.remove_row(zero.row(0), 10).is_err());
         assert_eq!(acc, before);
-    }
-
-    #[test]
-    fn majority_of_identical_vectors_is_that_vector() {
-        let mut rng = HdcRng::seed_from(5);
-        let hv = BinaryHypervector::random(300, &mut rng);
-        let acc = bundle_of(&[hv.clone(), hv.clone(), hv.clone()]);
-        assert_eq!(acc.to_majority().unwrap(), hv);
-    }
-
-    #[test]
-    fn majority_of_empty_accumulator_errors() {
-        let acc = Accumulator::zeros(16).unwrap();
-        assert_eq!(acc.to_majority().unwrap_err(), HdcError::EmptyInput);
     }
 
     #[test]

@@ -313,38 +313,6 @@ macro_rules! avx512_kernels_impl {
                 unsafe { $ops::plane_dot_group(planes, words_per_plane, row) }
             }
 
-            fn plane_dot_multi(
-                &self,
-                planes: &[u64],
-                words_per_plane: usize,
-                group_plane_counts: &[usize],
-                row: &[u64],
-                out: &mut [u64],
-            ) {
-                debug_assert_ne!(words_per_plane, 0);
-                debug_assert_eq!(row.len(), words_per_plane);
-                debug_assert_eq!(out.len(), group_plane_counts.len());
-                let mut offset = 0;
-                for (slot, &count) in out.iter_mut().zip(group_plane_counts) {
-                    let end = offset + count * words_per_plane;
-                    // SAFETY: see `popcount`.
-                    *slot += unsafe {
-                        $ops::plane_dot_group(&planes[offset..end], words_per_plane, row)
-                    };
-                    offset = end;
-                }
-            }
-
-            fn hamming_multi(&self, row: &[u64], stacked: &[u64], out: &mut [u64]) {
-                debug_assert_eq!(stacked.len(), row.len() * out.len());
-                for (k, slot) in out.iter_mut().enumerate() {
-                    // SAFETY: see `popcount`. Direct internal call keeps
-                    // the per-centroid loop free of virtual dispatch.
-                    *slot =
-                        unsafe { $ops::hamming_words(row, &stacked[k * row.len()..][..row.len()]) };
-                }
-            }
-
             fn counts_dot_multi(&self, counts: &[u16], row: &[u64], out: &mut [u64]) -> bool {
                 debug_assert_eq!(counts.len(), row.len() * 64 * out.len());
                 // The shared implementation needs 16-bit masked loads

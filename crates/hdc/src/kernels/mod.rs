@@ -1,8 +1,8 @@
 //! The unified word-level bit-kernel layer.
 //!
 //! Every hot loop in the SegHDC pipeline — XOR binding during encoding,
-//! Hamming distances during clustering, the `AND` + popcount passes behind
-//! bit-sliced centroid dot products, and the bit-serial carry adds of the
+//! the `AND` + popcount passes behind bit-sliced centroid dot products
+//! during clustering, and the bit-serial carry adds of the
 //! vertical-counter [`crate::Accumulator`] — reduces to a handful of
 //! word-wide operations over packed `u64` slices. This module extracts those
 //! operations into one dispatchable [`Kernels`] trait so a single selection
@@ -115,8 +115,11 @@ pub trait Kernels: std::fmt::Debug + Send + Sync {
     /// contributes (so `planes.len()` is the sum of the counts times
     /// `words_per_plane`). Each `out[k]` is **accumulated** (`+=`) with the
     /// dot product of counter `k` and `row`, allowing callers to sum
-    /// partial dots across cache-blocked plane chunks. Implementations load
-    /// each row word once and carry the per-counter sums in registers.
+    /// partial dots across cache-blocked plane chunks.
+    ///
+    /// Every implementation keeps this body. A provided method is compiled
+    /// once per implementing type, so `self.plane_dot` here is a static,
+    /// inlinable call to that type's own `plane_dot`.
     fn plane_dot_multi(
         &self,
         planes: &[u64],
@@ -140,10 +143,14 @@ pub trait Kernels: std::fmt::Debug + Send + Sync {
         }
     }
 
-    /// Fused multi-centroid form of [`hamming`](Kernels::hamming): one row
-    /// against `out.len()` equal-width vectors stacked back-to-back in
-    /// `stacked`. Writes each distance into `out[k]`, loading the row words
-    /// once per vector at most (fused implementations keep them resident).
+    /// Multi-vector form of [`hamming`](Kernels::hamming): one row against
+    /// `out.len()` equal-width vectors stacked back-to-back in `stacked`,
+    /// each distance written into `out[k]`.
+    ///
+    /// No pipeline stage calls this: the clusterer measures cosine distance
+    /// only. Every implementation keeps this body. The method stays only
+    /// because `perfbench`'s `CountingKernels` overrides it to count its
+    /// calls; it goes once that counter does.
     fn hamming_multi(&self, row: &[u64], stacked: &[u64], out: &mut [u64]) {
         debug_assert_eq!(stacked.len(), row.len() * out.len());
         for (k, slot) in out.iter_mut().enumerate() {

@@ -369,36 +369,6 @@ mod x86 {
             unsafe { plane_dot_group_avx2(planes, words_per_plane, row) }
         }
 
-        fn plane_dot_multi(
-            &self,
-            planes: &[u64],
-            words_per_plane: usize,
-            group_plane_counts: &[usize],
-            row: &[u64],
-            out: &mut [u64],
-        ) {
-            debug_assert_ne!(words_per_plane, 0);
-            debug_assert_eq!(row.len(), words_per_plane);
-            debug_assert_eq!(out.len(), group_plane_counts.len());
-            let mut offset = 0;
-            for (slot, &count) in out.iter_mut().zip(group_plane_counts) {
-                let end = offset + count * words_per_plane;
-                // SAFETY: see `popcount`.
-                *slot +=
-                    unsafe { plane_dot_group_avx2(&planes[offset..end], words_per_plane, row) };
-                offset = end;
-            }
-        }
-
-        fn hamming_multi(&self, row: &[u64], stacked: &[u64], out: &mut [u64]) {
-            debug_assert_eq!(stacked.len(), row.len() * out.len());
-            for (k, slot) in out.iter_mut().enumerate() {
-                // SAFETY: see `popcount`. Direct internal call keeps the
-                // per-centroid loop free of virtual dispatch.
-                *slot = unsafe { hamming_avx2(row, &stacked[k * row.len()..][..row.len()]) };
-            }
-        }
-
         fn counts_dot_multi(&self, counts: &[u16], row: &[u64], out: &mut [u64]) -> bool {
             debug_assert_eq!(counts.len(), row.len() * 64 * out.len());
             // SAFETY: see `popcount`.
@@ -545,36 +515,6 @@ mod aarch64 {
             debug_assert_eq!(row.len(), words_per_plane);
             // SAFETY: see `popcount`.
             unsafe { plane_dot_group_neon(planes, words_per_plane, row) }
-        }
-
-        fn plane_dot_multi(
-            &self,
-            planes: &[u64],
-            words_per_plane: usize,
-            group_plane_counts: &[usize],
-            row: &[u64],
-            out: &mut [u64],
-        ) {
-            debug_assert_ne!(words_per_plane, 0);
-            debug_assert_eq!(row.len(), words_per_plane);
-            debug_assert_eq!(out.len(), group_plane_counts.len());
-            let mut offset = 0;
-            for (slot, &count) in out.iter_mut().zip(group_plane_counts) {
-                let end = offset + count * words_per_plane;
-                // SAFETY: see `popcount`.
-                *slot +=
-                    unsafe { plane_dot_group_neon(&planes[offset..end], words_per_plane, row) };
-                offset = end;
-            }
-        }
-
-        fn hamming_multi(&self, row: &[u64], stacked: &[u64], out: &mut [u64]) {
-            debug_assert_eq!(stacked.len(), row.len() * out.len());
-            for (k, slot) in out.iter_mut().enumerate() {
-                // SAFETY: see `popcount`. Direct internal call keeps the
-                // per-centroid loop free of virtual dispatch.
-                *slot = unsafe { hamming_neon(row, &stacked[k * row.len()..][..row.len()]) };
-            }
         }
     }
 }

@@ -210,7 +210,7 @@ impl ExecBackend for SimdCpuBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ColorEncoder, ColorEncoding, DistanceMetric, PositionEncoder, PositionEncoding};
+    use crate::{ColorEncoder, ColorEncoding, PositionEncoder, PositionEncoding};
     use hdc::HdcRng;
     use imaging::{DynamicImage, GrayImage};
 
@@ -267,7 +267,7 @@ mod tests {
         let image = gradient(6, 6);
         let matrix = enc.encode_matrix(&image).unwrap();
         let intensities: Vec<u8> = (0..36).map(|i| (i * 7) as u8).collect();
-        let kmeans = HvKmeans::new(2, 3, DistanceMetric::Cosine, false).unwrap();
+        let kmeans = HvKmeans::new(2, 3, false).unwrap();
         let direct = kmeans.cluster_matrix(&matrix, &intensities).unwrap();
         let via_backend = SimdCpuBackend::scalar()
             .cluster_matrix(&kmeans, &matrix, &intensities)
@@ -316,7 +316,7 @@ mod tests {
         assert_eq!(scalar, simd);
 
         let intensities: Vec<u8> = (0..region.area()).map(|i| (i * 7) as u8).collect();
-        let kmeans = HvKmeans::new(2, 3, DistanceMetric::Cosine, true).unwrap();
+        let kmeans = HvKmeans::new(2, 3, true).unwrap();
         let by_scalar = SimdCpuBackend::scalar()
             .cluster_matrix(&kmeans, &scalar, &intensities)
             .unwrap();

@@ -1,4 +1,4 @@
-use crate::{DistanceMetric, Result, SegHdcError};
+use crate::{Result, SegHdcError};
 use hdc::kernels::{self, Kernels};
 use hdc::{Accumulator, BinaryHypervector, BitSlicedGroup, HvMatrix};
 use rayon::prelude::*;
@@ -57,43 +57,6 @@ fn assign_block_cosine(
     }
 }
 
-/// Hamming assignment for one block of stored rows (`pixels` stored row
-/// `rows.start + i` labelled into `out[i]`): all centroid distances for a
-/// row come from one fused `hamming_multi` sweep over the stacked majority
-/// vectors. Slots whose centroid had no majority vector (empty bundle —
-/// unreachable in practice, since empty clusters inherit the previous
-/// centroid) are zero-padded in the stack and skipped via `valid`,
-/// preserving the reference path's infinite distance for them.
-fn assign_block_hamming(
-    pixels: &HvMatrix,
-    rows: Range<usize>,
-    out: &mut [u32],
-    majority_stack: &[u64],
-    majority_valid: &[bool],
-    dim: usize,
-    kernels: &dyn Kernels,
-) {
-    let clusters = majority_valid.len();
-    let mut hams = vec![0u64; clusters];
-    for (label, row) in out.iter_mut().zip(rows) {
-        kernels.hamming_multi(pixels.stored_row(row).as_words(), majority_stack, &mut hams);
-        let mut best = 0usize;
-        let mut best_distance = f64::INFINITY;
-        for (k, &ham) in hams.iter().enumerate() {
-            let distance = if majority_valid[k] {
-                ham as f64 / dim as f64
-            } else {
-                f64::INFINITY
-            };
-            if distance < best_distance {
-                best_distance = distance;
-                best = k;
-            }
-        }
-        *label = best as u32;
-    }
-}
-
 /// One label per row of `pixels` from one per stored row.
 fn expand(pixels: &HvMatrix, labels: &[u32]) -> Vec<u32> {
     pixels
@@ -135,9 +98,7 @@ pub struct ClusterOutcome {
 /// * centroids are **integer bundles** (element-wise sums) of the member
 ///   hypervectors rather than float means;
 /// * the distance is **cosine distance** (Eq. 7), which is invariant to the
-///   bundle's length so the sums never need normalising (a
-///   [`DistanceMetric::Hamming`] mode against the majority-thresholded
-///   centroid is provided for the ablation benchmarks);
+///   bundle's length so the sums never need normalising;
 /// * the initial centroids are the pixels with the **largest colour
 ///   difference** — the darkest and brightest pixels (and evenly spaced
 ///   intensity quantiles for more than two clusters) — instead of random
@@ -158,7 +119,7 @@ pub struct ClusterOutcome {
 /// ```rust
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// use hdc::{BinaryHypervector, HdcRng};
-/// use seghdc::{DistanceMetric, HvKmeans};
+/// use seghdc::HvKmeans;
 ///
 /// let mut rng = HdcRng::seed_from(2);
 /// let a = BinaryHypervector::random(1024, &mut rng);
@@ -166,7 +127,7 @@ pub struct ClusterOutcome {
 /// // Two tight groups around a and b.
 /// let pixels = vec![a.clone(), a.clone(), b.clone(), b.clone()];
 /// let intensities = vec![0, 10, 240, 250];
-/// let kmeans = HvKmeans::new(2, 5, DistanceMetric::Cosine, false)?;
+/// let kmeans = HvKmeans::new(2, 5, false)?;
 /// let outcome = kmeans.cluster(&pixels, &intensities)?;
 /// assert_eq!(outcome.labels[0], outcome.labels[1]);
 /// assert_ne!(outcome.labels[0], outcome.labels[2]);
@@ -177,7 +138,6 @@ pub struct ClusterOutcome {
 pub struct HvKmeans {
     clusters: usize,
     iterations: usize,
-    metric: DistanceMetric,
     record_snapshots: bool,
 }
 
@@ -188,12 +148,7 @@ impl HvKmeans {
     ///
     /// Returns [`SegHdcError::InvalidConfig`] if fewer than two clusters or
     /// zero iterations are requested.
-    pub fn new(
-        clusters: usize,
-        iterations: usize,
-        metric: DistanceMetric,
-        record_snapshots: bool,
-    ) -> Result<Self> {
+    pub fn new(clusters: usize, iterations: usize, record_snapshots: bool) -> Result<Self> {
         if clusters < 2 {
             return Err(SegHdcError::InvalidConfig {
                 message: format!("at least 2 clusters are required, got {clusters}"),
@@ -207,7 +162,6 @@ impl HvKmeans {
         Ok(Self {
             clusters,
             iterations,
-            metric,
             record_snapshots,
         })
     }
@@ -365,8 +319,7 @@ impl HvKmeans {
     /// [`Kernels`] selection — the variant an execution backend threads its
     /// kernels into. The word-level work of the iteration (bit-sliced
     /// centroid dot products in the assignment step, vertical-counter carry
-    /// adds in the update step, Hamming distances in the ablation metric)
-    /// dispatches through `kernels`; only the rare removal of a row that
+    /// adds in the update step) dispatches through `kernels`; only the rare removal of a row that
     /// changed cluster is a plain borrow loop. Beyond its outcome it
     /// allocates nothing per pixel: its labels and copy counts are per
     /// stored row.
@@ -417,79 +370,30 @@ impl HvKmeans {
         let mut snapshots = Vec::new();
         let mut iterations_run = 0;
 
-        // Per-iteration centroid views, reused (cleared, not reallocated)
-        // across iterations: the stacked bit-sliced group for cosine, the
-        // stacked majority vectors (with a validity mask) for Hamming.
+        // The stacked bit-sliced centroid group, reused (cleared, not
+        // reallocated) across iterations.
         let mut group = BitSlicedGroup::new();
-        let mut majority_stack: Vec<u64> = Vec::new();
-        let mut majority_valid: Vec<bool> = Vec::new();
-        let words_per_row = dim.div_ceil(64);
 
         while iterations_run < self.iterations {
             iterations_run += 1;
             std::mem::swap(&mut labels, &mut previous);
-            let metric = self.metric;
             // Per-centroid, per-iteration precomputation: the contiguous
-            // bit-sliced plane stack plus cached norms for cosine (what the
-            // fused multi-centroid dot kernel consumes), or the stacked
-            // majority-thresholded vectors for Hamming. Both yield
-            // distances bit-identical to the per-vector path.
-            let chunk_ranges: Vec<Range<usize>> = match metric {
-                DistanceMetric::Cosine => {
-                    group.rebuild(&centroids, kernels)?;
-                    group.cache_ranges(PLANE_CHUNK_BYTES)
-                }
-                DistanceMetric::Hamming => {
-                    majority_stack.clear();
-                    majority_valid.clear();
-                    for centroid in &centroids {
-                        match centroid.to_majority() {
-                            Ok(m) => {
-                                majority_stack.extend_from_slice(m.as_words());
-                                majority_valid.push(true);
-                            }
-                            Err(_) => {
-                                majority_stack.resize(majority_stack.len() + words_per_row, 0);
-                                majority_valid.push(false);
-                            }
-                        }
-                    }
-                    Vec::new()
-                }
-            };
+            // bit-sliced plane stack plus cached norms (what the fused
+            // multi-centroid dot kernel consumes), which yield distances
+            // bit-identical to the per-vector path.
+            group.rebuild(&centroids, kernels)?;
+            let chunk_ranges = group.cache_ranges(PLANE_CHUNK_BYTES);
             // Assignment step: parallel over blocks of stored rows,
             // written straight into the reused labels buffer; each block
             // sweeps the fused multi-centroid kernels one cache-sized
             // centroid run at a time.
-            let group_ref = &group;
-            let chunk_ranges_ref = &chunk_ranges;
-            let majority_stack_ref = &majority_stack;
-            let majority_valid_ref = &majority_valid;
             labels
                 .par_chunks_mut(ASSIGN_BLOCK_ROWS)
                 .enumerate()
                 .for_each(|(block, out)| {
                     let start = block * ASSIGN_BLOCK_ROWS;
                     let rows = start..start + out.len();
-                    match metric {
-                        DistanceMetric::Cosine => assign_block_cosine(
-                            pixels,
-                            rows,
-                            out,
-                            group_ref,
-                            chunk_ranges_ref,
-                            kernels,
-                        ),
-                        DistanceMetric::Hamming => assign_block_hamming(
-                            pixels,
-                            rows,
-                            out,
-                            majority_stack_ref,
-                            majority_valid_ref,
-                            dim,
-                            kernels,
-                        ),
-                    }
+                    assign_block_cosine(pixels, rows, out, &group, &chunk_ranges, kernels);
                 });
             if self.record_snapshots {
                 snapshots.push(expand(pixels, &labels));
@@ -545,11 +449,10 @@ impl HvKmeans {
     /// This is the single-vector *reference path*: it allocates per-pixel
     /// (fresh accumulators every iteration), runs every configured
     /// iteration and re-bundles every pixel in each, and exists as the
-    /// convenience API, as the oracle the incremental
-    /// [`cluster_matrix`](Self::cluster_matrix) is tested against, and as
-    /// the naive baseline the benchmarks compare it with. The two paths
-    /// produce identical labels, snapshots, sizes and bundles for the same
-    /// inputs.
+    /// convenience API and as the oracle the incremental
+    /// [`cluster_matrix`](Self::cluster_matrix) is tested against. The two
+    /// paths produce identical labels, snapshots, sizes and bundles for the
+    /// same inputs.
     ///
     /// `intensities` must hold one scalar intensity per pixel (used only for
     /// centroid initialisation) in the same order as `pixels`.
@@ -583,28 +486,15 @@ impl HvKmeans {
         for _ in 0..self.iterations {
             iterations_run += 1;
             // Assignment step (parallel over pixels).
-            let metric = self.metric;
-            let majority: Vec<Option<BinaryHypervector>> = match metric {
-                DistanceMetric::Hamming => centroids.iter().map(|c| c.to_majority().ok()).collect(),
-                // Never indexed on the cosine arm below, so don't build
-                // a vector of `None`s just to ignore it.
-                DistanceMetric::Cosine => Vec::new(),
-            };
             let assignment: Vec<u32> = pixels
                 .par_iter()
                 .map(|pixel| {
                     let mut best = 0usize;
                     let mut best_distance = f64::INFINITY;
                     for (k, centroid) in centroids.iter().enumerate() {
-                        let distance = match metric {
-                            DistanceMetric::Cosine => centroid
-                                .cosine_distance_row(pixel.as_row())
-                                .unwrap_or(f64::INFINITY),
-                            DistanceMetric::Hamming => majority[k]
-                                .as_ref()
-                                .and_then(|m| m.normalized_hamming(pixel).ok())
-                                .unwrap_or(f64::INFINITY),
-                        };
+                        let distance = centroid
+                            .cosine_distance_row(pixel.as_row())
+                            .unwrap_or(f64::INFINITY);
                         if distance < best_distance {
                             best_distance = distance;
                             best = k;
@@ -701,9 +591,9 @@ mod tests {
 
     #[test]
     fn construction_validates_parameters() {
-        assert!(HvKmeans::new(1, 5, DistanceMetric::Cosine, false).is_err());
-        assert!(HvKmeans::new(2, 0, DistanceMetric::Cosine, false).is_err());
-        assert!(HvKmeans::new(3, 10, DistanceMetric::Hamming, true).is_ok());
+        assert!(HvKmeans::new(1, 5, false).is_err());
+        assert!(HvKmeans::new(2, 0, false).is_err());
+        assert!(HvKmeans::new(3, 10, true).is_ok());
     }
 
     #[test]
@@ -716,7 +606,7 @@ mod tests {
         // Intensities correlate with the groups (dark group, bright group).
         let intensities: Vec<u8> = (0..20).map(|_| 10).chain((0..20).map(|_| 240)).collect();
 
-        let outcome = HvKmeans::new(2, 5, DistanceMetric::Cosine, false)
+        let outcome = HvKmeans::new(2, 5, false)
             .unwrap()
             .cluster(&pixels, &intensities)
             .unwrap();
@@ -728,30 +618,13 @@ mod tests {
     }
 
     #[test]
-    fn hamming_metric_also_separates_groups() {
-        let mut rng = HdcRng::seed_from(9);
-        let centre_a = BinaryHypervector::random(2048, &mut rng);
-        let centre_b = BinaryHypervector::random(2048, &mut rng);
-        let mut pixels = noisy_copies(&centre_a, 10, 40, &mut rng);
-        pixels.extend(noisy_copies(&centre_b, 10, 40, &mut rng));
-        let intensities: Vec<u8> = (0..10).map(|_| 0).chain((0..10).map(|_| 255)).collect();
-        let outcome = HvKmeans::new(2, 4, DistanceMetric::Hamming, false)
-            .unwrap()
-            .cluster(&pixels, &intensities)
-            .unwrap();
-        let first = outcome.labels[0];
-        assert!(outcome.labels[..10].iter().all(|&l| l == first));
-        assert!(outcome.labels[10..].iter().all(|&l| l != first));
-    }
-
-    #[test]
     fn snapshots_record_one_assignment_per_iteration() {
         let mut rng = HdcRng::seed_from(10);
         let pixels: Vec<BinaryHypervector> = (0..12)
             .map(|_| BinaryHypervector::random(512, &mut rng))
             .collect();
         let intensities: Vec<u8> = (0..12).map(|i| (i * 20) as u8).collect();
-        let outcome = HvKmeans::new(3, 4, DistanceMetric::Cosine, true)
+        let outcome = HvKmeans::new(3, 4, true)
             .unwrap()
             .cluster(&pixels, &intensities)
             .unwrap();
@@ -761,7 +634,7 @@ mod tests {
 
     #[test]
     fn input_validation_errors() {
-        let kmeans = HvKmeans::new(2, 2, DistanceMetric::Cosine, false).unwrap();
+        let kmeans = HvKmeans::new(2, 2, false).unwrap();
         assert!(kmeans.cluster(&[], &[]).is_err());
         let mut rng = HdcRng::seed_from(11);
         let pixels = vec![BinaryHypervector::random(256, &mut rng)];
@@ -784,16 +657,14 @@ mod tests {
         let intensities: Vec<u8> = (0..30).map(|i| (i * 8) as u8).collect();
         let matrix = HvMatrix::from_vectors(&pixels).unwrap();
 
-        for metric in [DistanceMetric::Cosine, DistanceMetric::Hamming] {
-            let kmeans = HvKmeans::new(3, 5, metric, true).unwrap();
-            let by_vector = kmeans.cluster(&pixels, &intensities).unwrap();
-            let by_matrix = kmeans.cluster_matrix(&matrix, &intensities).unwrap();
-            assert_eq!(by_vector.labels, by_matrix.labels, "{metric:?}");
-            assert_eq!(by_vector.snapshots, by_matrix.snapshots, "{metric:?}");
-            assert_eq!(by_vector.cluster_sizes, by_matrix.cluster_sizes);
-            assert_eq!(by_vector.bundles, by_matrix.bundles, "{metric:?}");
-            assert_true_pass_count(by_matrix.iterations_run, &by_vector);
-        }
+        let kmeans = HvKmeans::new(3, 5, true).unwrap();
+        let by_vector = kmeans.cluster(&pixels, &intensities).unwrap();
+        let by_matrix = kmeans.cluster_matrix(&matrix, &intensities).unwrap();
+        assert_eq!(by_vector.labels, by_matrix.labels);
+        assert_eq!(by_vector.snapshots, by_matrix.snapshots);
+        assert_eq!(by_vector.cluster_sizes, by_matrix.cluster_sizes);
+        assert_eq!(by_vector.bundles, by_matrix.bundles);
+        assert_true_pass_count(by_matrix.iterations_run, &by_vector);
     }
 
     #[test]
@@ -805,18 +676,16 @@ mod tests {
         pixels.extend(noisy_copies(&centre_b, 12, 60, &mut rng));
         let intensities: Vec<u8> = (0..24).map(|i| (i * 10) as u8).collect();
         let matrix = HvMatrix::from_vectors(&pixels).unwrap();
-        for metric in [DistanceMetric::Cosine, DistanceMetric::Hamming] {
-            let kmeans = HvKmeans::new(3, 5, metric, true).unwrap();
-            let scalar = kmeans
-                .cluster_matrix_with(&matrix, &intensities, hdc::kernels::scalar())
-                .unwrap();
-            let auto = kmeans
-                .cluster_matrix_with(&matrix, &intensities, hdc::kernels::auto())
-                .unwrap();
-            assert_eq!(scalar.labels, auto.labels, "{metric:?}");
-            assert_eq!(scalar.snapshots, auto.snapshots, "{metric:?}");
-            assert_eq!(scalar.cluster_sizes, auto.cluster_sizes, "{metric:?}");
-        }
+        let kmeans = HvKmeans::new(3, 5, true).unwrap();
+        let scalar = kmeans
+            .cluster_matrix_with(&matrix, &intensities, hdc::kernels::scalar())
+            .unwrap();
+        let auto = kmeans
+            .cluster_matrix_with(&matrix, &intensities, hdc::kernels::auto())
+            .unwrap();
+        assert_eq!(scalar.labels, auto.labels);
+        assert_eq!(scalar.snapshots, auto.snapshots);
+        assert_eq!(scalar.cluster_sizes, auto.cluster_sizes);
     }
 
     #[test]
@@ -824,7 +693,7 @@ mod tests {
         let mut rng = HdcRng::seed_from(12);
         let hv = BinaryHypervector::random(512, &mut rng);
         let matrix = HvMatrix::from_vectors(&vec![hv; 8]).unwrap();
-        let outcome = HvKmeans::new(2, 3, DistanceMetric::Cosine, false)
+        let outcome = HvKmeans::new(2, 3, false)
             .unwrap()
             .cluster_matrix(&matrix, &[128u8; 8])
             .unwrap();
@@ -834,14 +703,14 @@ mod tests {
 
     #[test]
     fn initial_indices_pick_extreme_intensities() {
-        let kmeans = HvKmeans::new(2, 1, DistanceMetric::Cosine, false).unwrap();
+        let kmeans = HvKmeans::new(2, 1, false).unwrap();
         let intensities = vec![50u8, 200, 10, 130, 255];
         let picks = kmeans.initial_indices(&intensities);
         assert_eq!(picks.len(), 2);
         assert_eq!(intensities[picks[0]], 10);
         assert_eq!(intensities[picks[1]], 255);
 
-        let three = HvKmeans::new(3, 1, DistanceMetric::Cosine, false).unwrap();
+        let three = HvKmeans::new(3, 1, false).unwrap();
         let picks = three.initial_indices(&intensities);
         assert_eq!(picks.len(), 3);
         assert_eq!(intensities[picks[0]], 10);
@@ -860,7 +729,7 @@ mod tests {
             let intensities: Vec<u8> = (0..len)
                 .map(|_| (low + rng.next_below(spread)) as u8)
                 .collect();
-            let kmeans = HvKmeans::new(clusters, 1, DistanceMetric::Cosine, false).unwrap();
+            let kmeans = HvKmeans::new(clusters, 1, false).unwrap();
             assert_eq!(
                 kmeans.initial_indices(&intensities),
                 kmeans.initial_indices_by_sort(&intensities),
@@ -871,7 +740,7 @@ mod tests {
 
     #[test]
     fn constant_intensity_input_still_yields_distinct_seeds() {
-        let kmeans = HvKmeans::new(3, 2, DistanceMetric::Cosine, false).unwrap();
+        let kmeans = HvKmeans::new(3, 2, false).unwrap();
         let intensities = vec![100u8; 10];
         let picks = kmeans.initial_indices(&intensities);
         assert_eq!(picks.len(), 3);
@@ -885,7 +754,7 @@ mod tests {
         let hv = BinaryHypervector::random(512, &mut rng);
         let pixels = vec![hv.clone(); 8];
         let intensities = vec![128u8; 8];
-        let outcome = HvKmeans::new(2, 3, DistanceMetric::Cosine, false)
+        let outcome = HvKmeans::new(2, 3, false)
             .unwrap()
             .cluster(&pixels, &intensities)
             .unwrap();

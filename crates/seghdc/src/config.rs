@@ -1,47 +1,77 @@
 use crate::{Result, SegHdcError};
 
 /// Position-encoding variant (§III-1 of the paper, Fig. 3).
+///
+/// Each variant's [`code`](Self::code) is its byte in codebook snapshots,
+/// in request frames and in the server's routing hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PositionEncoding {
     /// Row and column flips share the same bit range (Fig. 3a). Distances
     /// between positions on the same diagonal collapse to zero — shown in
     /// the paper as the *wrong* way to encode positions.
-    Uniform,
+    Uniform = 0,
     /// Row flips use the first half of the vector, column flips the second
     /// half (Fig. 3b); distances follow the Manhattan distance exactly.
-    Manhattan,
+    Manhattan = 1,
     /// Manhattan encoding with the flip unit scaled by `α` (Fig. 3c, Eq. 5),
     /// allowing finer-grained distances.
-    DecayManhattan,
+    DecayManhattan = 2,
     /// Decay Manhattan encoding where `β` consecutive rows/columns share a
     /// block and distances are computed between blocks (Fig. 3d, Eq. 6).
     /// This is the encoding used by SegHDC in the paper's evaluation.
-    BlockDecayManhattan,
+    BlockDecayManhattan = 3,
     /// Independent random hypervector per row and per column — the **RPos**
     /// ablation of Table I.
-    Random,
+    Random = 4,
+}
+
+impl PositionEncoding {
+    /// The variant's byte code.
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The variant whose [`code`](Self::code) is `code`, if any.
+    pub fn from_code(code: u8) -> Option<Self> {
+        Some(match code {
+            0 => Self::Uniform,
+            1 => Self::Manhattan,
+            2 => Self::DecayManhattan,
+            3 => Self::BlockDecayManhattan,
+            4 => Self::Random,
+            _ => return None,
+        })
+    }
 }
 
 /// Colour-encoding variant (§III-2 of the paper).
+///
+/// Each variant's [`code`](Self::code) is its byte in codebook snapshots,
+/// in request frames and in the server's routing hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColorEncoding {
     /// Level encoding whose Hamming distances follow the Manhattan distance
     /// of the 8-bit intensity values, one concatenated chunk per channel.
-    Manhattan,
+    Manhattan = 0,
     /// Independent random hypervector per intensity value — the **RColor**
     /// ablation of Table I.
-    Random,
+    Random = 1,
 }
 
-/// Distance metric used by the clusterer (§III-4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DistanceMetric {
-    /// Cosine distance (Eq. 7) — the paper's choice, because summed integer
-    /// centroids do not need re-normalisation.
-    Cosine,
-    /// Normalised Hamming distance against the majority-thresholded
-    /// centroid; provided for the ablation benchmarks.
-    Hamming,
+impl ColorEncoding {
+    /// The variant's byte code.
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The variant whose [`code`](Self::code) is `code`, if any.
+    pub fn from_code(code: u8) -> Option<Self> {
+        Some(match code {
+            0 => Self::Manhattan,
+            1 => Self::Random,
+            _ => return None,
+        })
+    }
 }
 
 /// Full configuration of the SegHDC algorithm a [`crate::SegEngine`]
@@ -88,8 +118,6 @@ pub struct SegHdcConfig {
     pub position_encoding: PositionEncoding,
     /// Colour-encoding variant.
     pub color_encoding: ColorEncoding,
-    /// Clustering distance metric.
-    pub distance_metric: DistanceMetric,
     /// Seed for every random codebook in the pipeline.
     pub seed: u64,
     /// Whether to record the label map after every clustering iteration
@@ -236,7 +264,6 @@ impl SegHdcConfigBuilder {
                 iterations: 10,
                 position_encoding: PositionEncoding::BlockDecayManhattan,
                 color_encoding: ColorEncoding::Manhattan,
-                distance_metric: DistanceMetric::Cosine,
                 seed: 0,
                 record_snapshots: false,
             },
@@ -291,12 +318,6 @@ impl SegHdcConfigBuilder {
         self
     }
 
-    /// Sets the clustering distance metric.
-    pub fn distance_metric(mut self, metric: DistanceMetric) -> Self {
-        self.config.distance_metric = metric;
-        self
-    }
-
     /// Sets the random seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
@@ -342,7 +363,6 @@ mod tests {
             config.position_encoding,
             PositionEncoding::BlockDecayManhattan
         );
-        assert_eq!(config.distance_metric, DistanceMetric::Cosine);
     }
 
     #[test]
@@ -375,7 +395,6 @@ mod tests {
             .iterations(7)
             .position_encoding(PositionEncoding::Random)
             .color_encoding(ColorEncoding::Random)
-            .distance_metric(DistanceMetric::Hamming)
             .seed(1234)
             .record_snapshots(true)
             .build()
@@ -387,9 +406,22 @@ mod tests {
         assert_eq!(config.iterations, 7);
         assert_eq!(config.position_encoding, PositionEncoding::Random);
         assert_eq!(config.color_encoding, ColorEncoding::Random);
-        assert_eq!(config.distance_metric, DistanceMetric::Hamming);
         assert_eq!(config.seed, 1234);
         assert!(config.record_snapshots);
+    }
+
+    #[test]
+    fn encoding_codes_round_trip_and_unknown_codes_are_none() {
+        for code in 0..=u8::MAX {
+            match PositionEncoding::from_code(code) {
+                Some(encoding) => assert_eq!(encoding.code(), code),
+                None => assert!(code > 4, "{code}"),
+            }
+            match ColorEncoding::from_code(code) {
+                Some(encoding) => assert_eq!(encoding.code(), code),
+                None => assert!(code > 1, "{code}"),
+            }
+        }
     }
 
     #[test]

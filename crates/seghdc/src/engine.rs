@@ -719,7 +719,6 @@ impl SegEngine {
             let kmeans = HvKmeans::new(
                 self.config.clusters,
                 self.config.iterations,
-                self.config.distance_metric,
                 self.config.record_snapshots,
             )?;
             let outcome =
@@ -1377,15 +1376,10 @@ mod tests {
             .unwrap()
             .encode_image(&image)
             .unwrap();
-        let oracle = HvKmeans::new(
-            config.clusters,
-            config.iterations,
-            config.distance_metric,
-            true,
-        )
-        .unwrap()
-        .cluster(&pixels, &intensities)
-        .unwrap();
+        let oracle = HvKmeans::new(config.clusters, config.iterations, true)
+            .unwrap()
+            .cluster(&pixels, &intensities)
+            .unwrap();
         assert_eq!(result.label_map.as_raw(), oracle.labels.as_slice());
         crate::cluster::assert_true_pass_count(result.iterations_run, &oracle);
         assert_eq!(result.cluster_sizes.iter().sum::<usize>(), 32 * 32);

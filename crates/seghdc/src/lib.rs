@@ -90,9 +90,7 @@ pub use backend::{ExecBackend, SimdCpuBackend};
 pub use cache::{CacheStats, CodebookCache, CodebookKey};
 pub use cluster::{ClusterOutcome, HvKmeans};
 pub use color::ColorEncoder;
-pub use config::{
-    ColorEncoding, DistanceMetric, PositionEncoding, SegHdcConfig, SegHdcConfigBuilder,
-};
+pub use config::{ColorEncoding, PositionEncoding, SegHdcConfig, SegHdcConfigBuilder};
 pub use engine::{
     EngineOptions, EngineTelemetry, ExecutedMode, ExecutionMode, PlanDecision, PlannedMode,
     SegEngine, SegEngineBuilder, SegmentOutput, SegmentPlan, SegmentReport, SegmentRequest,

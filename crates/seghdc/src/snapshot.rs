@@ -377,52 +377,6 @@ fn put_u64(out: &mut Vec<u8>, value: u64) {
     out.extend_from_slice(&value.to_le_bytes());
 }
 
-fn encode_position_encoding(encoding: PositionEncoding) -> u8 {
-    match encoding {
-        PositionEncoding::Uniform => 0,
-        PositionEncoding::Manhattan => 1,
-        PositionEncoding::DecayManhattan => 2,
-        PositionEncoding::BlockDecayManhattan => 3,
-        PositionEncoding::Random => 4,
-    }
-}
-
-fn decode_position_encoding(byte: u8) -> Result<PositionEncoding, SnapshotError> {
-    Ok(match byte {
-        0 => PositionEncoding::Uniform,
-        1 => PositionEncoding::Manhattan,
-        2 => PositionEncoding::DecayManhattan,
-        3 => PositionEncoding::BlockDecayManhattan,
-        4 => PositionEncoding::Random,
-        other => {
-            return Err(SnapshotError::InvalidField {
-                field: "position encoding",
-                message: format!("unknown variant byte {other}"),
-            })
-        }
-    })
-}
-
-fn encode_color_encoding(encoding: ColorEncoding) -> u8 {
-    match encoding {
-        ColorEncoding::Manhattan => 0,
-        ColorEncoding::Random => 1,
-    }
-}
-
-fn decode_color_encoding(byte: u8) -> Result<ColorEncoding, SnapshotError> {
-    Ok(match byte {
-        0 => ColorEncoding::Manhattan,
-        1 => ColorEncoding::Random,
-        other => {
-            return Err(SnapshotError::InvalidField {
-                field: "colour encoding",
-                message: format!("unknown variant byte {other}"),
-            })
-        }
-    })
-}
-
 fn write_key(out: &mut Vec<u8>, key: &CodebookKey) {
     put_u64(out, key.seed);
     put_u64(out, key.dimension as u64);
@@ -432,8 +386,8 @@ fn write_key(out: &mut Vec<u8>, key: &CodebookKey) {
     put_u64(out, key.alpha_bits);
     put_u32(out, key.beta as u32);
     put_u32(out, key.gamma as u32);
-    out.push(encode_position_encoding(key.position_encoding));
-    out.push(encode_color_encoding(key.color_encoding));
+    out.push(key.position_encoding.code());
+    out.push(key.color_encoding.code());
 }
 
 fn read_key(reader: &mut SnapReader<'_>) -> Result<CodebookKey, SnapshotError> {
@@ -467,8 +421,9 @@ fn read_key(reader: &mut SnapReader<'_>) -> Result<CodebookKey, SnapshotError> {
     let alpha_bits = reader.take_u64("key alpha")?;
     let beta = reader.take_u32("key beta")?;
     let gamma = reader.take_u32("key gamma")?;
-    let position_encoding = decode_position_encoding(reader.take_u8("position encoding")?)?;
-    let color_encoding = decode_color_encoding(reader.take_u8("colour encoding")?)?;
+    let position_encoding =
+        reader.take_variant("position encoding", PositionEncoding::from_code)?;
+    let color_encoding = reader.take_variant("colour encoding", ColorEncoding::from_code)?;
     Ok(CodebookKey {
         seed,
         dimension: dimension as usize,
@@ -593,6 +548,20 @@ impl SnapReader<'_> {
 
     fn take_u8(&mut self, field: &'static str) -> Result<u8, SnapshotError> {
         Ok(self.take(1, field)?[0])
+    }
+
+    /// A variant byte, decoded by `from_code`; an unknown byte is a typed
+    /// error naming `field`.
+    fn take_variant<T>(
+        &mut self,
+        field: &'static str,
+        from_code: fn(u8) -> Option<T>,
+    ) -> Result<T, SnapshotError> {
+        let byte = self.take_u8(field)?;
+        from_code(byte).ok_or_else(|| SnapshotError::InvalidField {
+            field,
+            message: format!("unknown variant byte {byte}"),
+        })
     }
 
     fn take_u16(&mut self, field: &'static str) -> Result<u16, SnapshotError> {

@@ -308,7 +308,7 @@ pub(crate) fn segment_streaming_with(
     let grid = tiles.grid_for(view.width(), view.height())?;
     let width = view.width();
     let clusters = config.clusters;
-    let kmeans = HvKmeans::new(clusters, config.iterations, config.distance_metric, false)?;
+    let kmeans = HvKmeans::new(clusters, config.iterations, false)?;
     // Host-side glue (centroid bundling, stitch similarity) runs on the
     // backend's kernel selection too, so a scalar-pinned backend keeps the
     // whole request — and its `kernel_isa` telemetry — scalar.

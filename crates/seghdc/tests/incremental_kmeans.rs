@@ -13,7 +13,7 @@ use hdc::kernels::{self, Kernels};
 use hdc::{BinaryHypervector, HdcRng, HvMatrix};
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use seghdc::{ClusterOutcome, DistanceMetric, HvKmeans};
+use seghdc::{ClusterOutcome, HvKmeans};
 
 /// `distinct` rows around `centres` random centres, each a random centre
 /// with `noise` random bits flipped (noise near `dim / 2` leaves little
@@ -173,19 +173,13 @@ proptest! {
         iterations in 1usize..11,
         shape in (4usize..24, 64usize..400),
         noise_share in 0usize..6,
-        hamming in any::<bool>(),
     ) {
         let (distinct, dim) = shape;
-        let metric = if hamming {
-            DistanceMetric::Hamming
-        } else {
-            DistanceMetric::Cosine
-        };
         // noise_share 0..6 sweeps tight groups (fast fixed points) up to
         // near-random rows that may never settle within the budget.
         let (pixels, intensities) =
             noisy_pixels(seed, (distinct.max(clusters), 40), dim, clusters, noise_share * dim / 10);
-        let kmeans = HvKmeans::new(clusters, iterations, metric, true).unwrap();
+        let kmeans = HvKmeans::new(clusters, iterations, true).unwrap();
         for kernels in [kernels::scalar(), kernels::auto()] {
             check_against_oracle(&kmeans, &pixels, &intensities, kernels)?;
         }
@@ -197,27 +191,23 @@ proptest! {
 /// multiplicity of several set bits that changes cluster, so the update
 /// takes all its copies out of one bundle and into another. Such inputs
 /// are searched for among five-cluster runs over two natural groups; the
-/// search must find both for each metric, so neither case can silently
-/// drop out.
+/// search must find both, so neither case can silently drop out.
 #[test]
 fn clusters_that_empty_and_heavy_rows_that_move_match_the_oracle() {
-    for metric in [DistanceMetric::Cosine, DistanceMetric::Hamming] {
-        let kmeans = HvKmeans::new(5, 8, metric, true).unwrap();
-        let (mut emptied, mut moved) = (0, 0);
-        for seed in 0..200u64 {
-            let (pixels, intensities) = noisy_pixels(seed, (30, 6), 128, 2, 10);
-            let oracle =
-                check_against_oracle(&kmeans, &pixels, &intensities, kernels::auto()).unwrap();
-            if a_cluster_emptied_mid_run(&oracle, 5) {
-                emptied += 1;
-            }
-            if a_repeated_row_changed_cluster(&oracle, &pixels) {
-                moved += 1;
-            }
+    let kmeans = HvKmeans::new(5, 8, true).unwrap();
+    let (mut emptied, mut moved) = (0, 0);
+    for seed in 0..200u64 {
+        let (pixels, intensities) = noisy_pixels(seed, (30, 6), 128, 2, 10);
+        let oracle = check_against_oracle(&kmeans, &pixels, &intensities, kernels::auto()).unwrap();
+        if a_cluster_emptied_mid_run(&oracle, 5) {
+            emptied += 1;
         }
-        assert!(emptied > 0, "no {metric:?} input emptied a cluster mid-run");
-        assert!(moved > 0, "no {metric:?} input moved a heavy row");
+        if a_repeated_row_changed_cluster(&oracle, &pixels) {
+            moved += 1;
+        }
     }
+    assert!(emptied > 0, "no input emptied a cluster mid-run");
+    assert!(moved > 0, "no input moved a heavy row");
 }
 
 /// An empty cluster keeps its previous centroid, which can win pixels back
@@ -234,13 +224,11 @@ fn an_empty_cluster_wins_pixels_back_with_its_carried_centroid() {
     let mut pixels = vec![a; 5];
     pixels.extend(std::iter::repeat_n(b, 7));
     let intensities = [0u8, 255, 100, 100, 100, 90, 90, 90, 90, 90, 90, 90];
-    for metric in [DistanceMetric::Cosine, DistanceMetric::Hamming] {
-        let kmeans = HvKmeans::new(2, 6, metric, true).unwrap();
-        for kernels in [kernels::scalar(), kernels::auto()] {
-            let oracle = check_against_oracle(&kmeans, &pixels, &intensities, kernels).unwrap();
-            assert!(!oracle.snapshots[0].contains(&1), "{metric:?}: pass 1");
-            assert_eq!(&oracle.snapshots[1][..5], &[1; 5], "{metric:?}: pass 2");
-            assert_eq!(oracle.cluster_sizes, [7, 5], "{metric:?}");
-        }
+    let kmeans = HvKmeans::new(2, 6, true).unwrap();
+    for kernels in [kernels::scalar(), kernels::auto()] {
+        let oracle = check_against_oracle(&kmeans, &pixels, &intensities, kernels).unwrap();
+        assert!(!oracle.snapshots[0].contains(&1), "pass 1");
+        assert_eq!(&oracle.snapshots[1][..5], &[1; 5], "pass 2");
+        assert_eq!(oracle.cluster_sizes, [7, 5]);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A request frame carries everything the server needs to serve a
 //! segmentation with no out-of-band state: the full algorithmic
-//! configuration (seed, dimension, α/β/γ, encodings, metric), the
+//! configuration (seed, dimension, α/β/γ, encodings), the
 //! requested execution mode, a per-request deadline, and the raw pixel
 //! buffer. A response frame carries either the label map plus the
 //! [`SegmentReport`](seghdc::SegmentReport)-style telemetry envelope, or
@@ -16,14 +16,16 @@
 
 use crate::wire::{PayloadReader, PayloadWriter, WireError, WireResult};
 use imaging::{DynamicImage, GrayImage, RgbImage};
-use seghdc::{ColorEncoding, DistanceMetric, PositionEncoding, SegHdcConfig};
+use seghdc::{ColorEncoding, PositionEncoding, SegHdcConfig};
 
 /// Version every payload layout is written at. Version 2 extended the
 /// stats response's server counters with the fused-execution counters
 /// (`fused_groups`, `fused_requests`, `fused_coalesced`,
 /// `fusion_fallbacks`). Version 3 added the streaming [`WireProgress`]
-/// payload and the `cancelled_mid_run` server counter.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// payload and the `cancelled_mid_run` server counter. Version 4 dropped
+/// the request's distance-metric byte, which followed the colour encoding:
+/// the clusterer measures cosine distance only.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Execution mode requested on the wire (mirrors
 /// [`seghdc::ExecutionMode`], with tile geometry spelled out).
@@ -102,9 +104,8 @@ impl WireSegmentRequest {
         w.put_u64(self.config.alpha.to_bits());
         w.put_u32(wire_field(self.config.beta, "beta")?);
         w.put_u32(wire_field(self.config.gamma, "gamma")?);
-        w.put_u8(encode_position(self.config.position_encoding));
-        w.put_u8(encode_color(self.config.color_encoding));
-        w.put_u8(encode_metric(self.config.distance_metric));
+        w.put_u8(self.config.position_encoding.code());
+        w.put_u8(self.config.color_encoding.code());
         match self.mode {
             RequestMode::Auto => w.put_u8(0),
             RequestMode::WholeImage => w.put_u8(1),
@@ -149,9 +150,9 @@ impl WireSegmentRequest {
         let alpha = f64::from_bits(r.take_u64("alpha_bits")?);
         let beta = r.take_u32("beta")? as usize;
         let gamma = r.take_u32("gamma")? as usize;
-        let position_encoding = decode_position(r.take_u8("position_encoding")?)?;
-        let color_encoding = decode_color(r.take_u8("color_encoding")?)?;
-        let distance_metric = decode_metric(r.take_u8("distance_metric")?)?;
+        let position_encoding =
+            take_variant(&mut r, "position_encoding", PositionEncoding::from_code)?;
+        let color_encoding = take_variant(&mut r, "color_encoding", ColorEncoding::from_code)?;
         let mode = match r.take_u8("mode")? {
             0 => RequestMode::Auto,
             1 => RequestMode::WholeImage,
@@ -204,7 +205,6 @@ impl WireSegmentRequest {
             iterations,
             position_encoding,
             color_encoding,
-            distance_metric,
             seed,
             record_snapshots: false,
         };
@@ -858,69 +858,17 @@ impl WireStatsResponse {
     }
 }
 
-fn encode_position(encoding: PositionEncoding) -> u8 {
-    match encoding {
-        PositionEncoding::Uniform => 0,
-        PositionEncoding::Manhattan => 1,
-        PositionEncoding::DecayManhattan => 2,
-        PositionEncoding::BlockDecayManhattan => 3,
-        PositionEncoding::Random => 4,
-    }
-}
-
-fn decode_position(byte: u8) -> WireResult<PositionEncoding> {
-    Ok(match byte {
-        0 => PositionEncoding::Uniform,
-        1 => PositionEncoding::Manhattan,
-        2 => PositionEncoding::DecayManhattan,
-        3 => PositionEncoding::BlockDecayManhattan,
-        4 => PositionEncoding::Random,
-        other => {
-            return Err(WireError::InvalidField {
-                field: "position_encoding",
-                message: format!("unknown variant {other}"),
-            })
-        }
-    })
-}
-
-fn encode_color(encoding: ColorEncoding) -> u8 {
-    match encoding {
-        ColorEncoding::Manhattan => 0,
-        ColorEncoding::Random => 1,
-    }
-}
-
-fn decode_color(byte: u8) -> WireResult<ColorEncoding> {
-    Ok(match byte {
-        0 => ColorEncoding::Manhattan,
-        1 => ColorEncoding::Random,
-        other => {
-            return Err(WireError::InvalidField {
-                field: "color_encoding",
-                message: format!("unknown variant {other}"),
-            })
-        }
-    })
-}
-
-fn encode_metric(metric: DistanceMetric) -> u8 {
-    match metric {
-        DistanceMetric::Cosine => 0,
-        DistanceMetric::Hamming => 1,
-    }
-}
-
-fn decode_metric(byte: u8) -> WireResult<DistanceMetric> {
-    Ok(match byte {
-        0 => DistanceMetric::Cosine,
-        1 => DistanceMetric::Hamming,
-        other => {
-            return Err(WireError::InvalidField {
-                field: "distance_metric",
-                message: format!("unknown variant {other}"),
-            })
-        }
+/// A variant byte, decoded by `from_code`; an unknown byte is a typed
+/// error naming `field`.
+fn take_variant<T>(
+    r: &mut PayloadReader<'_>,
+    field: &'static str,
+    from_code: fn(u8) -> Option<T>,
+) -> WireResult<T> {
+    let byte = r.take_u8(field)?;
+    from_code(byte).ok_or_else(|| WireError::InvalidField {
+        field,
+        message: format!("unknown variant {byte}"),
     })
 }
 
@@ -951,7 +899,7 @@ mod tests {
             seed in any::<u64>(),
             alpha_bits in any::<u64>(),
             widths in (any_width(), any_width(), any_width(), any_width(), any_width()),
-            enums in (0usize..5, any::<bool>(), any::<bool>()),
+            enums in (0usize..5, any::<bool>()),
             record_snapshots in any::<bool>(),
         ) {
             let (dimension, clusters, iterations, beta, gamma) = widths;
@@ -973,11 +921,6 @@ mod tests {
                     ColorEncoding::Random
                 } else {
                     ColorEncoding::Manhattan
-                },
-                distance_metric: if enums.2 {
-                    DistanceMetric::Hamming
-                } else {
-                    DistanceMetric::Cosine
                 },
                 seed,
                 record_snapshots,
@@ -1151,6 +1094,16 @@ mod tests {
         assert!(matches!(
             WireSegmentRequest::decode(&payload),
             Err(WireError::UnsupportedVersion(9))
+        ));
+        // A version 3 request, which still carried a distance-metric byte
+        // (0, cosine) after the colour encoding, is refused rather than
+        // misread.
+        let mut v3 = request.encode().unwrap();
+        v3[..2].copy_from_slice(&3u16.to_le_bytes());
+        v3.insert(40, 0);
+        assert!(matches!(
+            WireSegmentRequest::decode(&v3),
+            Err(WireError::UnsupportedVersion(3))
         ));
     }
 
@@ -1374,7 +1327,8 @@ mod tests {
         let base = request.encode().unwrap();
         // position_encoding is at a fixed offset:
         // version(2) deadline(4) seed(8) dim(4) clusters(2) iters(2)
-        // alpha(8) beta(4) gamma(4) = 38.
+        // alpha(8) beta(4) gamma(4) = 38; color_encoding and the mode
+        // follow it at 39 and 40.
         let mut bad = base.clone();
         bad[38] = 99;
         assert!(matches!(
@@ -1397,10 +1351,7 @@ mod tests {
         bad[40] = 99;
         assert!(matches!(
             WireSegmentRequest::decode(&bad),
-            Err(WireError::InvalidField {
-                field: "distance_metric",
-                ..
-            })
+            Err(WireError::InvalidField { field: "mode", .. })
         ));
     }
 }

@@ -18,13 +18,15 @@
 //!   and arena pools recover from the poisoned locks (see the
 //!   `seghdc::cache` and `seghdc::engine` panic-safety tests), so the next
 //!   request on the same engine is served normally.
-//! * **Cache-aware scheduling, twice over.** Admission hashes each
-//!   request's [`CodebookKey`] to a home shard, so same-shape traffic keeps
-//!   landing on the worker whose cache path is warm; on top of that,
-//!   workers dequeue *groups* of same-key requests, so a burst pays one
-//!   codebook build and then hits the shared cache. Overflowing shards
-//!   spill at admission and are stolen from at dispatch, so pinning never
-//!   strands capacity.
+//! * **Same-key routing and grouping.** Admission hashes each request's
+//!   [`CodebookKey`] to a home shard, so requests of one key queue
+//!   together, and workers dequeue *groups* of same-key requests from
+//!   there. Every worker's engines share one codebook cache, which builds
+//!   a key once even when several workers miss it at the same time, so
+//!   routing itself buys no cache hits. Overflowing shards spill at
+//!   admission and are stolen from at dispatch, so pinning never strands
+//!   capacity. Whether sharding beats one shared queue is not measured
+//!   yet (`ROADMAP.md` item 7).
 //! * **One execution path.** Every dequeued group — one request, or
 //!   several whose codebook key, engine configuration, execution mode and
 //!   image shape agree — runs as **one** [`SegmentRequest::batch`]
@@ -668,9 +670,9 @@ fn admit_and_wait(
 /// Whether two queued jobs may run inside one fused engine batch: neither
 /// opted into progress, same codebook key, same full engine
 /// configuration, same execution mode, same image shape. The codebook key
-/// alone is not enough — it ignores `clusters`, `iterations`, and the
-/// distance metric, all of which change the label maps, so a batch mixing
-/// them would silently serve wrong results. A progress-opted job runs
+/// alone is not enough — it ignores `clusters` and `iterations`, both of
+/// which change the label maps, so a batch mixing them would silently
+/// serve wrong results. A progress-opted job runs
 /// alone: only a lone job's run streams progress frames.
 fn fusible(a: &Job, b: &Job) -> bool {
     !a.request.progress

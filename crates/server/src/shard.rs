@@ -1,18 +1,18 @@
 //! Sharded admission: per-worker queues, hash routing, work stealing.
 //!
-//! The single global [`AdmissionQueue`] gave every worker an equal shot at
-//! every job, so a burst of same-[`CodebookKey`]
-//! requests could land on whichever workers woke first — each paying its
-//! own cold codebook path even though the cache is shared. Sharding pins
-//! same-shape traffic to one worker instead:
+//! Each worker owns one shard, an [`AdmissionQueue`], and every job is
+//! admitted to a shard picked from its [`CodebookKey`]:
 //!
 //! * **Routing.** Every job carries a deterministic FNV-1a hash of its
 //!   codebook key ([`key_hash`]), and the hash picks a *home shard*
 //!   ([`ShardedQueue::home_shard`]). The shard count is fixed for the life
 //!   of the process, so a direct map is as stable as a consistent-hash
 //!   ring: same key → same shard, every time, on every platform (no
-//!   `RandomState`, no per-process seeds), so the worker that built a
-//!   codebook is the worker that keeps serving it.
+//!   `RandomState`, no per-process seeds). Jobs of one key therefore queue
+//!   together, where their worker's group dequeue and fuse window find
+//!   them. Routing buys no codebook-cache hits: every worker's engines
+//!   share one `CodebookCache`, which builds a key once however many
+//!   workers miss it at the same time.
 //! * **Spill.** A full home shard does not mean the server is full: the
 //!   job spills to the least-loaded other shard, and only when *every*
 //!   shard is at capacity does admission answer `Busy`. With one shard the
@@ -27,7 +27,9 @@
 //! Each shard keeps four monotone counters — `routed`, `spilled`,
 //! `stolen`, `served` — surfaced through the `STATS` frame so routing
 //! behaviour is observable from outside (the loopback suite asserts a
-//! same-key burst routes to exactly one shard).
+//! same-key burst routes to exactly one shard). Whether sharding serves
+//! better than one queue that every worker blocks on is not measured yet:
+//! `ROADMAP.md` item 7 holds that comparison.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -40,10 +42,10 @@ use crate::wire::checksum;
 /// A deterministic, platform-stable hash of a codebook key.
 ///
 /// `std`'s `Hash` + `RandomState` is seeded per process, which would move
-/// every key to a different shard on every restart — exactly what a
-/// warm-started cache cannot afford. FNV-1a ([`checksum`], the frame
-/// checksum) over the key's canonical little-endian field encoding gives
-/// the same shard assignment on every run and every platform.
+/// every key to a different shard on every restart. FNV-1a ([`checksum`],
+/// the frame checksum) over the key's canonical little-endian field
+/// encoding gives the same shard assignment on every run and every
+/// platform, so routing counters and tests can name a key's shard.
 pub fn key_hash(key: &CodebookKey) -> u64 {
     checksum(&[
         &key.seed.to_le_bytes(),
@@ -54,7 +56,7 @@ pub fn key_hash(key: &CodebookKey) -> u64 {
         &key.alpha_bits.to_le_bytes(),
         &(key.beta as u64).to_le_bytes(),
         &(key.gamma as u64).to_le_bytes(),
-        &[key.position_encoding as u8, key.color_encoding as u8],
+        &[key.position_encoding.code(), key.color_encoding.code()],
     ])
 }
 

@@ -58,9 +58,9 @@ pub mod prelude {
     pub use hdc::{Accumulator, BinaryHypervector, HdcRng, HvMatrix};
     pub use imaging::{metrics, DynamicImage, GrayImage, ImageView, LabelMap, RgbImage, TileGrid};
     pub use seghdc::{
-        CodebookCache, ColorEncoding, DistanceMetric, EngineOptions, ExecBackend, ExecutedMode,
-        ExecutionMode, PositionEncoding, SegEngine, SegHdcConfig, SegmentReport, SegmentRequest,
-        SimdCpuBackend, Snapshot, SnapshotError, TileConfig,
+        CodebookCache, ColorEncoding, EngineOptions, ExecBackend, ExecutedMode, ExecutionMode,
+        PositionEncoding, SegEngine, SegHdcConfig, SegmentReport, SegmentRequest, SimdCpuBackend,
+        Snapshot, SnapshotError, TileConfig,
     };
     pub use seghdc_server::{
         serve, RequestMode, SegClient, ServerConfig, ServerError, WireSegmentRequest,

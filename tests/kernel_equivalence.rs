@@ -20,8 +20,8 @@
 use hdc::kernels;
 use hdc::{Accumulator, BinaryHypervector, BitSlicedGroup, HdcRng, HvMatrix};
 use proptest::prelude::*;
+use seghdc::HvKmeans;
 use seghdc::TileConfig as Tiles;
-use seghdc::{DistanceMetric, HvKmeans};
 use seghdc_suite::prelude::*;
 
 fn random_words(len: usize, seed: u64) -> Vec<u64> {
@@ -185,7 +185,7 @@ proptest! {
         }
     }
 
-    /// The fused multi-centroid Hamming kernel is bit-exact with per-vector
+    /// The multi-vector Hamming kernel is bit-exact with per-vector
     /// scalar `hamming` calls, for every implementation the host supports.
     #[test]
     fn hamming_multi_agrees_with_the_per_vector_reference(
@@ -269,7 +269,7 @@ proptest! {
 
     /// `cluster_matrix_with` — the fused assignment loop — produces
     /// byte-identical labels under every kernel implementation the host
-    /// supports, for both metrics and non-lane-multiple dimensions.
+    /// supports, for non-lane-multiple dimensions.
     #[test]
     fn cluster_labels_are_identical_across_every_available_isa(
         dim in 150usize..1100,
@@ -283,19 +283,17 @@ proptest! {
             .collect();
         let matrix = HvMatrix::from_vectors(&pixels).unwrap();
         let intensities: Vec<u8> = (0..pixel_count).map(|i| (i * 11 % 256) as u8).collect();
-        for metric in [DistanceMetric::Cosine, DistanceMetric::Hamming] {
-            let kmeans = HvKmeans::new(clusters, 4, metric, true).unwrap();
-            let reference = kmeans
-                .cluster_matrix_with(&matrix, &intensities, kernels::scalar())
+        let kmeans = HvKmeans::new(clusters, 4, true).unwrap();
+        let reference = kmeans
+            .cluster_matrix_with(&matrix, &intensities, kernels::scalar())
+            .unwrap();
+        for kernels in kernels::available() {
+            let outcome = kmeans
+                .cluster_matrix_with(&matrix, &intensities, kernels)
                 .unwrap();
-            for kernels in kernels::available() {
-                let outcome = kmeans
-                    .cluster_matrix_with(&matrix, &intensities, kernels)
-                    .unwrap();
-                prop_assert_eq!(&outcome.labels, &reference.labels);
-                prop_assert_eq!(&outcome.snapshots, &reference.snapshots);
-                prop_assert_eq!(&outcome.cluster_sizes, &reference.cluster_sizes);
-            }
+            prop_assert_eq!(&outcome.labels, &reference.labels);
+            prop_assert_eq!(&outcome.snapshots, &reference.snapshots);
+            prop_assert_eq!(&outcome.cluster_sizes, &reference.cluster_sizes);
         }
     }
 }
