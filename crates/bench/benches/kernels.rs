@@ -281,8 +281,11 @@ fn bench_assignment(report: &mut Reporter) {
     }
 }
 
-/// The composed K-Means iteration (`cluster_matrix_with`, now running the
-/// fused assignment internally) on the same workload.
+/// The composed K-Means iteration (`cluster_matrix_with`) on the same
+/// workload. Its rows are random, about `d / 2` toggle points apart, so
+/// these records time only the bit-sliced passes (the fused assignment);
+/// level-coded pixel rows take the closed-form interval passes, which
+/// `engine_run` times.
 fn bench_cluster_iteration(report: &mut Reporter) {
     let matrix = random_matrix(IMAGE_ROWS, IMAGE_DIMENSION, 6);
     let intensities: Vec<u8> = (0..matrix.rows()).map(|i| (i % 251) as u8).collect();

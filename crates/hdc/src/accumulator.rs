@@ -1,5 +1,5 @@
 use crate::kernels::{self, Kernels};
-use crate::{HdcError, HvRow, Result};
+use crate::{HdcError, HvMatrix, HvRow, Result};
 
 /// An integer "bundled" hypervector: the element-wise sum of binary
 /// hypervectors, stored as a **vertical counter**.
@@ -720,6 +720,382 @@ impl BitSlicedGroup {
     }
 }
 
+/// The stored rows of an [`HvMatrix`] given by their **toggle points**
+/// against stored row 0, the reference `R`: the sorted positions
+/// `t ∈ [0, dim]` where bit `t` of `row ⊕ R` differs from bit `t - 1`
+/// (bit `-1` and bit `dim` count as clear). Consecutive pairs of toggle
+/// points bound the intervals `[t₀, t₁), [t₂, t₃), …` where the row
+/// differs from `R`.
+///
+/// Every level codebook SegHDC uses flips one prefix of its bit span
+/// (§III-1 Eq. 5–6 positions, §III-2 Manhattan colour), so two pixel rows
+/// differ in at most one interval per position axis and colour channel:
+/// at most `2 · (2 + channels)` toggle points. Random codebooks differ in
+/// about half their bits, and [`scan`](Self::scan) gives up at the first
+/// row past its limit.
+#[derive(Debug, Clone)]
+pub struct RowToggles {
+    /// Every stored row's toggle points, concatenated.
+    points: Vec<u32>,
+    /// Where each stored row's points end in `points`.
+    ends: Vec<u32>,
+}
+
+impl RowToggles {
+    /// The toggle points of every stored row of `matrix` against stored
+    /// row 0, or `None` as soon as one row has more than `limit` (or the
+    /// positions or their count outgrow a `u32`).
+    pub fn scan(matrix: &HvMatrix, limit: usize) -> Option<Self> {
+        let stored = matrix.stored_rows();
+        let dim = matrix.dim();
+        if u32::try_from(dim).is_err() {
+            return None;
+        }
+        let mut toggles = Self {
+            points: Vec::new(),
+            ends: Vec::with_capacity(stored),
+        };
+        if stored == 0 {
+            return Some(toggles);
+        }
+        let reference = matrix.stored_row(0).as_words();
+        let words = matrix.as_words();
+        for row in words.chunks_exact(reference.len()) {
+            let start = toggles.points.len();
+            let mut carry = 0u64;
+            for (w, (&word, &base)) in row.iter().zip(reference).enumerate() {
+                let differs = word ^ base;
+                let mut edges = differs ^ ((differs << 1) | carry);
+                carry = differs >> 63;
+                while edges != 0 {
+                    if toggles.points.len() - start == limit {
+                        return None;
+                    }
+                    toggles
+                        .points
+                        .push((w * 64) as u32 + edges.trailing_zeros());
+                    edges &= edges - 1;
+                }
+            }
+            // Bits past `dim` are clear, so an interval reaching the end of
+            // a partial last word closes inside it; one reaching the end of
+            // a full word closes here.
+            if carry == 1 {
+                if toggles.points.len() - start == limit {
+                    return None;
+                }
+                toggles.points.push(dim as u32);
+            }
+            toggles.ends.push(u32::try_from(toggles.points.len()).ok()?);
+        }
+        Some(toggles)
+    }
+
+    /// The toggle points of stored row `stored`, ascending (an even
+    /// number of them; none for a row equal to the reference).
+    pub fn row(&self, stored: usize) -> &[u32] {
+        let start = stored.checked_sub(1).map_or(0, |prev| self.ends[prev]) as usize;
+        &self.points[start..self.ends[stored] as usize]
+    }
+}
+
+/// K-Means bundles and centroids over rows given as toggle points against
+/// one reference row `R` ([`RowToggles`]), with every dot product in
+/// closed form.
+///
+/// A row is `R ⊕ M`, `M` the union of its toggle intervals, so against a
+/// bundle with per-bit counts `c`
+/// `dot(c, row) = Σ_b c_b·R_b + Σ_{b∈M} c_b·(1 − 2R_b) = B + Σ (P[end] − P[start])`
+/// over the row's intervals, where `P` is the prefix sum of
+/// `c_b·(1 − 2R_b)` over `dim + 1` positions. The dot is the same exact
+/// integer [`Accumulator::dot_row`] computes, the norm the same exact
+/// `Σ c_b²` as [`Accumulator::norm`], and both pass through the same
+/// cosine funnel, so distances are bit-identical to the bit-sliced path's.
+///
+/// Each member has a **bundle** — the rows [`add`](Self::add)ed minus
+/// those [`remove`](Self::remove)d, kept as copy counts at toggle points
+/// in a difference array — and a **centroid** that dots, norms and
+/// distances measure against: the bundle as of the last
+/// [`refresh_centroids`](Self::refresh_centroids) that found it non-empty.
+/// An emptied member keeps its centroid, as K-Means requires.
+/// [`bundle`](Self::bundle) materialises a bundle as a canonical
+/// [`Accumulator`].
+///
+/// The prefix and difference arrays, `members × (dim + 1)` entries each,
+/// share one flat allocation of [`state_bytes`](Self::state_bytes),
+/// stored position-major so that one row's dots against every member read
+/// adjacent entries.
+#[derive(Debug, Clone)]
+pub struct IntervalGroup {
+    dim: usize,
+    members: usize,
+    /// The reference row's words.
+    reference: Vec<u64>,
+    /// `P` then the difference arrays: entry `t * members + k` of each
+    /// half belongs to position `t` of member `k`.
+    state: Vec<i64>,
+    /// Copies in each member's bundle.
+    items: Vec<usize>,
+    /// Each centroid's `B = Σ c_b·R_b`.
+    bases: Vec<i64>,
+    /// Each centroid's Euclidean norm.
+    norms: Vec<f64>,
+    /// Whether each member's bundle changed since its centroid was taken.
+    stale: Vec<bool>,
+}
+
+impl IntervalGroup {
+    /// Bytes of the prefix and difference arrays of `members` members of
+    /// dimension `dim`, or `None` if that overflows a `usize`.
+    pub fn state_bytes(members: usize, dim: usize) -> Option<usize> {
+        members
+            .checked_mul(dim.checked_add(1)?)?
+            .checked_mul(2 * std::mem::size_of::<i64>())
+    }
+
+    /// `members` empty members (zero centroids) over rows given by their
+    /// toggle points against `reference`. Check the size of the state
+    /// first with [`state_bytes`](Self::state_bytes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`state_bytes`](Self::state_bytes) overflows a `usize`.
+    pub fn new(reference: HvRow<'_>, members: usize) -> Self {
+        let dim = reference.dim();
+        let state_bytes =
+            Self::state_bytes(members, dim).expect("the caller checked the state's size");
+        Self {
+            dim,
+            members,
+            reference: reference.as_words().to_vec(),
+            state: vec![0; state_bytes / std::mem::size_of::<i64>()],
+            items: vec![0; members],
+            bases: vec![0; members],
+            norms: vec![0.0; members],
+            stale: vec![false; members],
+        }
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.members
+    }
+
+    /// Whether the group has no members.
+    pub fn is_empty(&self) -> bool {
+        self.members == 0
+    }
+
+    /// Adds `copies` copies of the row with toggle points `toggles` to
+    /// member `member`'s bundle.
+    pub fn add(&mut self, member: usize, toggles: &[u32], copies: usize) {
+        self.move_copies(member, toggles, signed(copies));
+        self.items[member] += copies;
+    }
+
+    /// Takes `copies` copies of the row with toggle points `toggles` back
+    /// out of member `member`'s bundle: the inverse of [`add`](Self::add).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::InvalidParameter`] if the bundle holds fewer
+    /// than `copies` items; the group is then unchanged.
+    pub fn remove(&mut self, member: usize, toggles: &[u32], copies: usize) -> Result<()> {
+        let Some(left) = self.items[member].checked_sub(copies) else {
+            return Err(HdcError::InvalidParameter {
+                message: format!("the bundle does not hold {copies} copies of the row"),
+            });
+        };
+        self.move_copies(member, toggles, -signed(copies));
+        self.items[member] = left;
+        Ok(())
+    }
+
+    /// Adds `copies` (negative to take out) at the row's toggle points:
+    /// each interval gains them at its start and loses them at its end.
+    fn move_copies(&mut self, member: usize, toggles: &[u32], copies: i64) {
+        let diff = &mut self.state[self.members * (self.dim + 1)..];
+        for pair in toggles.chunks_exact(2) {
+            diff[pair[0] as usize * self.members + member] += copies;
+            diff[pair[1] as usize * self.members + member] -= copies;
+        }
+        self.stale[member] = true;
+    }
+
+    /// Makes each member whose bundle changed and holds items take that
+    /// bundle as its centroid; every other member keeps its centroid.
+    pub fn refresh_centroids(&mut self) {
+        let refresh: Vec<usize> = (0..self.members)
+            .filter(|&k| self.stale[k] && self.items[k] > 0)
+            .collect();
+        self.stale.fill(false);
+        if refresh.is_empty() {
+            return;
+        }
+        let members = self.members;
+        let (prefix, diff) = self.state.split_at_mut(members * (self.dim + 1));
+        // Per refreshed member: copies flipped at the current bit, B and
+        // Σ c². Over one bit, c_b·(1 − 2R_b) is the flipped copies where
+        // R_b = 0 and the flipped copies less the items where R_b = 1.
+        let items: Vec<i64> = refresh.iter().map(|&k| signed(self.items[k])).collect();
+        let mut flipped = vec![0i64; refresh.len()];
+        let mut bases = vec![0i64; refresh.len()];
+        let mut squares = vec![0u128; refresh.len()];
+        for bit in 0..self.dim {
+            let set = (self.reference[bit / 64] >> (bit % 64)) & 1 == 1;
+            let (here, next) = (bit * members, (bit + 1) * members);
+            for (i, &k) in refresh.iter().enumerate() {
+                flipped[i] += diff[here + k];
+                let count = if set {
+                    items[i] - flipped[i]
+                } else {
+                    flipped[i]
+                };
+                debug_assert!(count >= 0);
+                prefix[next + k] = prefix[here + k] + if set { -count } else { count };
+                if set {
+                    bases[i] += count;
+                }
+                squares[i] += square(count);
+            }
+        }
+        for (i, &k) in refresh.iter().enumerate() {
+            self.bases[k] = bases[i];
+            self.norms[k] = (squares[i] as f64).sqrt();
+        }
+    }
+
+    /// Writes into `out[k]` the exact dot product of member `k`'s centroid
+    /// with the row whose toggle points are `toggles`. Partial sums may
+    /// dip below zero; the dot itself is a count, so adding modulo 2^64
+    /// ends on the exact value.
+    pub fn dots(&self, toggles: &[u32], out: &mut [u64]) {
+        debug_assert_eq!(out.len(), self.members);
+        let members = self.members;
+        for (slot, &base) in out.iter_mut().zip(&self.bases) {
+            *slot = base as u64;
+        }
+        for pair in toggles.chunks_exact(2) {
+            let start = &self.state[pair[0] as usize * members..][..members];
+            let end = &self.state[pair[1] as usize * members..][..members];
+            for ((slot, &to), &from) in out.iter_mut().zip(end).zip(start) {
+                *slot = slot.wrapping_add((to - from) as u64);
+            }
+        }
+    }
+
+    /// Cosine distance of member `member`'s centroid given its exact dot
+    /// product with a row of Euclidean norm `row_norm` — the same funnel
+    /// as [`BitSlicedGroup::cosine_distance_with_row_norm`].
+    pub fn cosine_distance_with_row_norm(&self, member: usize, dot: u64, row_norm: f64) -> f64 {
+        1.0 - cosine_of_prenorm(dot, self.norms[member], row_norm)
+    }
+
+    /// Member `member`'s bundle as a canonical [`Accumulator`]: equal to
+    /// one that added the same rows one at a time.
+    pub fn bundle(&self, member: usize) -> Accumulator {
+        let words_per_plane = self.dim.div_ceil(64);
+        let items = signed(self.items[member]);
+        let diff = &self.state[self.members * (self.dim + 1)..];
+        // Each run holds two counts, `items − flipped` on the reference's
+        // set bits and `flipped` on its clear ones.
+        let mut counts = Vec::new();
+        let mut top = 0u64;
+        runs(
+            diff,
+            self.members,
+            member,
+            self.dim,
+            |start, end, flipped| {
+                let ones = ones_between(&self.reference, start, end);
+                let (set, clear) = ((items - flipped) as u64, flipped as u64);
+                if ones > 0 {
+                    top |= set;
+                }
+                if ones < end - start {
+                    top |= clear;
+                }
+                counts.push((start, end, set, clear));
+            },
+        );
+        let plane_count = (u64::BITS - top.leading_zeros()) as usize;
+        let mut planes = vec![0u64; plane_count * words_per_plane];
+        for (start, end, set, clear) in counts {
+            for w in start / 64..end.div_ceil(64) {
+                let (within, reference) = (word_mask(w, start, end), self.reference[w]);
+                for p in 0..plane_count {
+                    let on = |count: u64| 0u64.wrapping_sub((count >> p) & 1);
+                    planes[p * words_per_plane + w] |=
+                        within & ((reference & on(set)) | (!reference & on(clear)));
+                }
+            }
+        }
+        Accumulator {
+            dim: self.dim,
+            words_per_plane,
+            planes,
+            carry: vec![0; words_per_plane],
+            items: self.items[member],
+        }
+    }
+}
+
+/// Calls `each(start, end, flipped)` for the runs `[start, end)` that
+/// cover `[0, dim)` in order, over each of which member `member`'s
+/// difference array (`members` entries per position) adds up to a
+/// constant `flipped`: the copies in its bundle that differ from the
+/// reference there.
+fn runs(
+    diff: &[i64],
+    members: usize,
+    member: usize,
+    dim: usize,
+    mut each: impl FnMut(usize, usize, i64),
+) {
+    let (mut start, mut flipped) = (0, 0);
+    for bit in 0..dim {
+        let step = diff[bit * members + member];
+        if step != 0 {
+            if bit > start {
+                each(start, bit, flipped);
+            }
+            flipped += step;
+            start = bit;
+        }
+    }
+    each(start, dim, flipped);
+}
+
+/// The bits of word `w` inside `[start, end)`.
+fn word_mask(w: usize, start: usize, end: usize) -> u64 {
+    let low = start.max(w * 64) - w * 64;
+    let high = end.min(w * 64 + 64) - w * 64;
+    if high - low == 64 {
+        u64::MAX
+    } else {
+        ((1u64 << (high - low)) - 1) << low
+    }
+}
+
+/// Set bits of `words` inside `[start, end)`.
+fn ones_between(words: &[u64], start: usize, end: usize) -> usize {
+    (start / 64..end.div_ceil(64))
+        .map(|w| (words[w] & word_mask(w, start, end)).count_ones() as usize)
+        .sum()
+}
+
+/// `value²` as the exact `u128` a squared count needs.
+fn square(value: i64) -> u128 {
+    let magnitude = u128::from(value.unsigned_abs());
+    magnitude * magnitude
+}
+
+/// A copy count as the signed difference-array entry it adds. Counts are
+/// at most the rows of one matrix, which a `u32` index numbers.
+fn signed(copies: usize) -> i64 {
+    i64::try_from(copies).expect("copy counts fit an i64")
+}
+
 /// The positions of the set bits of `n`, lowest first.
 fn set_bits(mut n: usize) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -1252,6 +1628,184 @@ mod tests {
         assert!(group.is_empty());
         assert_eq!(group.dim(), 0);
         assert!(group.cache_ranges(1024).is_empty());
+    }
+
+    /// `reference` with each `[start, end)` of `intervals` flipped.
+    fn flipped(reference: &BinaryHypervector, intervals: &[(usize, usize)]) -> BinaryHypervector {
+        let mut row = reference.clone();
+        for &(start, end) in intervals {
+            row.flip_range(start, end - start).unwrap();
+        }
+        row
+    }
+
+    /// Rows that differ from the first (the reference) in a few random
+    /// intervals, some reaching bit `dim`; the first row repeats.
+    fn interval_rows(seed: u64, dim: usize, count: usize) -> Vec<BinaryHypervector> {
+        let mut rng = HdcRng::seed_from(seed);
+        let reference = BinaryHypervector::random(dim, &mut rng);
+        let mut rows = vec![reference.clone(), reference.clone()];
+        rows.push(flipped(&reference, &[(0, dim)]));
+        rows.push(flipped(&reference, &[(dim / 3, dim)]));
+        while rows.len() < count {
+            let mut intervals = Vec::new();
+            for _ in 0..rng.next_below(4) {
+                let start = rng.next_below(dim as u64) as usize;
+                let end = start + 1 + rng.next_below((dim - start) as u64) as usize;
+                intervals.push((start, end));
+            }
+            rows.push(flipped(&reference, &intervals));
+        }
+        rows
+    }
+
+    /// The bits of `row` that differ from `reference`, rebuilt from the
+    /// row's toggle points.
+    fn differing_bits(toggles: &[u32], dim: usize) -> Vec<bool> {
+        let mut bits = vec![false; dim];
+        for pair in toggles.chunks_exact(2) {
+            bits[pair[0] as usize..pair[1] as usize].fill(true);
+        }
+        bits
+    }
+
+    #[test]
+    fn toggle_points_bound_the_intervals_where_a_row_differs() {
+        for dim in [64usize, 128, 200, 1000] {
+            let rows = interval_rows(81, dim, 40);
+            let matrix = crate::HvMatrix::from_vectors(&rows).unwrap();
+            let toggles = RowToggles::scan(&matrix, 16).unwrap();
+            assert!(toggles.row(0).is_empty() && toggles.row(1).is_empty());
+            // A flip up to the last bit closes at `dim`, on or off the
+            // 64-bit word grid.
+            assert_eq!(toggles.row(2), [0, dim as u32]);
+            assert_eq!(toggles.row(3), [(dim / 3) as u32, dim as u32]);
+            for (i, row) in rows.iter().enumerate() {
+                let points = toggles.row(i);
+                assert!(points.windows(2).all(|pair| pair[0] < pair[1]), "row {i}");
+                let expected: Vec<bool> = (0..dim)
+                    .map(|bit| row.bit(bit).unwrap() != rows[0].bit(bit).unwrap())
+                    .collect();
+                assert_eq!(differing_bits(points, dim), expected, "dim {dim}, row {i}");
+            }
+            // One row past the limit ends the scan.
+            assert!(RowToggles::scan(&matrix, 1).is_none());
+            let random = BinaryHypervector::random(dim, &mut HdcRng::seed_from(82));
+            let mixed = crate::HvMatrix::from_vectors(&[rows[0].clone(), random]).unwrap();
+            assert!(RowToggles::scan(&mixed, 16).is_none());
+        }
+    }
+
+    #[test]
+    fn interval_dots_and_norms_equal_the_accumulators() {
+        let kernels = kernels::auto();
+        for dim in [64usize, 200, 1000] {
+            let rows = interval_rows(83, dim, 30);
+            let matrix = crate::HvMatrix::from_vectors(&rows).unwrap();
+            let toggles = RowToggles::scan(&matrix, 16).unwrap();
+            let mut group = IntervalGroup::new(matrix.stored_row(0), 3);
+            let mut members: Vec<Accumulator> =
+                (0..3).map(|_| Accumulator::zeros(dim).unwrap()).collect();
+            for row in 0..rows.len() {
+                let (member, copies) = (row % 3, 1 + row % 6);
+                group.add(member, toggles.row(row), copies);
+                members[member]
+                    .add_row_weighted_with(matrix.stored_row(row), copies, kernels)
+                    .unwrap();
+            }
+            group.refresh_centroids();
+            let mut dots = vec![0u64; 3];
+            for row in 0..rows.len() {
+                group.dots(toggles.row(row), &mut dots);
+                let stored = matrix.stored_row(row);
+                let row_norm = (stored.count_ones() as f64).sqrt();
+                for (k, member) in members.iter().enumerate() {
+                    assert_eq!(
+                        dots[k],
+                        member.dot_row(stored).unwrap(),
+                        "dim {dim}, row {row}"
+                    );
+                    assert_eq!(
+                        group
+                            .cosine_distance_with_row_norm(k, dots[k], row_norm)
+                            .to_bits(),
+                        member.cosine_distance_row(stored).unwrap().to_bits()
+                    );
+                }
+            }
+            for (k, member) in members.iter().enumerate() {
+                assert_eq!(
+                    group.norms[k].to_bits(),
+                    member.norm().to_bits(),
+                    "dim {dim}"
+                );
+                assert_eq!(group.items[k], member.items());
+            }
+        }
+    }
+
+    #[test]
+    fn interval_bundles_equal_ones_built_by_adding_rows() {
+        for dim in [64usize, 128, 1000] {
+            let rows = interval_rows(84, dim, 24);
+            let matrix = crate::HvMatrix::from_vectors(&rows).unwrap();
+            let toggles = RowToggles::scan(&matrix, 16).unwrap();
+            let mut group = IntervalGroup::new(matrix.stored_row(0), 2);
+            // Member 0 gains every row with 37 copies, then loses every
+            // third row's; member 1 stays empty.
+            for row in 0..rows.len() {
+                group.add(0, toggles.row(row), 37);
+            }
+            for row in (0..rows.len()).step_by(3) {
+                group.remove(0, toggles.row(row), 37).unwrap();
+            }
+            let mut expected = Accumulator::zeros(dim).unwrap();
+            for row in (0..rows.len()).filter(|row| row % 3 != 0) {
+                for _ in 0..37 {
+                    expected.add_row(matrix.stored_row(row)).unwrap();
+                }
+            }
+            assert_eq!(group.bundle(0), expected, "dim {dim}");
+            assert_eq!(group.bundle(0).counts(), expected.counts());
+            assert_eq!(group.bundle(1), Accumulator::zeros(dim).unwrap());
+        }
+    }
+
+    #[test]
+    fn an_emptied_interval_member_keeps_its_centroid() {
+        let rows = interval_rows(85, 300, 6);
+        let matrix = crate::HvMatrix::from_vectors(&rows).unwrap();
+        let toggles = RowToggles::scan(&matrix, 16).unwrap();
+        let mut group = IntervalGroup::new(matrix.stored_row(0), 2);
+        group.add(0, toggles.row(4), 2);
+        group.add(1, toggles.row(5), 1);
+        group.refresh_centroids();
+        let (norm, mut before) = (group.norms[0], vec![0u64; 2]);
+        group.dots(toggles.row(3), &mut before);
+        // Member 0 empties and member 1 changes; only member 1's centroid
+        // follows its bundle.
+        group.remove(0, toggles.row(4), 2).unwrap();
+        group.add(1, toggles.row(2), 3);
+        group.refresh_centroids();
+        let mut after = vec![0u64; 2];
+        group.dots(toggles.row(3), &mut after);
+        assert_eq!(group.items[0], 0);
+        assert_eq!(group.norms[0].to_bits(), norm.to_bits());
+        assert_eq!(after[0], before[0]);
+        assert_ne!(after[1], before[1]);
+        assert_eq!(group.bundle(0), Accumulator::zeros(300).unwrap());
+        // More copies than the bundle holds cannot come out.
+        assert!(matches!(
+            group.remove(0, toggles.row(4), 1),
+            Err(HdcError::InvalidParameter { .. })
+        ));
+        assert_eq!(group.items[0], 0);
+    }
+
+    #[test]
+    fn interval_state_bytes_count_both_arrays_and_refuse_overflow() {
+        assert_eq!(IntervalGroup::state_bytes(3, 2047), Some(3 * 2048 * 16));
+        assert_eq!(IntervalGroup::state_bytes(usize::MAX / 4, 2048), None);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   vertical (bit-sliced) counter and updated by word-parallel bit-serial
 //!   adds, with cosine similarity against rows and exact dot products
 //!   against other bundles. [`BitSlicedGroup`] stacks every centroid's
-//!   planes for the fused assignment kernels.
+//!   planes for the fused assignment kernels; [`IntervalGroup`] computes
+//!   the same dots in closed form for rows given by their few
+//!   [`RowToggles`] against one reference row, as level codes make them.
 //! * [`kernels`] — the unified word-level bit-kernel layer every hot loop
 //!   above dispatches through: a [`kernels::Kernels`] trait with a scalar
 //!   reference implementation and runtime-detected SIMD (AVX2/NEON) behind
@@ -62,7 +64,7 @@ pub mod kernels;
 mod matrix;
 mod rng;
 
-pub use accumulator::{Accumulator, BitSlicedGroup};
+pub use accumulator::{Accumulator, BitSlicedGroup, IntervalGroup, RowToggles};
 pub use binary::BinaryHypervector;
 pub use error::HdcError;
 pub use item_memory::{ItemMemory, LevelMemory};

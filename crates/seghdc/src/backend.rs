@@ -41,7 +41,14 @@ use imaging::{ImageView, TileRect};
 /// 3. [`cluster_matrix`](Self::cluster_matrix) reads the same matrix
 ///    immutably and returns the labels, clustering each stored row once
 ///    for every row that reads it; the caller then reshapes the matrix for
-///    the next tile.
+///    the next tile. The CPU backends' clusterer reads level-coded rows as
+///    a few toggle points against stored row 0 and runs its passes in
+///    closed form only when the clusters' prefix and difference arrays
+///    (`K × (d + 1)` entries each, one allocation) take at most the
+///    matrix's own [`hdc::HvMatrix::capacity_bytes`]; the toggle points
+///    and norm it keeps per stored row (up to 16 `u32`s and an `f64`)
+///    come on top of that bound. Otherwise it sweeps bit-sliced centroids
+///    (see [`HvKmeans::cluster_matrix_with`]).
 ///
 /// This is deliberately the lifecycle of a device scratch buffer: an
 /// accelerator backend maps `prepare` to (re)binding pre-allocated device

@@ -1,6 +1,6 @@
 use crate::{Result, SegHdcError};
 use hdc::kernels::{self, Kernels};
-use hdc::{Accumulator, BinaryHypervector, BitSlicedGroup, HvMatrix};
+use hdc::{Accumulator, BinaryHypervector, BitSlicedGroup, HvMatrix, IntervalGroup, RowToggles};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -14,6 +14,13 @@ const ASSIGN_BLOCK_ROWS: usize = 256;
 /// runs that stay resident in L2 across a whole row block (partial dot
 /// products are exact integer adds, so tiling cannot change any label).
 const PLANE_CHUNK_BYTES: usize = 192 * 1024;
+
+/// Most toggle points a stored row may have against stored row 0 for the
+/// passes to run in closed form ([`IntervalGroup`]). Level codes give at
+/// most `2 · (2 + channels)` = 10; a Random codebook gives about `d / 2`,
+/// and its first row past this bound sends the run down the bit-sliced
+/// path.
+const MAX_ROW_TOGGLES: usize = 16;
 
 /// Cosine assignment for one block of stored rows (`pixels` stored row
 /// `rows.start + i` labelled into `out[i]`): accumulate every centroid dot
@@ -44,17 +51,27 @@ fn assign_block_cosine(
     for ((label, row_dots), row) in out.iter_mut().zip(dots.chunks(clusters)).zip(rows) {
         let ones = kernels.popcount(pixels.stored_row(row).as_words()) as usize;
         let row_norm = (ones as f64).sqrt();
-        let mut best = 0usize;
-        let mut best_distance = f64::INFINITY;
-        for (k, &dot) in row_dots.iter().enumerate() {
-            let distance = group.cosine_distance_with_row_norm(k, dot, row_norm);
-            if distance < best_distance {
-                best_distance = distance;
-                best = k;
-            }
-        }
-        *label = best as u32;
+        *label = nearest(row_dots, |k, dot| {
+            group.cosine_distance_with_row_norm(k, dot, row_norm)
+        });
     }
+}
+
+/// The cluster whose centroid is nearest a row, given the row's exact dot
+/// with every centroid and the cosine distance each dot makes: the
+/// smallest distance, the lowest index winning ties. Both assignment paths
+/// pick through this one rule, so their labels agree byte for byte.
+fn nearest(dots: &[u64], distance: impl Fn(usize, u64) -> f64) -> u32 {
+    let mut best = 0usize;
+    let mut best_distance = f64::INFINITY;
+    for (k, &dot) in dots.iter().enumerate() {
+        let candidate = distance(k, dot);
+        if candidate < best_distance {
+            best_distance = candidate;
+            best = k;
+        }
+    }
+    best as u32
 }
 
 /// One label per row of `pixels` from one per stored row.
@@ -69,6 +86,208 @@ fn expand(pixels: &HvMatrix, labels: &[u32]) -> Vec<u32> {
 /// The previous label of a row before the first assignment pass, so that
 /// pass's update moves every row into its first cluster.
 const UNASSIGNED: u32 = u32::MAX;
+
+/// How many rows read each stored row.
+fn copy_counts(pixels: &HvMatrix) -> Vec<usize> {
+    let mut copies = vec![0usize; pixels.stored_rows()];
+    for &row in pixels.stored_index() {
+        copies[row as usize] += 1;
+    }
+    copies
+}
+
+/// What the K-Means passes measure stored rows against and bundle them
+/// into: one implementation per way of computing the dots.
+trait PassState {
+    /// Assignment step: labels every stored row with its nearest centroid
+    /// by cosine distance, the lowest cluster index winning ties.
+    fn assign(&mut self, labels: &mut [u32]) -> Result<()>;
+
+    /// Moves `copies` copies of stored row `row` out of cluster `from`'s
+    /// bundle (none in the first pass) and into cluster `to`'s.
+    fn move_row(&mut self, row: usize, from: Option<usize>, to: usize, copies: usize)
+        -> Result<()>;
+
+    /// Makes every non-empty bundle its cluster's centroid. Empty clusters
+    /// keep their previous centroid so they can win pixels back in a later
+    /// pass.
+    fn refresh_centroids(&mut self);
+
+    /// The final bundles, in cluster order.
+    fn into_bundles(self) -> Vec<Accumulator>;
+}
+
+/// The general passes: bit-sliced centroids swept against every stored
+/// row through the fused multi-centroid kernels.
+struct BitSlicedPasses<'a> {
+    pixels: &'a HvMatrix,
+    kernels: &'a dyn Kernels,
+    /// What the assignment step measures against: one seed row per cluster
+    /// at first, afterwards each cluster's bundle.
+    centroids: Vec<Accumulator>,
+    /// The exact bundle of each cluster's current rows.
+    bundles: Vec<Accumulator>,
+    /// The stacked bit-sliced centroid group, reused (cleared, not
+    /// reallocated) across passes.
+    group: BitSlicedGroup,
+}
+
+impl<'a> BitSlicedPasses<'a> {
+    fn new(
+        pixels: &'a HvMatrix,
+        seeds: &[usize],
+        clusters: usize,
+        kernels: &'a dyn Kernels,
+    ) -> Result<Self> {
+        let dim = pixels.dim();
+        let mut centroids = Vec::with_capacity(seeds.len());
+        for &seed in seeds {
+            let mut accumulator = Accumulator::zeros(dim)?;
+            accumulator.add_row_with(pixels.stored_row(seed), kernels)?;
+            centroids.push(accumulator);
+        }
+        let bundles = (0..clusters)
+            .map(|_| Accumulator::zeros(dim))
+            .collect::<std::result::Result<_, _>>()?;
+        Ok(Self {
+            pixels,
+            kernels,
+            centroids,
+            bundles,
+            group: BitSlicedGroup::new(),
+        })
+    }
+}
+
+impl PassState for BitSlicedPasses<'_> {
+    fn assign(&mut self, labels: &mut [u32]) -> Result<()> {
+        // Per-pass precomputation: the contiguous bit-sliced plane stack
+        // plus cached norms (what the fused multi-centroid dot kernel
+        // consumes), which yield distances bit-identical to the
+        // per-vector path.
+        self.group.rebuild(&self.centroids, self.kernels)?;
+        let chunk_ranges = self.group.cache_ranges(PLANE_CHUNK_BYTES);
+        let (pixels, group, kernels) = (self.pixels, &self.group, self.kernels);
+        // Parallel over blocks of stored rows; each block sweeps the fused
+        // multi-centroid kernels one cache-sized centroid run at a time.
+        labels
+            .par_chunks_mut(ASSIGN_BLOCK_ROWS)
+            .enumerate()
+            .for_each(|(block, out)| {
+                let start = block * ASSIGN_BLOCK_ROWS;
+                let rows = start..start + out.len();
+                assign_block_cosine(pixels, rows, out, group, &chunk_ranges, kernels);
+            });
+        Ok(())
+    }
+
+    fn move_row(
+        &mut self,
+        row: usize,
+        from: Option<usize>,
+        to: usize,
+        copies: usize,
+    ) -> Result<()> {
+        let stored = self.pixels.stored_row(row);
+        if let Some(from) = from {
+            self.bundles[from].remove_row(stored, copies)?;
+        }
+        self.bundles[to].add_row_weighted_with(stored, copies, self.kernels)?;
+        Ok(())
+    }
+
+    fn refresh_centroids(&mut self) {
+        for (centroid, bundle) in self.centroids.iter_mut().zip(&self.bundles) {
+            if bundle.items() > 0 {
+                centroid.clone_from(bundle);
+            }
+        }
+    }
+
+    fn into_bundles(self) -> Vec<Accumulator> {
+        self.bundles
+    }
+}
+
+/// The closed-form passes over level-coded rows: every stored row given by
+/// its few toggle points against stored row 0, and every dot a handful of
+/// prefix-sum lookups ([`IntervalGroup`]).
+struct IntervalPasses {
+    toggles: RowToggles,
+    /// Each stored row's Euclidean norm, `sqrt(popcount)`.
+    row_norms: Vec<f64>,
+    group: IntervalGroup,
+}
+
+impl IntervalPasses {
+    fn new(pixels: &HvMatrix, toggles: RowToggles, seeds: &[usize], kernels: &dyn Kernels) -> Self {
+        let row_norms = (0..pixels.stored_rows())
+            .map(|row| (kernels.popcount(pixels.stored_row(row).as_words()) as f64).sqrt())
+            .collect();
+        // Each centroid starts as its seed row: bundle the seeds, take
+        // them as centroids, and empty the bundles again.
+        let mut group = IntervalGroup::new(pixels.stored_row(0), seeds.len());
+        for (k, &seed) in seeds.iter().enumerate() {
+            group.add(k, toggles.row(seed), 1);
+        }
+        group.refresh_centroids();
+        for (k, &seed) in seeds.iter().enumerate() {
+            group
+                .remove(k, toggles.row(seed), 1)
+                .expect("the seed was just added");
+        }
+        Self {
+            toggles,
+            row_norms,
+            group,
+        }
+    }
+}
+
+impl PassState for IntervalPasses {
+    fn assign(&mut self, labels: &mut [u32]) -> Result<()> {
+        let (toggles, row_norms, group) = (&self.toggles, &self.row_norms, &self.group);
+        labels
+            .par_chunks_mut(ASSIGN_BLOCK_ROWS)
+            .enumerate()
+            .for_each(|(block, out)| {
+                let start = block * ASSIGN_BLOCK_ROWS;
+                let mut dots = vec![0u64; group.len()];
+                for (row, label) in (start..).zip(out.iter_mut()) {
+                    group.dots(toggles.row(row), &mut dots);
+                    *label = nearest(&dots, |k, dot| {
+                        group.cosine_distance_with_row_norm(k, dot, row_norms[row])
+                    });
+                }
+            });
+        Ok(())
+    }
+
+    fn move_row(
+        &mut self,
+        row: usize,
+        from: Option<usize>,
+        to: usize,
+        copies: usize,
+    ) -> Result<()> {
+        let toggles = self.toggles.row(row);
+        if let Some(from) = from {
+            self.group.remove(from, toggles, copies)?;
+        }
+        self.group.add(to, toggles, copies);
+        Ok(())
+    }
+
+    fn refresh_centroids(&mut self) {
+        self.group.refresh_centroids();
+    }
+
+    fn into_bundles(self) -> Vec<Accumulator> {
+        (0..self.group.len())
+            .map(|k| self.group.bundle(k))
+            .collect()
+    }
+}
 
 /// Outcome of clustering one image's pixel hypervectors.
 #[derive(Debug, Clone)]
@@ -112,7 +331,11 @@ pub struct ClusterOutcome {
 /// snapshots, sizes and bundles for the same inputs; the matrix path gets
 /// there with less work, clustering each stored row of a shared matrix
 /// once for all the pixels that read it, stopping once the labels reach a
-/// fixed point and re-bundling only the rows that changed cluster.
+/// fixed point and re-bundling only the rows that changed cluster. When
+/// the rows are level-coded, as every level codebook of the paper makes
+/// them, its passes also run in closed form: each row is a few bit
+/// intervals away from the first, and each dot a few prefix-sum lookups
+/// (see [`cluster_matrix_with`](Self::cluster_matrix_with)).
 ///
 /// # Example
 ///
@@ -288,12 +511,9 @@ impl HvKmeans {
     /// [`crate::PixelEncoder::encode_region_into`] produces, one stored row
     /// per distinct pixel key, is clustered once per key. Identical rows
     /// always get identical labels and the bundles are exact integer sums,
-    /// so this is the same clustering as one pass per pixel. The assignment step reads stored rows in place (in
-    /// parallel across rows). The update step
-    /// keeps one bundle per cluster and moves only the rows whose label
-    /// changed, with all their copies
-    /// ([`Accumulator::add_row_weighted_with`] into the new bundle,
-    /// [`Accumulator::remove_row`] from the old), and the loop stops at
+    /// so this is the same clustering as one pass per pixel. The update
+    /// step keeps one bundle per cluster and moves only the rows whose
+    /// label changed, with all their copies, and the loop stops at
     /// the first pass that reproduces the previous labels: the centroids
     /// are a pure function of the labels (an emptied cluster keeps its
     /// previous centroid), so every later pass would repeat that fixed
@@ -317,17 +537,33 @@ impl HvKmeans {
 
     /// [`cluster_matrix`](Self::cluster_matrix) through an explicit
     /// [`Kernels`] selection — the variant an execution backend threads its
-    /// kernels into. The word-level work of the iteration (bit-sliced
-    /// centroid dot products in the assignment step, vertical-counter carry
-    /// adds in the update step) dispatches through `kernels`; only the rare removal of a row that
-    /// changed cluster is a plain borrow loop. Beyond its outcome it
-    /// allocates nothing per pixel: its labels and copy counts are per
-    /// stored row.
+    /// kernels into. Beyond its outcome it allocates nothing per pixel:
+    /// its labels and copy counts are per stored row.
+    ///
+    /// The passes take one of two paths, with the same integers and the
+    /// same tie-break on both:
+    ///
+    /// * **Closed form**, when every stored row has at most 16 toggle
+    ///   points against stored row 0 (positions where the rows' XOR turns
+    ///   on or off; level codes give at most `2 · (2 + channels)`, Random
+    ///   codes about `d / 2`, and the scan stops at the first row past the
+    ///   bound) and the clusters' `K × (d + 1)` prefix and difference
+    ///   arrays ([`IntervalGroup::state_bytes`]) fit within the matrix's
+    ///   own [`HvMatrix::capacity_bytes`]. A row's dot with a centroid is
+    ///   then a few prefix-sum lookups ([`IntervalGroup`]), a row that
+    ///   changes cluster moves its copies at its toggle points, and the
+    ///   final bundles are built once. Each stored row is popcounted once.
+    /// * **Bit-sliced** otherwise: every centroid's counter planes are
+    ///   swept against every stored row through the fused multi-centroid
+    ///   kernels ([`BitSlicedGroup`]), in parallel across rows, and a row
+    ///   that changes cluster is carry-added into its new bundle
+    ///   ([`Accumulator::add_row_weighted_with`]) and borrowed out of its
+    ///   old one ([`Accumulator::remove_row`]).
     ///
     /// Kernels are bit-exact with each other (see the
     /// [`hdc::kernels`] contract), so the labels are byte-identical for
-    /// every selection, and the outcome equals the per-vector
-    /// [`cluster`](Self::cluster)'s.
+    /// every selection and on either path, and the outcome equals the
+    /// per-vector [`cluster`](Self::cluster)'s.
     ///
     /// # Errors
     ///
@@ -341,60 +577,53 @@ impl HvKmeans {
         kernels: &dyn Kernels,
     ) -> Result<ClusterOutcome> {
         self.validate_inputs(pixels.rows(), intensities.len())?;
-        let dim = pixels.dim();
-
-        // What the assignment step measures against: one seed pixel per
-        // cluster at first, afterwards each cluster's bundle.
-        let mut centroids: Vec<Accumulator> = Vec::with_capacity(self.clusters);
-        for index in self.initial_indices(intensities) {
-            let mut accumulator = Accumulator::zeros(dim)?;
-            accumulator.add_row_with(pixels.row(index), kernels)?;
-            centroids.push(accumulator);
+        // One stored row per seed pixel: each cluster starts as that row.
+        let seeds: Vec<usize> = self
+            .initial_indices(intensities)
+            .into_iter()
+            .map(|pixel| pixels.stored_index()[pixel] as usize)
+            .collect();
+        let copies = copy_counts(pixels);
+        let fits = IntervalGroup::state_bytes(self.clusters, pixels.dim())
+            .is_some_and(|bytes| bytes <= pixels.capacity_bytes());
+        match fits
+            .then(|| RowToggles::scan(pixels, MAX_ROW_TOGGLES))
+            .flatten()
+        {
+            Some(toggles) => self.run_passes(
+                pixels,
+                &copies,
+                IntervalPasses::new(pixels, toggles, &seeds, kernels),
+            ),
+            None => self.run_passes(
+                pixels,
+                &copies,
+                BitSlicedPasses::new(pixels, &seeds, self.clusters, kernels)?,
+            ),
         }
-        // The exact bundle of each cluster's current rows, kept current by
-        // moving only the rows whose label changed.
-        let mut bundles: Vec<Accumulator> = (0..self.clusters)
-            .map(|_| Accumulator::zeros(dim))
-            .collect::<std::result::Result<_, _>>()?;
+    }
 
-        // The passes label stored rows, each standing for its copies;
+    /// The pass loop of [`cluster_matrix_with`](Self::cluster_matrix_with)
+    /// over stored rows, each standing for its `copies`, whichever way
+    /// `state` measures and bundles them.
+    fn run_passes(
+        &self,
+        pixels: &HvMatrix,
+        copies: &[usize],
+        mut state: impl PassState,
+    ) -> Result<ClusterOutcome> {
         // `labels` receives each pass's assignment and `previous` holds the
         // pass before it (swapped in at the top of every pass).
         let stored = pixels.stored_rows();
-        let mut copies = vec![0usize; stored];
-        for &row in pixels.stored_index() {
-            copies[row as usize] += 1;
-        }
         let mut labels = vec![UNASSIGNED; stored];
         let mut previous = vec![0u32; stored];
         let mut snapshots = Vec::new();
         let mut iterations_run = 0;
 
-        // The stacked bit-sliced centroid group, reused (cleared, not
-        // reallocated) across iterations.
-        let mut group = BitSlicedGroup::new();
-
         while iterations_run < self.iterations {
             iterations_run += 1;
             std::mem::swap(&mut labels, &mut previous);
-            // Per-centroid, per-iteration precomputation: the contiguous
-            // bit-sliced plane stack plus cached norms (what the fused
-            // multi-centroid dot kernel consumes), which yield distances
-            // bit-identical to the per-vector path.
-            group.rebuild(&centroids, kernels)?;
-            let chunk_ranges = group.cache_ranges(PLANE_CHUNK_BYTES);
-            // Assignment step: parallel over blocks of stored rows,
-            // written straight into the reused labels buffer; each block
-            // sweeps the fused multi-centroid kernels one cache-sized
-            // centroid run at a time.
-            labels
-                .par_chunks_mut(ASSIGN_BLOCK_ROWS)
-                .enumerate()
-                .for_each(|(block, out)| {
-                    let start = block * ASSIGN_BLOCK_ROWS;
-                    let rows = start..start + out.len();
-                    assign_block_cosine(pixels, rows, out, &group, &chunk_ranges, kernels);
-                });
+            state.assign(&mut labels)?;
             if self.record_snapshots {
                 snapshots.push(expand(pixels, &labels));
             }
@@ -404,14 +633,10 @@ impl HvKmeans {
             // moves every row in). Integer adds and removes are exact, so
             // the bundles equal a full re-bundle of the current labels.
             let mut moved = false;
-            for (index, (&label, &old)) in labels.iter().zip(&previous).enumerate() {
+            for (row, (&label, &old)) in labels.iter().zip(&previous).enumerate() {
                 if label != old {
-                    let row = pixels.stored_row(index);
-                    let copies = copies[index];
-                    if old != UNASSIGNED {
-                        bundles[old as usize].remove_row(row, copies)?;
-                    }
-                    bundles[label as usize].add_row_weighted_with(row, copies, kernels)?;
+                    let from = (old != UNASSIGNED).then_some(old as usize);
+                    state.move_row(row, from, label as usize, copies[row])?;
                     moved = true;
                 }
             }
@@ -422,19 +647,14 @@ impl HvKmeans {
             if !moved {
                 break;
             }
-            // Empty clusters keep their previous centroid so they can win
-            // pixels back in a later iteration.
-            for (centroid, bundle) in centroids.iter_mut().zip(&bundles) {
-                if bundle.items() > 0 {
-                    centroid.clone_from(bundle);
-                }
-            }
+            state.refresh_centroids();
         }
 
         let labels = expand(pixels, &labels);
         if self.record_snapshots {
             snapshots.resize(self.iterations, labels.clone());
         }
+        let bundles = state.into_bundles();
         Ok(ClusterOutcome {
             cluster_sizes: bundles.iter().map(Accumulator::items).collect(),
             labels,
