@@ -4,12 +4,8 @@
 //! Measures the raw `hdc::kernels` operations the pipeline's hot loops
 //! dispatch through (popcount-fused Hamming, bit-sliced plane dots,
 //! vertical-counter carry adds, XOR binds) at the row widths the engine
-//! runs and at one memory-bound width, the K-Means assignment step
-//! in both shapes — the pre-fusion per-centroid path (one virtual
-//! `and_popcount` per plane per centroid, K row popcounts per pixel)
-//! against the fused `BitSlicedGroup` path (`plane_dot_multi`, one row
-//! load and one popcount per pixel) — the composed `cluster_matrix_with`
-//! iteration, and a full warm-cache engine request (`engine_run`), for
+//! runs and at one memory-bound width, the composed `cluster_matrix_with`
+//! run, and a full warm-cache engine request (`engine_run`), for
 //! **every** kernel ISA the host supports (`hdc::kernels::available()`),
 //! not just scalar-versus-auto.
 //!
@@ -20,8 +16,8 @@
 //! machine-readable perf trajectory referenced by `crates/bench/README.md`.
 //! Run it with `cargo bench -p seghdc_bench --bench kernels`.
 
-use hdc::kernels::{self, Kernels};
-use hdc::{Accumulator, BinaryHypervector, BitSlicedGroup, HdcRng, HvMatrix};
+use hdc::kernels;
+use hdc::{Accumulator, BinaryHypervector, HdcRng, HvMatrix};
 use seghdc::{HvKmeans, SegEngine, SegHdcConfig, SegmentRequest, SimdCpuBackend};
 use seghdc_bench::bench_json::{self, BenchRecord};
 use std::hint::black_box;
@@ -35,7 +31,7 @@ const ROWS: usize = 2_000;
 const SAMPLES: usize = 10;
 
 /// The composed-stage workload: a 128x128 image's worth of rows at the
-/// paper's edge dimension, with the issue's K = 4 centroids.
+/// paper's edge dimension, with up to K = 4 centroids.
 const IMAGE_ROWS: usize = 128 * 128;
 const IMAGE_DIMENSION: usize = 2_048;
 const CLUSTERS: usize = 4;
@@ -46,25 +42,6 @@ fn random_matrix(rows: usize, dim: usize, seed: u64) -> HvMatrix {
         .map(|_| BinaryHypervector::random(dim, &mut rng))
         .collect();
     HvMatrix::from_vectors(&vectors).expect("vectors share a dimension")
-}
-
-/// Bundled centroids in realistic mid-iteration K-Means state: centroid
-/// `c` bundles a disjoint `rows / clusters` share of the matrix rows, so
-/// its counts carry the 11+ bit planes that actual `cluster_matrix`
-/// centroids have once every pixel is assigned (thousands of members per
-/// cluster) — the plane depth both assignment paths scale with.
-fn sample_centroids(matrix: &HvMatrix, clusters: usize, kernels: &dyn Kernels) -> Vec<Accumulator> {
-    let share = matrix.rows() / clusters;
-    (0..clusters)
-        .map(|c| {
-            let mut acc = Accumulator::zeros(matrix.dim()).expect("dimension is non-zero");
-            for row in (c * share)..(c * share + share) {
-                acc.add_row_with(matrix.row(row), kernels)
-                    .expect("dims match");
-            }
-            acc
-        })
-        .collect()
 }
 
 struct Reporter {
@@ -158,132 +135,9 @@ fn bench_xor_into(report: &mut Reporter) {
     }
 }
 
-/// A centroid snapshot in the exact shape the pre-fusion assignment loop
-/// consumed: separately-owned bit planes plus the cached norm.
-struct Pr4Centroid {
-    planes: Vec<Vec<u64>>,
-    norm: f64,
-}
-
-impl Pr4Centroid {
-    fn from_accumulator(acc: &Accumulator, k: &dyn Kernels) -> Self {
-        let counts = acc.counts();
-        let words_per_plane = acc.dim().div_ceil(64);
-        let mut planes = vec![vec![0u64; words_per_plane]; acc.plane_count()];
-        for (i, &count) in counts.iter().enumerate() {
-            for (p, plane) in planes.iter_mut().enumerate() {
-                plane[i / 64] |= u64::from((count >> p) & 1) << (i % 64);
-            }
-        }
-        Self {
-            planes,
-            norm: acc.norm_with(k),
-        }
-    }
-}
-
-/// The pre-fusion assignment loop, reproduced faithfully: the dot
-/// against each centroid is one virtual `and_popcount` call **per plane**
-/// (each with its own horizontal reduction), and every centroid
-/// re-popcounts the pixel row for the cosine denominator.
-fn assign_per_centroid(
-    matrix: &HvMatrix,
-    centroids: &[Pr4Centroid],
-    labels: &mut [u32],
-    k: &dyn Kernels,
-) {
-    for (row_idx, label) in labels.iter_mut().enumerate() {
-        let row = matrix.row(row_idx);
-        let row_words = row.as_words();
-        let mut best = 0usize;
-        let mut best_distance = f64::INFINITY;
-        for (c, centroid) in centroids.iter().enumerate() {
-            let mut dot = 0u64;
-            for (p, plane) in centroid.planes.iter().enumerate() {
-                dot += k.and_popcount(plane, row_words) << p;
-            }
-            let ones = k.popcount(row_words);
-            let similarity = if centroid.norm == 0.0 || ones == 0 {
-                0.0
-            } else {
-                dot as f64 / (centroid.norm * (ones as f64).sqrt())
-            };
-            let distance = 1.0 - similarity;
-            if distance < best_distance {
-                best_distance = distance;
-                best = c;
-            }
-        }
-        *label = best as u32;
-    }
-}
-
-/// The fused assignment loop: all K dots from one `plane_dot_multi`
-/// sweep, one row popcount, distances from the group's cached norms.
-fn assign_fused(matrix: &HvMatrix, group: &BitSlicedGroup, labels: &mut [u32], k: &dyn Kernels) {
-    let clusters = group.len();
-    let mut dots = vec![0u64; clusters];
-    for (row_idx, label) in labels.iter_mut().enumerate() {
-        let row = matrix.row(row_idx);
-        dots.fill(0);
-        group.dot_row_range_with(0..clusters, row, &mut dots, k);
-        let ones = k.popcount(row.as_words()) as usize;
-        let row_norm = (ones as f64).sqrt();
-        let mut best = 0usize;
-        let mut best_distance = f64::INFINITY;
-        for (c, &dot) in dots.iter().enumerate() {
-            let distance = group.cosine_distance_with_row_norm(c, dot, row_norm);
-            if distance < best_distance {
-                best_distance = distance;
-                best = c;
-            }
-        }
-        *label = best as u32;
-    }
-}
-
-/// Fused versus per-centroid cosine assignment over a full image's rows —
-/// the acceptance workload of the fusion issue (128x128, d = 2048, K = 4).
-fn bench_assignment(report: &mut Reporter) {
-    let matrix = random_matrix(IMAGE_ROWS, IMAGE_DIMENSION, 6);
-    for k in kernels::available() {
-        let centroids = sample_centroids(&matrix, CLUSTERS, k);
-        let pr4: Vec<Pr4Centroid> = centroids
-            .iter()
-            .map(|c| Pr4Centroid::from_accumulator(c, k))
-            .collect();
-        let group = BitSlicedGroup::from_accumulators(&centroids, k).expect("dims match");
-        let mut labels = vec![0u32; IMAGE_ROWS];
-
-        let ns = bench_json::median_ns_per_op(SAMPLES, IMAGE_ROWS as u64, || {
-            assign_per_centroid(&matrix, &pr4, &mut labels, k);
-            black_box(labels[0])
-        });
-        report.record(
-            "assign_per_centroid",
-            k.name(),
-            IMAGE_DIMENSION,
-            CLUSTERS,
-            ns,
-        );
-        let per_centroid_ns = ns;
-
-        let ns = bench_json::median_ns_per_op(SAMPLES, IMAGE_ROWS as u64, || {
-            assign_fused(&matrix, &group, &mut labels, k);
-            black_box(labels[0])
-        });
-        report.record("assign_fused", k.name(), IMAGE_DIMENSION, CLUSTERS, ns);
-        println!(
-            "  -> fused speedup on {}: {:.2}x",
-            k.name(),
-            per_centroid_ns / ns
-        );
-    }
-}
-
-/// The composed K-Means iteration (`cluster_matrix_with`) on the same
-/// workload. Its rows are random, about `d / 2` toggle points apart, so
-/// these records time only the bit-sliced passes (the fused assignment);
+/// The composed K-Means run (`cluster_matrix_with`, 3 iterations) over a
+/// 128x128 image's worth of rows. Its rows are random, about `d / 2`
+/// toggle points apart, so these records time only the bit-sliced passes;
 /// level-coded pixel rows take the closed-form interval passes, which
 /// `engine_run` times.
 fn bench_cluster_iteration(report: &mut Reporter) {
@@ -346,7 +200,6 @@ fn main() {
     bench_plane_dot(&mut report);
     bench_bundle_add(&mut report);
     bench_xor_into(&mut report);
-    bench_assignment(&mut report);
     bench_cluster_iteration(&mut report);
     bench_engine_run(&mut report);
     let path = bench_json::default_path();

@@ -443,7 +443,8 @@ impl Accumulator {
     ///
     /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
     pub fn cosine_similarity_row(&self, row: HvRow<'_>) -> Result<f64> {
-        Ok(cosine_of(self.dot_row(row)?, self.norm(), row.count_ones()))
+        let row_norm = (row.count_ones() as f64).sqrt();
+        Ok(cosine_of_prenorm(self.dot_row(row)?, self.norm(), row_norm))
     }
 
     /// Cosine distance (`1 - cosine_similarity_row`) against a row, the
@@ -454,269 +455,6 @@ impl Accumulator {
     /// Returns [`HdcError::DimensionMismatch`] if the dimensions differ.
     pub fn cosine_distance_row(&self, row: HvRow<'_>) -> Result<f64> {
         Ok(1.0 - self.cosine_similarity_row(row)?)
-    }
-}
-
-/// A group of bit-sliced counters stacked contiguously, ready for the
-/// fused multi-centroid kernels.
-///
-/// Where an [`Accumulator`] holds one bundle's planes, this view stacks the
-/// planes of *all* K-Means centroids back-to-back in one buffer (with each
-/// centroid's cached norm), which is exactly the layout
-/// [`Kernels::plane_dot_multi`] consumes: one pixel row is swept against
-/// every centroid's planes in one call. The buffers are reused across
-/// [`rebuild`](Self::rebuild) calls, so the per-iteration cost of the
-/// K-Means assignment step is plane copies into existing capacity — no
-/// allocation, no per-centroid snapshot objects.
-///
-/// [`cache_ranges`](Self::cache_ranges) splits the members into contiguous
-/// runs whose stacked planes fit a byte budget; sweeping a block of rows
-/// one run at a time keeps the run's planes hot in cache while partial dot
-/// products accumulate (exact integer adds, so the split changes nothing).
-///
-/// When every member's counts fit 15 bits (and the dimension keeps 32-bit
-/// dot accumulators safe), the group additionally caches the counts
-/// *expanded* to one `u16` lane per dimension, and
-/// [`dot_row_range_with`](Self::dot_row_range_with) offers kernels the
-/// [`Kernels::counts_dot_multi`] fast path — all planes consumed in one
-/// masked multiply-add sweep, with the row's bit→lane expansion shared
-/// across the whole group — before falling back to the bit-sliced sweep.
-/// Both paths produce the same exact integers.
-#[derive(Debug, Clone, Default)]
-pub struct BitSlicedGroup {
-    dim: usize,
-    words_per_plane: usize,
-    /// All members' plane stacks, concatenated member-major (member `k`'s
-    /// planes are contiguous, least-significant plane first).
-    planes: Vec<u64>,
-    /// Planes contributed by each member.
-    plane_counts: Vec<usize>,
-    /// Prefix sums of `plane_counts` (len `members + 1`), in plane units.
-    plane_offsets: Vec<usize>,
-    /// Each member's cached Euclidean norm.
-    norms: Vec<f64>,
-    /// The members' counts expanded to one `u16` lane per dimension
-    /// (member-major, `words_per_plane * 64` lanes each, tail lanes zero) —
-    /// the layout [`Kernels::counts_dot_multi`] consumes. Empty when the
-    /// counts exceed the expanded path's exactness gates (see `rebuild`).
-    expanded: Vec<u16>,
-    /// Whether `expanded` is populated and the gates held.
-    expanded_ok: bool,
-}
-
-impl BitSlicedGroup {
-    /// Creates an empty group; populate it with [`rebuild`](Self::rebuild).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds a group from `members` in one step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the members' dimensions
-    /// differ.
-    pub fn from_accumulators(members: &[Accumulator], kernels: &dyn Kernels) -> Result<Self> {
-        let mut group = Self::new();
-        group.rebuild(members, kernels)?;
-        Ok(group)
-    }
-
-    /// Re-snapshots the group from `members`, reusing the existing buffers.
-    ///
-    /// The group takes its dimension from the members (an empty slice
-    /// yields an empty group). Norms are recomputed with `kernels` exactly
-    /// as [`Accumulator::norm_with`] would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the members' dimensions
-    /// differ from each other.
-    pub fn rebuild(&mut self, members: &[Accumulator], kernels: &dyn Kernels) -> Result<()> {
-        self.planes.clear();
-        self.plane_counts.clear();
-        self.plane_offsets.clear();
-        self.norms.clear();
-        self.expanded.clear();
-        self.expanded_ok = false;
-        self.plane_offsets.push(0);
-        let Some(first) = members.first() else {
-            self.dim = 0;
-            self.words_per_plane = 0;
-            return Ok(());
-        };
-        self.dim = first.dim;
-        self.words_per_plane = first.words_per_plane;
-        for member in members {
-            if member.dim != self.dim {
-                return Err(HdcError::DimensionMismatch {
-                    left: self.dim,
-                    right: member.dim,
-                });
-            }
-            self.planes.extend_from_slice(&member.planes);
-            self.plane_counts.push(member.plane_count());
-            self.plane_offsets
-                .push(self.plane_offsets.last().unwrap() + member.plane_count());
-            self.norms.push(member.norm_with(kernels));
-        }
-        self.rebuild_expanded(members);
-        Ok(())
-    }
-
-    /// Largest per-dimension count the expanded-counts fast path accepts:
-    /// `counts_dot_multi` implementations treat the `u16` lanes as
-    /// non-negative `i16`s in `vpmaddwd`.
-    const EXPANDED_MAX_COUNT: u32 = i16::MAX as u32;
-
-    /// Largest lane count (padded dimension) the expanded path accepts,
-    /// keeping the worst-case dot `lanes · i16::MAX` within `i32::MAX` so
-    /// the kernels' 32-bit accumulators cannot wrap.
-    const EXPANDED_MAX_LANES: usize = 65_536;
-
-    /// Mean planes per member below which the expanded path is disabled:
-    /// one `u16`-lane sweep costs roughly as much as seven bit-plane
-    /// sweeps (a 256-bit vector covers 16 `u16` lanes versus 256 bits), so
-    /// shallow counters — small bundles — are faster bit-sliced, while
-    /// K-Means centroids bundling thousands of pixels (11+ planes) gain
-    /// substantially. A profitability heuristic only: both paths produce
-    /// identical integers.
-    const EXPANDED_MIN_MEAN_PLANES: usize = 7;
-
-    /// Populates `expanded` with every member's counts as `u16` lanes when
-    /// the exactness gates hold (counts at most 15 planes, dimension at
-    /// most [`Self::EXPANDED_MAX_LANES`]) and the members are deep enough
-    /// for the lane sweep to win; otherwise leaves the fast path disabled
-    /// and the bit-sliced sweep serves every dot.
-    fn rebuild_expanded(&mut self, members: &[Accumulator]) {
-        let lanes = self.words_per_plane * 64;
-        let max_planes = 32 - Self::EXPANDED_MAX_COUNT.leading_zeros() as usize;
-        if lanes > Self::EXPANDED_MAX_LANES
-            || self.plane_counts.iter().any(|&count| count > max_planes)
-            || self.plane_counts.iter().sum::<usize>()
-                < Self::EXPANDED_MIN_MEAN_PLANES * members.len()
-        {
-            return;
-        }
-        self.expanded.resize(members.len() * lanes, 0);
-        for (member, source) in members.iter().enumerate() {
-            let target = &mut self.expanded[member * lanes..(member + 1) * lanes];
-            for (p, plane) in source.planes.chunks_exact(self.words_per_plane).enumerate() {
-                let weight = 1u16 << p;
-                for (w, &word) in plane.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        target[w * 64 + bits.trailing_zeros() as usize] += weight;
-                        bits &= bits - 1;
-                    }
-                }
-            }
-        }
-        self.expanded_ok = true;
-    }
-
-    /// Number of members in the group.
-    pub fn len(&self) -> usize {
-        self.plane_counts.len()
-    }
-
-    /// Whether the group has no members.
-    pub fn is_empty(&self) -> bool {
-        self.plane_counts.is_empty()
-    }
-
-    /// The members' hypervector dimension (0 for an empty group).
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Member `member`'s cached Euclidean norm.
-    pub fn norm(&self, member: usize) -> f64 {
-        self.norms[member]
-    }
-
-    /// Planes contributed by each member, in member order.
-    pub fn plane_counts(&self) -> &[usize] {
-        &self.plane_counts
-    }
-
-    /// Splits the members into contiguous ranges whose stacked planes each
-    /// occupy at most `budget_bytes` (every range holds at least one member,
-    /// so a single oversized member still forms its own range).
-    pub fn cache_ranges(&self, budget_bytes: usize) -> Vec<std::ops::Range<usize>> {
-        let budget_words = (budget_bytes / std::mem::size_of::<u64>()).max(1);
-        let mut ranges = Vec::new();
-        let mut start = 0;
-        while start < self.len() {
-            let mut end = start + 1;
-            let mut words = self.plane_counts[start] * self.words_per_plane;
-            while end < self.len() {
-                let next = self.plane_counts[end] * self.words_per_plane;
-                if words + next > budget_words {
-                    break;
-                }
-                words += next;
-                end += 1;
-            }
-            ranges.push(start..end);
-            start = end;
-        }
-        ranges
-    }
-
-    /// Accumulates (`+=`) into `out[i]` the exact dot product between `row`
-    /// and member `members.start + i`, for every member in `members` — via
-    /// the expanded-counts [`Kernels::counts_dot_multi`] fast path when the
-    /// group cached it and the kernel accepts, otherwise via one fused
-    /// bit-sliced [`Kernels::plane_dot_multi`] sweep (identical integers
-    /// either way).
-    ///
-    /// Lengths are the caller's contract (`out.len() == members.len()`,
-    /// `row` of the group's dimension), matching the kernel layer's
-    /// debug-assert policy — the clustering loop validates dimensions once
-    /// per call, not once per pixel.
-    pub fn dot_row_range_with(
-        &self,
-        members: std::ops::Range<usize>,
-        row: HvRow<'_>,
-        out: &mut [u64],
-        kernels: &dyn Kernels,
-    ) {
-        debug_assert!(members.end <= self.len());
-        debug_assert_eq!(out.len(), members.len());
-        debug_assert_eq!(row.dim(), self.dim);
-        if self.expanded_ok {
-            let lanes = self.words_per_plane * 64;
-            let counts = &self.expanded[members.start * lanes..members.end * lanes];
-            if kernels.counts_dot_multi(counts, row.as_words(), out) {
-                return;
-            }
-        }
-        let words = &self.planes[self.plane_offsets[members.start] * self.words_per_plane
-            ..self.plane_offsets[members.end] * self.words_per_plane];
-        kernels.plane_dot_multi(
-            words,
-            self.words_per_plane,
-            &self.plane_counts[members.clone()],
-            row.as_words(),
-            out,
-        );
-    }
-
-    /// Cosine distance of member `member` given its exact dot product with
-    /// a row of `ones` set bits — arithmetically identical to
-    /// [`Accumulator::cosine_distance_row`] (same `cosine_of` funnel, same
-    /// norm value).
-    pub fn cosine_distance_of(&self, member: usize, dot: u64, ones: usize) -> f64 {
-        1.0 - cosine_of(dot, self.norms[member], ones)
-    }
-
-    /// [`cosine_distance_of`](Self::cosine_distance_of) with the row's
-    /// Euclidean norm (`sqrt(ones)`) precomputed — the assignment loop
-    /// takes one square root per pixel instead of one per pixel×member,
-    /// with bit-identical results (same `cosine_of` funnel).
-    pub fn cosine_distance_with_row_norm(&self, member: usize, dot: u64, row_norm: f64) -> f64 {
-        1.0 - cosine_of_prenorm(dot, self.norms[member], row_norm)
     }
 }
 
@@ -984,11 +722,10 @@ impl IntervalGroup {
         }
     }
 
-    /// Cosine distance of member `member`'s centroid given its exact dot
-    /// product with a row of Euclidean norm `row_norm` — the same funnel
-    /// as [`BitSlicedGroup::cosine_distance_with_row_norm`].
-    pub fn cosine_distance_with_row_norm(&self, member: usize, dot: u64, row_norm: f64) -> f64 {
-        1.0 - cosine_of_prenorm(dot, self.norms[member], row_norm)
+    /// Each centroid's Euclidean norm, in member order: with a row's dots
+    /// from [`dots`](Self::dots), what [`cosine_of_prenorm`] takes.
+    pub fn norms(&self) -> &[f64] {
+        &self.norms
     }
 
     /// Member `member`'s bundle as a canonical [`Accumulator`]: equal to
@@ -1106,20 +843,17 @@ fn set_bits(mut n: usize) -> impl Iterator<Item = usize> {
 }
 
 /// The single definition of Eq. 7's cosine similarity between an integer
-/// bundle (given as exact `dot` and Euclidean norm) and a binary vector
-/// with `ones` set bits. Every cosine entry point — `Accumulator` and
-/// `BitSlicedGroup` against rows — funnels through here, which is what
-/// makes their results bit-identical by construction.
+/// bundle, given as its exact `dot` with a binary vector and its Euclidean
+/// norm, and that binary vector, given as its Euclidean norm
+/// (`sqrt(ones)`). Every cosine the crate and the clusterer compute —
+/// [`Accumulator::cosine_similarity_row`], and each K-Means pass against
+/// its centroids' norms — funnels through here, which is what makes their
+/// results bit-identical by construction. `sqrt` on the same operand is
+/// IEEE-deterministic, so a caller may take a row's norm once for all its
+/// centroids.
+///
 /// Zero vectors have zero similarity with everything by convention.
-fn cosine_of(dot: u64, bundle_norm: f64, ones: usize) -> f64 {
-    cosine_of_prenorm(dot, bundle_norm, (ones as f64).sqrt())
-}
-
-/// [`cosine_of`] with the binary vector's Euclidean norm (`sqrt(ones)`)
-/// already computed. `sqrt` on the same operand is IEEE-deterministic, so
-/// hoisting it out of a per-centroid loop (one root per pixel instead of
-/// one per pixel×centroid) leaves every similarity bit-identical.
-fn cosine_of_prenorm(dot: u64, bundle_norm: f64, row_norm: f64) -> f64 {
+pub fn cosine_of_prenorm(dot: u64, bundle_norm: f64, row_norm: f64) -> f64 {
     if bundle_norm == 0.0 || row_norm == 0.0 {
         return 0.0;
     }
@@ -1524,112 +1258,6 @@ mod tests {
         assert!(acc.counts().iter().all(|&c| c == 0));
     }
 
-    #[test]
-    fn group_dots_and_distances_match_per_member_snapshots() {
-        let mut rng = HdcRng::seed_from(71);
-        for dim in [70usize, 256, 1000] {
-            let members: Vec<Accumulator> = (0..5)
-                .map(|k| {
-                    let mut acc = Accumulator::zeros(dim).unwrap();
-                    // Different member sizes -> different plane counts,
-                    // including an empty member (zero planes).
-                    for _ in 0..(k * 3) {
-                        let hv = BinaryHypervector::random(dim, &mut rng);
-                        acc.add_row(hv.as_row()).unwrap();
-                    }
-                    acc
-                })
-                .collect();
-            let kernels = kernels::auto();
-            let group = BitSlicedGroup::from_accumulators(&members, kernels).unwrap();
-            assert_eq!(group.len(), 5);
-            assert_eq!(group.dim(), dim);
-
-            let probe = BinaryHypervector::random(dim, &mut rng);
-            let row = probe.as_row();
-            let ones = probe.count_ones();
-
-            let mut dots = vec![0u64; group.len()];
-            group.dot_row_range_with(0..group.len(), row, &mut dots, kernels);
-            for (k, member) in members.iter().enumerate() {
-                assert_eq!(dots[k], member.dot_row_with(row, kernels).unwrap());
-                assert_eq!(group.norm(k).to_bits(), member.norm().to_bits());
-                assert_eq!(
-                    group.cosine_distance_of(k, dots[k], ones).to_bits(),
-                    member.cosine_distance_row(row).unwrap().to_bits(),
-                    "dim {dim}, member {k}"
-                );
-            }
-
-            // Split ranges accumulate to the same dots as the full sweep.
-            let mut split_dots = vec![0u64; group.len()];
-            for range in group.cache_ranges(2 * 8 * dim.div_ceil(64)) {
-                let (start, len) = (range.start, range.len());
-                group.dot_row_range_with(range, row, &mut split_dots[start..start + len], kernels);
-            }
-            assert_eq!(split_dots, dots);
-        }
-    }
-
-    #[test]
-    fn group_dots_fall_back_when_counts_exceed_the_expanded_gate() {
-        // One member's counts need 16 planes (> the 15-bit `i16::MAX` gate
-        // of the expanded-counts fast path), so the whole group must stay
-        // on the bit-sliced sweep — with identical dots.
-        let dim = 70usize; // ragged tail word as well
-        let mut rng = HdcRng::seed_from(74);
-        let repeated = BinaryHypervector::random(dim, &mut rng);
-        let kernels = kernels::auto();
-        let mut big = Accumulator::zeros(dim).unwrap();
-        big.add_row_weighted_with(repeated.as_row(), 40_000, kernels)
-            .unwrap();
-        assert!(big.plane_count() > 15);
-        let small = bundle_of(&[
-            BinaryHypervector::random(dim, &mut rng),
-            BinaryHypervector::random(dim, &mut rng),
-            BinaryHypervector::random(dim, &mut rng),
-        ]);
-        let members = vec![big, small];
-        let group = BitSlicedGroup::from_accumulators(&members, kernels).unwrap();
-        let probe = BinaryHypervector::random(dim, &mut rng);
-        let mut dots = vec![0u64; members.len()];
-        group.dot_row_range_with(0..members.len(), probe.as_row(), &mut dots, kernels);
-        for (k, member) in members.iter().enumerate() {
-            assert_eq!(
-                dots[k],
-                member.dot_row_with(probe.as_row(), kernels).unwrap(),
-                "member {k}"
-            );
-        }
-    }
-
-    #[test]
-    fn group_rebuild_reuses_buffers_and_validates_dims() {
-        let mut rng = HdcRng::seed_from(72);
-        let members: Vec<Accumulator> = (0..3)
-            .map(|_| bundle_of(&[BinaryHypervector::random(128, &mut rng)]))
-            .collect();
-        let kernels = kernels::auto();
-        let mut group = BitSlicedGroup::new();
-        assert!(group.is_empty());
-        group.rebuild(&members, kernels).unwrap();
-        assert_eq!(group.len(), 3);
-        group.rebuild(&members, kernels).unwrap();
-        assert_eq!(group.len(), 3);
-        assert_eq!(group.plane_counts(), &[1, 1, 1]);
-
-        let mismatched = vec![
-            Accumulator::zeros(128).unwrap(),
-            Accumulator::zeros(64).unwrap(),
-        ];
-        assert!(group.rebuild(&mismatched, kernels).is_err());
-
-        group.rebuild(&[], kernels).unwrap();
-        assert!(group.is_empty());
-        assert_eq!(group.dim(), 0);
-        assert!(group.cache_ranges(1024).is_empty());
-    }
-
     /// `reference` with each `[start, end)` of `intervals` flipped.
     fn flipped(reference: &BinaryHypervector, intervals: &[(usize, usize)]) -> BinaryHypervector {
         let mut row = reference.clone();
@@ -1726,9 +1354,7 @@ mod tests {
                         "dim {dim}, row {row}"
                     );
                     assert_eq!(
-                        group
-                            .cosine_distance_with_row_norm(k, dots[k], row_norm)
-                            .to_bits(),
+                        (1.0 - cosine_of_prenorm(dots[k], group.norms()[k], row_norm)).to_bits(),
                         member.cosine_distance_row(stored).unwrap().to_bits()
                     );
                 }
@@ -1806,38 +1432,5 @@ mod tests {
     fn interval_state_bytes_count_both_arrays_and_refuse_overflow() {
         assert_eq!(IntervalGroup::state_bytes(3, 2047), Some(3 * 2048 * 16));
         assert_eq!(IntervalGroup::state_bytes(usize::MAX / 4, 2048), None);
-    }
-
-    #[test]
-    fn group_cache_ranges_respect_the_budget_and_cover_all_members() {
-        let mut rng = HdcRng::seed_from(73);
-        let members: Vec<Accumulator> = (0..7)
-            .map(|k| {
-                let members: Vec<BinaryHypervector> = (0..(1 << k))
-                    .map(|_| BinaryHypervector::random(640, &mut rng))
-                    .collect();
-                bundle_of(&members)
-            })
-            .collect();
-        let group = BitSlicedGroup::from_accumulators(&members, kernels::auto()).unwrap();
-        let words_per_plane = 640usize.div_ceil(64);
-        for budget in [1usize, 256, 1024, 4096, usize::MAX / 2] {
-            let ranges = group.cache_ranges(budget);
-            // Ranges tile 0..len contiguously.
-            let mut expected_start = 0;
-            for range in &ranges {
-                assert_eq!(range.start, expected_start);
-                assert!(!range.is_empty());
-                expected_start = range.end;
-                let words: usize = range
-                    .clone()
-                    .map(|k| group.plane_counts()[k] * words_per_plane)
-                    .sum();
-                // Within budget unless the range is a single oversized
-                // member.
-                assert!(words * 8 <= budget || range.len() == 1);
-            }
-            assert_eq!(expected_start, group.len());
-        }
     }
 }

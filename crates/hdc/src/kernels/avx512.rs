@@ -202,83 +202,6 @@ unsafe fn popcnt512_mula(v: core::arch::x86_64::__m512i) -> core::arch::x86_64::
 avx512_ops!(vpopcnt, "avx512f,avx512vpopcntdq", super::popcnt512_hw);
 avx512_ops!(mula, "avx512f,avx512bw", super::popcnt512_mula);
 
-/// Members per block in [`counts_dot_multi_bw`] — see the AVX2 sibling.
-const COUNT_MEMBERS: usize = 4;
-
-/// Fused multi-centroid dot product over expanded `u16` counts (the
-/// [`Kernels::counts_dot_multi`] contract), shared by both variants. Here
-/// the bit→lane expansion is free: 32 row bits move straight into a
-/// `__mmask32` register (`kmov`) that zero-masks the counts load, so each
-/// member costs one masked load plus one `vpmaddwd`-by-1 per 32 dimensions.
-/// Needs AVX-512BW for the 16-bit masked loads, which the VPOPCNTDQ
-/// variant's probe does not cover — its trait method re-probes BW and
-/// declines without it.
-///
-/// Exactness relies on the caller's gates (counts ≤ `i16::MAX`,
-/// `lanes · i16::MAX ≤ i32::MAX`): pair sums and the 32-bit accumulators —
-/// including the final signed lane reduction — never wrap.
-#[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn counts_dot_multi_bw(counts: &[u16], row: &[u64], out: &mut [u64]) {
-    debug_assert_eq!(counts.len(), row.len() * 64 * out.len());
-    let mut member = 0usize;
-    while out.len() - member >= COUNT_MEMBERS {
-        counts_dot_block_bw::<COUNT_MEMBERS>(counts, member, row, out);
-        member += COUNT_MEMBERS;
-    }
-    match out.len() - member {
-        3 => counts_dot_block_bw::<3>(counts, member, row, out),
-        2 => counts_dot_block_bw::<2>(counts, member, row, out),
-        1 => counts_dot_block_bw::<1>(counts, member, row, out),
-        _ => {}
-    }
-}
-
-/// One member block of [`counts_dot_multi_bw`]. The block width is a const
-/// generic so the member loops fully unroll and the `MEMBERS` accumulators
-/// live in `zmm` registers (a runtime bound kept them in memory).
-#[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn counts_dot_block_bw<const MEMBERS: usize>(
-    counts: &[u16],
-    member_base: usize,
-    row: &[u64],
-    out: &mut [u64],
-) {
-    use core::arch::x86_64::{
-        __mmask32, _mm512_add_epi32, _mm512_madd_epi16, _mm512_maskz_loadu_epi16,
-        _mm512_reduce_add_epi32, _mm512_set1_epi16, _mm512_setzero_si512,
-    };
-    debug_assert!(member_base + MEMBERS <= out.len());
-    let lanes_per_member = row.len() * 64;
-    let one16 = _mm512_set1_epi16(1);
-    let mut acc = [_mm512_setzero_si512(); MEMBERS];
-    for (w, &word) in row.iter().enumerate() {
-        for half in 0..2 {
-            let mask = ((word >> (32 * half)) & 0xFFFF_FFFF) as __mmask32;
-            if mask == 0 {
-                continue;
-            }
-            let lane = w * 64 + half * 32;
-            for (member, slot) in acc.iter_mut().enumerate() {
-                // SAFETY: `lane + 32 ≤ lanes_per_member` (32 lanes per half
-                // word) and `member_base + member < out.len()`, so the
-                // masked 32-`u16` load sits inside `counts` per the length
-                // contract asserted by the caller.
-                let selected = _mm512_maskz_loadu_epi16(
-                    mask,
-                    counts
-                        .as_ptr()
-                        .add((member_base + member) * lanes_per_member + lane)
-                        .cast(),
-                );
-                *slot = _mm512_add_epi32(*slot, _mm512_madd_epi16(selected, one16));
-            }
-        }
-    }
-    for (member, acc32) in acc.into_iter().enumerate() {
-        out[member_base + member] += _mm512_reduce_add_epi32(acc32) as u64;
-    }
-}
-
 /// Implements the trait for one variant by delegating to its ops module.
 macro_rules! avx512_kernels_impl {
     ($struct:ident, $name:literal, $ops:ident) => {
@@ -311,21 +234,6 @@ macro_rules! avx512_kernels_impl {
                 debug_assert_eq!(row.len(), words_per_plane);
                 // SAFETY: see `popcount`.
                 unsafe { $ops::plane_dot_group(planes, words_per_plane, row) }
-            }
-
-            fn counts_dot_multi(&self, counts: &[u16], row: &[u64], out: &mut [u64]) -> bool {
-                debug_assert_eq!(counts.len(), row.len() * 64 * out.len());
-                // The shared implementation needs 16-bit masked loads
-                // (AVX-512BW), which the VPOPCNTDQ probe does not imply;
-                // `is_x86_feature_detected!` caches, so this is one atomic
-                // load per call.
-                if !std::arch::is_x86_feature_detected!("avx512bw") {
-                    return false;
-                }
-                // SAFETY: `avx512f` was gated by `available`, `avx512bw`
-                // re-probed just above.
-                unsafe { counts_dot_multi_bw(counts, row, out) };
-                true
             }
         }
     };

@@ -42,10 +42,10 @@ mod x86 {
     use super::Kernels;
     use core::arch::x86_64::{
         __m256i, _mm256_add_epi16, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8,
-        _mm256_and_si256, _mm256_cmpeq_epi16, _mm256_loadu_si256, _mm256_madd_epi16,
-        _mm256_maddubs_epi16, _mm256_sad_epu8, _mm256_set1_epi16, _mm256_set1_epi8,
-        _mm256_setr_epi16, _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8,
-        _mm256_srli_epi64, _mm256_storeu_si256, _mm256_xor_si256,
+        _mm256_and_si256, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_maddubs_epi16,
+        _mm256_sad_epu8, _mm256_set1_epi16, _mm256_set1_epi8, _mm256_setr_epi8,
+        _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi64, _mm256_storeu_si256,
+        _mm256_xor_si256,
     };
 
     /// Number of `u64` words per 256-bit AVX2 lane group.
@@ -237,107 +237,6 @@ mod x86 {
         total
     }
 
-    /// Members per block in [`counts_dot_multi_avx2`]: enough to amortise
-    /// the shared row-bit mask expansion, few enough that the per-member
-    /// 32-bit accumulators stay in registers.
-    const COUNT_MEMBERS: usize = 4;
-
-    /// Fused multi-centroid dot product over expanded `u16` counts (the
-    /// [`Kernels::counts_dot_multi`] contract). Every 16 row bits are
-    /// expanded **once** into a 16-lane `0xFFFF`/`0x0000` mask (broadcast +
-    /// `vpand` against per-lane bit selectors + `vpcmpeqw`) and shared by
-    /// all members of a block: each member then costs one counts load, one
-    /// `vpand`, and one `vpmaddwd`-by-1 into its 32-bit accumulator. All
-    /// planes of the counter are consumed at once, so for K centroids of P
-    /// planes this does O(K + 3) vector ops per 16 dimensions where the
-    /// bit-sliced path does O(10·K·P / 4).
-    ///
-    /// Exactness relies on the caller's gates (counts ≤ `i16::MAX`,
-    /// `lanes · i16::MAX ≤ i32::MAX`): masked counts are non-negative
-    /// `i16`s, so `vpmaddwd` pair sums and the 32-bit lane accumulators
-    /// never wrap.
-    #[target_feature(enable = "avx2")]
-    unsafe fn counts_dot_multi_avx2(counts: &[u16], row: &[u64], out: &mut [u64]) {
-        debug_assert_eq!(counts.len(), row.len() * 64 * out.len());
-        let mut member = 0usize;
-        while out.len() - member >= COUNT_MEMBERS {
-            counts_dot_block_avx2::<COUNT_MEMBERS>(counts, member, row, out);
-            member += COUNT_MEMBERS;
-        }
-        match out.len() - member {
-            3 => counts_dot_block_avx2::<3>(counts, member, row, out),
-            2 => counts_dot_block_avx2::<2>(counts, member, row, out),
-            1 => counts_dot_block_avx2::<1>(counts, member, row, out),
-            _ => {}
-        }
-    }
-
-    /// One member block of [`counts_dot_multi_avx2`]. The block width is a
-    /// const generic so the member loops fully unroll and the `MEMBERS`
-    /// 32-bit accumulators live in registers — with a runtime bound the
-    /// compiler kept the accumulator array in memory, which tripled the
-    /// loop's cost.
-    #[target_feature(enable = "avx2")]
-    unsafe fn counts_dot_block_avx2<const MEMBERS: usize>(
-        counts: &[u16],
-        member_base: usize,
-        row: &[u64],
-        out: &mut [u64],
-    ) {
-        debug_assert!(member_base + MEMBERS <= out.len());
-        let lanes_per_member = row.len() * 64;
-        let bit_sel = _mm256_setr_epi16(
-            1,
-            2,
-            4,
-            8,
-            16,
-            32,
-            64,
-            128,
-            256,
-            512,
-            1024,
-            2048,
-            4096,
-            8192,
-            16384,
-            i16::MIN,
-        );
-        let one16 = _mm256_set1_epi16(1);
-        let mut acc = [_mm256_setzero_si256(); MEMBERS];
-        for (w, &word) in row.iter().enumerate() {
-            for quarter in 0..4 {
-                let piece = (word >> (16 * quarter)) & 0xFFFF;
-                if piece == 0 {
-                    continue;
-                }
-                let broadcast = _mm256_set1_epi16(piece as i16);
-                let mask = _mm256_cmpeq_epi16(_mm256_and_si256(broadcast, bit_sel), bit_sel);
-                let lane = w * 64 + quarter * 16;
-                for (member, slot) in acc.iter_mut().enumerate() {
-                    // SAFETY: `lane + 16 ≤ lanes_per_member` (16 lanes per
-                    // quarter word) and `member_base + member < out.len()`,
-                    // so the 16 `u16`s read here sit inside `counts` per
-                    // the length contract asserted by the caller.
-                    let member_counts = _mm256_loadu_si256(
-                        counts
-                            .as_ptr()
-                            .add((member_base + member) * lanes_per_member + lane)
-                            .cast(),
-                    );
-                    let selected = _mm256_and_si256(member_counts, mask);
-                    *slot = _mm256_add_epi32(*slot, _mm256_madd_epi16(selected, one16));
-                }
-            }
-        }
-        for (member, acc32) in acc.into_iter().enumerate() {
-            let mut lanes = [0u32; 8];
-            _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc32);
-            out[member_base + member] += lanes.iter().map(|&lane| u64::from(lane)).sum::<u64>();
-        }
-    }
-
     impl Kernels for Avx2Kernels {
         fn name(&self) -> &'static str {
             "avx2"
@@ -367,13 +266,6 @@ mod x86 {
             debug_assert_eq!(row.len(), words_per_plane);
             // SAFETY: see `popcount`.
             unsafe { plane_dot_group_avx2(planes, words_per_plane, row) }
-        }
-
-        fn counts_dot_multi(&self, counts: &[u16], row: &[u64], out: &mut [u64]) -> bool {
-            debug_assert_eq!(counts.len(), row.len() * 64 * out.len());
-            // SAFETY: see `popcount`.
-            unsafe { counts_dot_multi_avx2(counts, row, out) };
-            true
         }
 
         // `xor_into` and `bundle_add_planes` deliberately keep the trait's

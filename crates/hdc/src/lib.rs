@@ -16,14 +16,14 @@
 //!   vectors borrowed with [`BinaryHypervector::as_row`]), stored as a
 //!   vertical (bit-sliced) counter and updated by word-parallel bit-serial
 //!   adds, with cosine similarity against rows and exact dot products
-//!   against other bundles. [`BitSlicedGroup`] stacks every centroid's
-//!   planes for the fused assignment kernels; [`IntervalGroup`] computes
-//!   the same dots in closed form for rows given by their few
-//!   [`RowToggles`] against one reference row, as level codes make them.
+//!   against other bundles. [`IntervalGroup`] computes the same dots in
+//!   closed form for rows given by their few [`RowToggles`] against one
+//!   reference row, as level codes make them, and [`cosine_of_prenorm`]
+//!   is the one Eq. 7 cosine every dot is scored through.
 //! * [`kernels`] — the unified word-level bit-kernel layer every hot loop
 //!   above dispatches through: a [`kernels::Kernels`] trait with a scalar
-//!   reference implementation and runtime-detected SIMD (AVX2/NEON) behind
-//!   the `simd` feature.
+//!   reference implementation and runtime-detected SIMD (AVX-512, AVX2,
+//!   NEON) behind the `simd` feature.
 //! * [`ItemMemory`] / [`LevelMemory`] — classical HDC codebooks: random
 //!   (pseudo-orthogonal) item memories and linearly-correlated level
 //!   memories built by progressive bit flipping.
@@ -64,7 +64,7 @@ pub mod kernels;
 mod matrix;
 mod rng;
 
-pub use accumulator::{Accumulator, BitSlicedGroup, IntervalGroup, RowToggles};
+pub use accumulator::{cosine_of_prenorm, Accumulator, IntervalGroup, RowToggles};
 pub use binary::BinaryHypervector;
 pub use error::HdcError;
 pub use item_memory::{ItemMemory, LevelMemory};

@@ -1,19 +1,12 @@
 use crate::{Result, SegHdcError};
 use hdc::kernels::{self, Kernels};
-use hdc::{Accumulator, BinaryHypervector, BitSlicedGroup, HvMatrix, IntervalGroup, RowToggles};
+use hdc::{cosine_of_prenorm, Accumulator, BinaryHypervector, HvMatrix, IntervalGroup, RowToggles};
 use rayon::prelude::*;
-use std::ops::Range;
 
 /// Rows per parallel assignment work unit: large enough to amortise the
 /// per-block scratch, small enough to keep every worker busy on small
 /// tiles.
 const ASSIGN_BLOCK_ROWS: usize = 256;
-
-/// Cache budget for one run of stacked centroid planes during assignment.
-/// When `K × planes × words` exceeds this, the centroid sweep is tiled into
-/// runs that stay resident in L2 across a whole row block (partial dot
-/// products are exact integer adds, so tiling cannot change any label).
-const PLANE_CHUNK_BYTES: usize = 192 * 1024;
 
 /// Most toggle points a stored row may have against stored row 0 for the
 /// passes to run in closed form ([`IntervalGroup`]). Level codes give at
@@ -22,50 +15,16 @@ const PLANE_CHUNK_BYTES: usize = 192 * 1024;
 /// path.
 const MAX_ROW_TOGGLES: usize = 16;
 
-/// Cosine assignment for one block of stored rows (`pixels` stored row
-/// `rows.start + i` labelled into `out[i]`): accumulate every centroid dot
-/// product through the fused multi-centroid kernel (one cache-blocked run
-/// of centroid planes at a time), then pick each row's argmin with one
-/// popcount per row — where the per-centroid path popcounted each row once
-/// per centroid.
-fn assign_block_cosine(
-    pixels: &HvMatrix,
-    rows: Range<usize>,
-    out: &mut [u32],
-    group: &BitSlicedGroup,
-    chunk_ranges: &[Range<usize>],
-    kernels: &dyn Kernels,
-) {
-    let clusters = group.len();
-    let mut dots = vec![0u64; out.len() * clusters];
-    for range in chunk_ranges {
-        for (row, row_dots) in rows.clone().zip(dots.chunks_mut(clusters)) {
-            group.dot_row_range_with(
-                range.clone(),
-                pixels.stored_row(row),
-                &mut row_dots[range.clone()],
-                kernels,
-            );
-        }
-    }
-    for ((label, row_dots), row) in out.iter_mut().zip(dots.chunks(clusters)).zip(rows) {
-        let ones = kernels.popcount(pixels.stored_row(row).as_words()) as usize;
-        let row_norm = (ones as f64).sqrt();
-        *label = nearest(row_dots, |k, dot| {
-            group.cosine_distance_with_row_norm(k, dot, row_norm)
-        });
-    }
-}
-
 /// The cluster whose centroid is nearest a row, given the row's exact dot
-/// with every centroid and the cosine distance each dot makes: the
-/// smallest distance, the lowest index winning ties. Both assignment paths
-/// pick through this one rule, so their labels agree byte for byte.
-fn nearest(dots: &[u64], distance: impl Fn(usize, u64) -> f64) -> u32 {
+/// with every centroid, the centroids' norms and the row's norm: the
+/// smallest cosine distance (Eq. 7, through [`cosine_of_prenorm`]), the
+/// lowest index winning ties. Both assignment paths pick through this one
+/// rule, so their labels agree byte for byte.
+fn nearest(dots: &[u64], norms: &[f64], row_norm: f64) -> u32 {
     let mut best = 0usize;
     let mut best_distance = f64::INFINITY;
-    for (k, &dot) in dots.iter().enumerate() {
-        let candidate = distance(k, dot);
+    for (k, (&dot, &norm)) in dots.iter().zip(norms).enumerate() {
+        let candidate = 1.0 - cosine_of_prenorm(dot, norm, row_norm);
         if candidate < best_distance {
             best_distance = candidate;
             best = k;
@@ -117,8 +76,8 @@ trait PassState {
     fn into_bundles(self) -> Vec<Accumulator>;
 }
 
-/// The general passes: bit-sliced centroids swept against every stored
-/// row through the fused multi-centroid kernels.
+/// The general passes: every stored row dotted against each bit-sliced
+/// centroid in turn.
 struct BitSlicedPasses<'a> {
     pixels: &'a HvMatrix,
     kernels: &'a dyn Kernels,
@@ -127,9 +86,6 @@ struct BitSlicedPasses<'a> {
     centroids: Vec<Accumulator>,
     /// The exact bundle of each cluster's current rows.
     bundles: Vec<Accumulator>,
-    /// The stacked bit-sliced centroid group, reused (cleared, not
-    /// reallocated) across passes.
-    group: BitSlicedGroup,
 }
 
 impl<'a> BitSlicedPasses<'a> {
@@ -154,29 +110,30 @@ impl<'a> BitSlicedPasses<'a> {
             kernels,
             centroids,
             bundles,
-            group: BitSlicedGroup::new(),
         })
     }
 }
 
 impl PassState for BitSlicedPasses<'_> {
     fn assign(&mut self, labels: &mut [u32]) -> Result<()> {
-        // Per-pass precomputation: the contiguous bit-sliced plane stack
-        // plus cached norms (what the fused multi-centroid dot kernel
-        // consumes), which yield distances bit-identical to the
-        // per-vector path.
-        self.group.rebuild(&self.centroids, self.kernels)?;
-        let chunk_ranges = self.group.cache_ranges(PLANE_CHUNK_BYTES);
-        let (pixels, group, kernels) = (self.pixels, &self.group, self.kernels);
-        // Parallel over blocks of stored rows; each block sweeps the fused
-        // multi-centroid kernels one cache-sized centroid run at a time.
+        let (pixels, centroids, kernels) = (self.pixels, &self.centroids, self.kernels);
+        let norms: Vec<f64> = centroids.iter().map(|c| c.norm_with(kernels)).collect();
         labels
             .par_chunks_mut(ASSIGN_BLOCK_ROWS)
             .enumerate()
             .for_each(|(block, out)| {
                 let start = block * ASSIGN_BLOCK_ROWS;
-                let rows = start..start + out.len();
-                assign_block_cosine(pixels, rows, out, group, &chunk_ranges, kernels);
+                let mut dots = vec![0u64; centroids.len()];
+                for (row, label) in (start..).zip(out.iter_mut()) {
+                    let stored = pixels.stored_row(row);
+                    for (dot, centroid) in dots.iter_mut().zip(centroids) {
+                        *dot = centroid
+                            .dot_row_with(stored, kernels)
+                            .expect("centroids have the matrix's dimension");
+                    }
+                    let row_norm = (kernels.popcount(stored.as_words()) as f64).sqrt();
+                    *label = nearest(&dots, &norms, row_norm);
+                }
             });
         Ok(())
     }
@@ -255,9 +212,7 @@ impl PassState for IntervalPasses {
                 let mut dots = vec![0u64; group.len()];
                 for (row, label) in (start..).zip(out.iter_mut()) {
                     group.dots(toggles.row(row), &mut dots);
-                    *label = nearest(&dots, |k, dot| {
-                        group.cosine_distance_with_row_norm(k, dot, row_norms[row])
-                    });
+                    *label = nearest(&dots, group.norms(), row_norms[row]);
                 }
             });
         Ok(())
@@ -553,10 +508,11 @@ impl HvKmeans {
     ///   then a few prefix-sum lookups ([`IntervalGroup`]), a row that
     ///   changes cluster moves its copies at its toggle points, and the
     ///   final bundles are built once. Each stored row is popcounted once.
-    /// * **Bit-sliced** otherwise: every centroid's counter planes are
-    ///   swept against every stored row through the fused multi-centroid
-    ///   kernels ([`BitSlicedGroup`]), in parallel across rows, and a row
-    ///   that changes cluster is carry-added into its new bundle
+    /// * **Bit-sliced** otherwise: each centroid's norm is taken once per
+    ///   pass, every stored row is dotted against each centroid's counter
+    ///   planes in turn ([`Accumulator::dot_row_with`], the selection's
+    ///   [`Kernels::plane_dot`]), in parallel across rows, and a row that
+    ///   changes cluster is carry-added into its new bundle
     ///   ([`Accumulator::add_row_weighted_with`]) and borrowed out of its
     ///   old one ([`Accumulator::remove_row`]).
     ///
@@ -705,16 +661,20 @@ impl HvKmeans {
 
         for _ in 0..self.iterations {
             iterations_run += 1;
-            // Assignment step (parallel over pixels).
+            // Assignment step (parallel over pixels), each centroid's norm
+            // taken once per pass.
+            let norms: Vec<f64> = centroids.iter().map(Accumulator::norm).collect();
             let assignment: Vec<u32> = pixels
                 .par_iter()
                 .map(|pixel| {
+                    let row = pixel.as_row();
+                    let row_norm = (row.count_ones() as f64).sqrt();
                     let mut best = 0usize;
                     let mut best_distance = f64::INFINITY;
-                    for (k, centroid) in centroids.iter().enumerate() {
-                        let distance = centroid
-                            .cosine_distance_row(pixel.as_row())
-                            .unwrap_or(f64::INFINITY);
+                    for (k, (centroid, &norm)) in centroids.iter().zip(&norms).enumerate() {
+                        let distance = centroid.dot_row(row).map_or(f64::INFINITY, |dot| {
+                            1.0 - cosine_of_prenorm(dot, norm, row_norm)
+                        });
                         if distance < best_distance {
                             best_distance = distance;
                             best = k;

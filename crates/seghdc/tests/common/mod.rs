@@ -7,8 +7,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use hdc::kernels::Kernels;
 
 /// Forwards every kernel to `inner`, counting the calls that only the
-/// bit-sliced passes make: `plane_dot_multi`, `counts_dot_multi` and
-/// `bundle_add_planes`.
+/// bit-sliced passes make: `plane_dot`, each stored row's dot with a
+/// centroid, and `bundle_add_planes`, each carry add into a bundle.
 #[derive(Debug)]
 pub struct BitSlicedCalls<'a> {
     inner: &'a dyn Kernels,
@@ -51,25 +51,8 @@ impl Kernels for BitSlicedCalls<'_> {
     }
 
     fn plane_dot(&self, planes: &[u64], words_per_plane: usize, row: &[u64]) -> u64 {
+        self.count();
         self.inner.plane_dot(planes, words_per_plane, row)
-    }
-
-    fn plane_dot_multi(
-        &self,
-        planes: &[u64],
-        words_per_plane: usize,
-        group_plane_counts: &[usize],
-        row: &[u64],
-        out: &mut [u64],
-    ) {
-        self.count();
-        self.inner
-            .plane_dot_multi(planes, words_per_plane, group_plane_counts, row, out);
-    }
-
-    fn counts_dot_multi(&self, counts: &[u16], row: &[u64], out: &mut [u64]) -> bool {
-        self.count();
-        self.inner.counts_dot_multi(counts, row, out)
     }
 
     fn bundle_add_planes(

@@ -4,11 +4,10 @@
 //! Every level codebook flips one prefix of its bit span, so level-coded
 //! pixel rows differ from one another in a few bit intervals and the
 //! clusterer runs its closed-form interval passes: no bit-sliced centroid
-//! sweep (`plane_dot_multi`, `counts_dot_multi`) and no counter add
-//! (`bundle_add_planes`). Random codebooks (the RPos and RColor ablations)
-//! and runs whose interval state would outgrow the matrix take the
-//! bit-sliced passes. A counting kernel selection installed in each
-//! engine tells the two apart.
+//! dot (`plane_dot`) and no counter add (`bundle_add_planes`). Random
+//! codebooks (the RPos and RColor ablations) and runs whose interval
+//! state would outgrow the matrix take the bit-sliced passes. A counting
+//! kernel selection installed in each engine tells the two apart.
 
 mod common;
 
@@ -123,8 +122,8 @@ fn level_coded_runs_make_no_bit_sliced_kernel_call() {
 }
 
 /// Random position codes (RPos) and random colour codes (RColor) differ
-/// from one another in about half their bits, so their runs sweep
-/// bit-sliced centroids.
+/// from one another in about half their bits, so their runs dot every
+/// stored row with each bit-sliced centroid.
 #[test]
 fn random_ablations_take_the_bit_sliced_passes() {
     for (position, color) in [

@@ -18,7 +18,7 @@
 //! fallback behaviour being guaranteed.
 
 use hdc::kernels;
-use hdc::{Accumulator, BinaryHypervector, BitSlicedGroup, HdcRng, HvMatrix};
+use hdc::{cosine_of_prenorm, Accumulator, BinaryHypervector, HdcRng, HvMatrix};
 use proptest::prelude::*;
 use seghdc::HvKmeans;
 use seghdc::TileConfig as Tiles;
@@ -114,7 +114,7 @@ proptest! {
         prop_assert_eq!(scalar_carry, auto_carry);
     }
 
-    /// The fused multi-centroid dot kernel is bit-exact with a per-group
+    /// The multi-counter dot kernel is bit-exact with a per-group
     /// scalar `plane_dot` walk, for every implementation the host supports
     /// (scalar, AVX2/NEON, AVX-512 variants), K ∈ 2..8 groups of varying
     /// plane counts, and non-lane-multiple word widths.
@@ -140,7 +140,7 @@ proptest! {
             offset = end;
         }
         for kernels in kernels::available() {
-            // Pre-seeded output: the fused kernel accumulates (`+=`).
+            // Pre-seeded output: the kernel accumulates (`+=`).
             let mut out = vec![3u64; k];
             kernels.plane_dot_multi(&planes, words_per_plane, &counts, &row, &mut out);
             prop_assert_eq!(&out, &expected);
@@ -206,7 +206,7 @@ proptest! {
     }
 
     /// Accumulator arithmetic (vertical-counter adds, row and bundle plane
-    /// dots, exact norms, group distances) is bit-identical across kernel
+    /// dots, exact norms, cosine distances) is bit-identical across kernel
     /// selections, for dimensions with non-lane-multiple word tails.
     #[test]
     fn accumulator_arithmetic_agrees_across_kernels(
@@ -237,18 +237,17 @@ proptest! {
             scalar_acc.dot_row_with(probe, kernels::scalar()).unwrap(),
             auto_acc.dot_row_with(probe, kernels::auto()).unwrap()
         );
-        // The assignment step's path: the stacked group's dot and distance.
-        let mut dots = [0u64; 2];
-        for (dot, kernels) in dots.iter_mut().zip([kernels::scalar(), kernels::auto()]) {
-            let group = BitSlicedGroup::from_accumulators(std::slice::from_ref(&auto_acc), kernels)
-                .unwrap();
-            group.dot_row_range_with(0..1, probe, std::slice::from_mut(dot), kernels);
+        // The bit-sliced assignment step's path: the centroid's norm, the
+        // row's dot and popcount, and the one cosine funnel.
+        for kernels in [kernels::scalar(), kernels::auto()] {
+            let dot = auto_acc.dot_row_with(probe, kernels).unwrap();
+            let row_norm = (kernels.popcount(probe.as_words()) as f64).sqrt();
+            let distance = 1.0 - cosine_of_prenorm(dot, auto_acc.norm_with(kernels), row_norm);
             prop_assert_eq!(
-                group.cosine_distance_of(0, *dot, probe.count_ones()).to_bits(),
+                distance.to_bits(),
                 auto_acc.cosine_distance_row(probe).unwrap().to_bits()
             );
         }
-        prop_assert_eq!(dots[0], dots[1]);
         // The stitch's path: bundle against bundle, here the bundle of
         // every member against the bundle of the odd-numbered ones.
         let mut odd = Accumulator::zeros(dim).unwrap();
@@ -267,9 +266,9 @@ proptest! {
     // still exercises many dims/K combinations per ISA.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `cluster_matrix_with` — the fused assignment loop — produces
-    /// byte-identical labels under every kernel implementation the host
-    /// supports, for non-lane-multiple dimensions.
+    /// `cluster_matrix_with` over random rows — the bit-sliced passes —
+    /// produces byte-identical labels under every kernel implementation
+    /// the host supports, for non-lane-multiple dimensions.
     #[test]
     fn cluster_labels_are_identical_across_every_available_isa(
         dim in 150usize..1100,
@@ -362,6 +361,8 @@ proptest! {
 /// implementation the host supports, pinned ISA by ISA through
 /// `SimdCpuBackend::with_kernels` (whole-image and tiled) — so on an
 /// AVX-512 machine this compares scalar, AVX2, and both AVX-512 variants.
+/// The default level codes run the closed-form interval passes; random
+/// position codes (Table I's RPos ablation) run the bit-sliced passes.
 #[test]
 fn engine_labels_are_byte_identical_for_every_available_isa() {
     let profile = DatasetProfile::dsb2018_like().scaled(30, 26);
@@ -369,34 +370,45 @@ fn engine_labels_are_byte_identical_for_every_available_isa() {
         .unwrap()
         .sample(0)
         .unwrap();
-    let config = SegHdcConfig::builder()
-        .dimension(900)
-        .iterations(3)
-        .beta(4)
-        .build()
-        .unwrap();
     let tiles = Tiles::square(12, 2).unwrap();
 
-    let run = |kernels: &'static dyn kernels::Kernels| {
-        let engine = SegEngine::builder(config.clone())
-            .backend(Box::new(SimdCpuBackend::with_kernels(kernels)))
+    for position in [
+        PositionEncoding::BlockDecayManhattan,
+        PositionEncoding::Random,
+    ] {
+        let config = SegHdcConfig::builder()
+            .position_encoding(position)
+            .dimension(900)
+            .iterations(3)
+            .beta(4)
             .build()
             .unwrap();
-        let whole = engine
-            .run(&SegmentRequest::image(&sample.image).whole_image())
-            .unwrap();
-        let tiled = engine
-            .run(&SegmentRequest::image(&sample.image).tiled(tiles))
-            .unwrap();
-        (
-            whole.single().label_map.as_raw().to_vec(),
-            tiled.single().label_map.as_raw().to_vec(),
-        )
-    };
+        let run = |kernels: &'static dyn kernels::Kernels| {
+            let engine = SegEngine::builder(config.clone())
+                .backend(Box::new(SimdCpuBackend::with_kernels(kernels)))
+                .build()
+                .unwrap();
+            let whole = engine
+                .run(&SegmentRequest::image(&sample.image).whole_image())
+                .unwrap();
+            let tiled = engine
+                .run(&SegmentRequest::image(&sample.image).tiled(tiles))
+                .unwrap();
+            (
+                whole.single().label_map.as_raw().to_vec(),
+                tiled.single().label_map.as_raw().to_vec(),
+            )
+        };
 
-    let reference = run(kernels::scalar());
-    for kernels in kernels::available() {
-        assert_eq!(run(kernels), reference, "isa {}", kernels.name());
+        let reference = run(kernels::scalar());
+        for kernels in kernels::available() {
+            assert_eq!(
+                run(kernels),
+                reference,
+                "{position:?}, isa {}",
+                kernels.name()
+            );
+        }
     }
 }
 
